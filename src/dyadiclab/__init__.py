@@ -64,7 +64,6 @@ from .hankel import (
 )
 from .aak import (
     BlockProblem,
-    CompletionError,
     extend_hankel_step,
     parrott_min,
     recover_bounded_symbol,

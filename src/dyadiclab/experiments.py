@@ -413,7 +413,19 @@ def validate_config(cfg: dict) -> dict:
     m = out.get("M")
     if n is not None and m is not None and (1 << n) < 4 * m:
         raise ConfigError(f"need 2^n >= 4*M, got n={n}, M={m}")
+    if name == "aak-extend":
+        for key, low in (("trials", 1), ("K", 0), ("recovery_trials", 0), ("recovery_degree", 1)):
+            if key in out and not _is_int_at_least(out[key], low):
+                raise ConfigError(f"{key} must be an integer >= {low}, got {out[key]!r}")
+        m_list = out.get("M_list")
+        if "M_list" in out and not (isinstance(m_list, list) and m_list
+                                    and all(_is_int_at_least(v, 1) for v in m_list)):
+            raise ConfigError(f"M_list must be a non-empty list of integers >= 1, got {m_list!r}")
     return out
+
+
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _canonical_json(obj) -> str:

@@ -135,10 +135,6 @@ def check_intertwining(H: HankelOp) -> float:
 # Hankel operators from symbols, via honest grid computation
 
 
-def _hardy_projection_modes(values_spec: np.ndarray, keep_axis_nonneg: list) -> np.ndarray:
-    return values_spec
-
-
 def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
     """Matrix of phi -> P_{k>=0}(b * conj(phi)) on the exponential basis
     e_0..e_{M-1}, computed by sampling on a grid with N >= 4M (alias-free)."""

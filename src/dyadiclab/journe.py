@@ -170,9 +170,7 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
         emb_values[r] = mu
         damped[r] = c * mu ** -eps
     if damped:
-        lhs = bmo_product_of_book(
-            {_coarse_key(r, n): v for r, v in damped.items()}, n, mode=mode
-        ).value
+        lhs = bmo_product_of_book(damped, n, mode=mode).value
     else:
         lhs = 0.0
     rhs = bmo_rect(f, family, meyer, depth).value
@@ -183,10 +181,6 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
         "eps": eps,
         "embeddedness": emb_values,
     }
-
-
-def _coarse_key(r: DyadicRectangle, depth: int) -> DyadicRectangle:
-    return r
 
 
 class JourneCheckError(RuntimeError):
@@ -455,7 +449,6 @@ def hankel_cases_1d(meyer: MeyerFamily, I: DyadicInterval, J: DyadicInterval) ->
     cJ = np.fft.fftshift(np.conj(a_J[np.array([(-k) % N for k in range(N)])]))
     conv = np.convolve(cI, cJ)
     # conv index m corresponds to mode m - (N - 2) ... two shifted sequences
-    base = -(N // 2) * 2 + 0  # lowest possible mode sum after fftshift: 2 * (-N/2)
     modes = np.arange(conv.size) + 2 * (-(N // 2))
     pos = conv[modes > 0]
     neg = conv[modes < 0]

@@ -58,11 +58,6 @@ def from_spectrum(s: Spectrum) -> Signal:
     return Signal(s.grid, vals)
 
 
-def _axis_mask(grid: Grid, keep) -> np.ndarray:
-    """Boolean mask over one axis's modes; `keep` maps mode numbers to bool."""
-    return keep(mode_numbers(grid))
-
-
 def _apply_multiplier(f: Signal, mult_1d: np.ndarray, axis: int) -> Signal:
     spec = np.fft.fft(f.values, axis=axis - 1)
     shape = [1] * f.grid.dim

@@ -34,6 +34,25 @@ def test_validate_config():
     assert cfg["seed"] == 0
 
 
+@pytest.mark.parametrize("bad", [
+    {"trials": 0, "M_list": [4]},
+    {"M_list": ["8"]},
+    {"M_list": []},
+    {"K": -1},
+    {"recovery_trials": -1},
+    {"recovery_degree": 0},
+], ids=["trials0", "M_list_str", "M_list_empty", "K_negative", "recovery_trials_negative",
+        "recovery_degree0"])
+def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "aak-extend", **bad}))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = json.loads((tmp_path / "res" / "error.json").read_text())
+    assert err["error"] == "config_invalid"
+    assert not (tmp_path / "res" / "manifest.json").exists()
+
+
 def test_trial_rng_streams_are_stable():
     a = ex.trial_rng(5, 7).standard_normal(4)
     b = ex.trial_rng(5, 7).standard_normal(4)
