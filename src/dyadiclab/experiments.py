@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -325,8 +324,7 @@ def _exp_journe(cfg, threads):
 
 def _exp_lower_bound(cfg, threads):
     seed = cfg["seed"]
-    n = cfg.get("n", 2)
-    depth = max(cfg.get("grid_depth", 6), 5)
+    depth = cfg.get("grid_depth", 6)
     grid = Grid(depth, 2)
     fam = transforms.build_meyer_family(Grid(depth, 1))
     rng = trial_rng(seed, 0)
@@ -411,21 +409,32 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("seed must be a nonnegative integer")
     n = out.get("n")
     m = out.get("M")
-    if n is not None and m is not None and (1 << n) < 4 * m:
+    # nehari2d's n is the product-BMO depth, not the grid depth
+    if name != "nehari2d" and n is not None and m is not None and (1 << n) < 4 * m:
         raise ConfigError(f"need 2^n >= 4*M, got n={n}, M={m}")
-    if name == "aak-extend":
-        for key, low in (("trials", 1), ("K", 0), ("recovery_trials", 0), ("recovery_degree", 1)):
-            if key in out and not _is_int_at_least(out[key], low):
-                raise ConfigError(f"{key} must be an integer >= {low}, got {out[key]!r}")
-        m_list = out.get("M_list")
-        if "M_list" in out and not (isinstance(m_list, list) and m_list
-                                    and all(_is_int_at_least(v, 1) for v in m_list)):
-            raise ConfigError(f"M_list must be a non-empty list of integers >= 1, got {m_list!r}")
+    for key, (low, high) in _INT_FIELDS.get(name, {}).items():
+        listed = key.endswith("_list")
+        values = out.get(key, [low]) if listed else [out.get(key, low)]
+        if not (isinstance(values, list) and values and all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= low
+                and (high is None or v <= high) for v in values)):
+            kind = "a non-empty list of integers" if listed else "an integer"
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ConfigError(f"{key} must be {kind} {bound}, got {out[key]!r}")
     return out
 
 
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+# (lowest, highest or None) of each integer field; a key ending in _list
+# holds a list.  nehari2d's n and carleson's n_list are capped for run time
+# (a carleson entry n builds a 4^(n+3)-cell grid); lower-bound's scale-2
+# collection needs a Meyer family of max_scale grid_depth - 4 >= 2.
+_INT_FIELDS = {
+    "aak-extend": {"trials": (1, None), "K": (0, None), "recovery_trials": (0, None),
+                   "recovery_degree": (1, None), "M_list": (1, None)},
+    "nehari2d": {"trials": (1, None), "M": (1, None), "n": (1, 5)},
+    "carleson": {"n_list": (0, 6)},
+    "lower-bound": {"grid_depth": (6, None)},
+}
 
 
 def _canonical_json(obj) -> str:

@@ -26,9 +26,7 @@ from .dyadic import (
     zeros,
 )
 from .norms import (
-    BmoReport,
     bmo_minus1,
-    bmo_product,
     bmo_product_of_book,
     bmo_rect,
     coefficient_book,
@@ -101,6 +99,19 @@ def enlarged_set(U_mask: np.ndarray, grid: Grid) -> np.ndarray:
     return m2
 
 
+def _dilate_inside(R: DyadicRectangle, mu: float, V: np.ndarray, N: int) -> bool:
+    """Whether every cell of the padded window meeting the mu-dilate of R lies in V."""
+    idx = []
+    for iv in R.coordinates:
+        c, h = iv.center, iv.length / 2.0
+        lo, hi = c - mu * h, c + mu * h
+        if lo < -1.0 or hi > 2.0:
+            return False
+        idx.append((int(np.floor(lo * N + 1e-12)) + N, int(np.ceil(hi * N - 1e-12)) + N))
+    (a1, b1), (a2, b2) = idx
+    return bool(V[a1:b1, a2:b2].all())
+
+
 def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
                  V_mask: np.ndarray | None = None, mu_tol: float = 1e-9) -> float:
     """Emb(R; U) = largest mu >= 1 with the mu-dilate of R inside V,
@@ -111,33 +122,16 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
     N = grid.n_points
 
-    centers = [iv.center for iv in R.coordinates]
-    halves = [iv.length / 2.0 for iv in R.coordinates]
-
-    def dilate_inside(mu: float) -> bool:
-        # cells of the padded window intersecting mu*R must all lie in V
-        idx = []
-        for c, h in zip(centers, halves):
-            lo = c - mu * h
-            hi = c + mu * h
-            if lo < -1.0 or hi > 2.0:
-                return False
-            a = int(np.floor(lo * N + 1e-12)) + N
-            b = int(np.ceil(hi * N - 1e-12)) + N
-            idx.append((a, b))
-        (a1, b1), (a2, b2) = idx
-        return bool(V[a1:b1, a2:b2].all())
-
-    if not dilate_inside(1.0):
+    if not _dilate_inside(R, 1.0, V, N):
         return 1.0
     lo, hi = 1.0, 2.0
-    while dilate_inside(hi):
+    while _dilate_inside(R, hi, V, N):
         lo, hi = hi, hi * 2.0
         if hi > 6.0 * N:
             return hi / 2.0
     while hi - lo > mu_tol * lo:
         mid = 0.5 * (lo + hi)
-        if dilate_inside(mid):
+        if _dilate_inside(R, mid, V, N):
             lo = mid
         else:
             hi = mid
@@ -150,7 +144,7 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
 
 def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
                         family: str = "haar", meyer: MeyerFamily | None = None,
-                        depth: int | None = None, mode: str = "exact") -> dict:
+                        depth: int | None = None) -> dict:
     """Compare the product BMO of the damped projection
     sum_{R in U} Emb(R;U)^{-eps} <f, w_R> w_R against bmo_rect(f)."""
     grid = f.grid
@@ -169,10 +163,7 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
         mu = embeddedness(r, U_mask, grid, V_mask=V)
         emb_values[r] = mu
         damped[r] = c * mu ** -eps
-    if damped:
-        lhs = bmo_product_of_book(damped, n, mode=mode).value
-    else:
-        lhs = 0.0
+    lhs = bmo_product_of_book(damped, n).value
     rhs = bmo_rect(f, family, meyer, depth).value
     return {
         "lhs_bmo": lhs,
@@ -192,7 +183,7 @@ class JourneCheckError(RuntimeError):
 def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
                                  V_mask: np.ndarray, emb_map: dict, eta: float,
                                  family: str = "haar", meyer: MeyerFamily | None = None,
-                                 depth: int | None = None, mode: str = "exact") -> dict:
+                                 depth: int | None = None) -> dict:
     """Verify the two geometric conclusions for a supplied (V, Emb) candidate
     and evaluate the damped inequality with exponent 2d, reporting the
     empirical constant.
@@ -204,23 +195,8 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
     grid = f.grid
     N = grid.n_points
     d = grid.dim
-    offenders_a = []
-    for r in collection.members:
-        mu = emb_map[r]
-        ok = True
-        idx = []
-        for iv in r.coordinates:
-            c, h = iv.center, iv.length / 2.0
-            lo, hi = c - mu * h, c + mu * h
-            if lo < -1.0 or hi > 2.0:
-                ok = False
-                break
-            idx.append((int(np.floor(lo * N + 1e-12)) + N, int(np.ceil(hi * N - 1e-12)) + N))
-        if ok:
-            (a1, b1), (a2, b2) = idx
-            ok = bool(V_mask[a1:b1, a2:b2].all())
-        if not ok:
-            offenders_a.append(r)
+    offenders_a = [r for r in collection.members
+                   if not _dilate_inside(r, emb_map[r], V_mask, N)]
     sh_measure = collection.shadow_measure()
     v_measure = float(np.count_nonzero(V_mask)) * grid.weight
     b_ok = v_measure < (1.0 + eta) * sh_measure + 1e-12
@@ -240,7 +216,7 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
         c = book.get(r, 0.0)
         if abs(c) > 0:
             damped[r] = c * emb_map[r] ** (-2.0 * d)
-    lhs = bmo_product_of_book(damped, n, mode=mode).value if damped else 0.0
+    lhs = bmo_product_of_book(damped, n).value
     rhs = bmo_minus1(f, family, meyer, depth).value
     return {
         "a_ok": True,

@@ -6,12 +6,16 @@ The BMO functionals are quadratic forms on wavelet coefficients:
 
 with U ranging over dyadic intervals (dyadic BMO), dyadic rectangles
 (rectangular BMO), arbitrary unions of finest cells (product BMO), or
-shadows of one-parameter rectangle collections (the d-1 norm).
+shadows of one-parameter rectangle collections (the d-1 norm).  Each sup
+has one exact solver: fine-to-coarse accumulation for the first two, a
+closed form over the best shared-side interval for the d-1 norm, and
+minimum cuts with Dinkelbach's ratio iteration for product BMO, whose last
+cut certifies the value.  Product BMO also has a greedy mode whose result
+is labelled a lower bound.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +161,6 @@ def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:
     """Map DyadicRectangle -> <b, h_R> for all wavelet rectangles resolvable
     on the grid, optionally truncated to sides >= 2^-depth."""
     coeffs = transforms.haar_analysis(b)
-    n = b.grid.depth
     book = {}
     for (p1, p2), arr in coeffs.ww.items():
         if depth is not None and (p1 > depth or p2 > depth):
@@ -242,14 +245,130 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
 # product BMO
 
 
+def _nonzero_masses(book: dict) -> list:
+    """(rectangle, |c|^2) for every coefficient above 1e-12 of the largest."""
+    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
+    return [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
+
+
+def _min_cut_source_side(n_nodes: int, arcs: list, s: int, t: int) -> list:
+    """Dinic's maximum flow on float capacities, iterative (no recursion).
+
+    Returns, per node, whether it is reachable from s in the final residual
+    graph: the source side of a minimum s-t cut.  An augmentation subtracts
+    the path's bottleneck from the bottleneck arc itself, which leaves it at
+    exactly 0, so each phase ends and at most n_nodes phases run.
+    """
+    to, cap, adj = [], [], [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:  # arc 2i and its reverse 2i + 1
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += [v, u]
+        cap += [c, 0.0]
+    while True:
+        level = [-1] * n_nodes
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            return [lv >= 0 for lv in level]
+        ptr = [0] * n_nodes
+        path, u = [], s
+        while True:
+            if u == t:
+                f = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                k = next(i for i, e in enumerate(path) if cap[e] <= 0)
+                del path[k:]
+                u = to[path[-1]] if path else s
+                continue
+            edges = adj[u]
+            while ptr[u] < len(edges):
+                e = edges[ptr[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                ptr[u] += 1
+            if ptr[u] < len(edges):
+                path.append(edges[ptr[u]])
+                u = to[path[-1]]
+            elif u == s:
+                break
+            else:
+                level[u] = -1  # dead end for the rest of this phase
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+
+
+def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
+    """Exact sup over unions U of finest cells of |U|^-1 sum_{R inside U} m_R.
+
+    The cut points of all rectangle sides split the square into boxes; boxes
+    lying in exactly the same rectangles form one atom.  For a fixed lam, the
+    best U maximises sum_{R inside U} m_R - lam |U|: a maximum-weight closure
+    (taking R forces its atoms), solved by one s-t minimum cut (Picard 1976).
+    Dinkelbach's iteration sets lam to the ratio of the last union and cuts
+    again at lam (1 + 1e-12); the first cut that finds no better union
+    certifies the current one.  Returns (sup, cell mask of U, number of cuts).
+    """
+    N = 1 << depth
+    axis_grid = Grid(depth, 1)
+    if not masses:
+        return 0.0, np.zeros((N, N), dtype=bool), 0
+    ranges = [[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses]
+    cuts = [np.unique([0, N] + [x for rr in ranges for x in rr[axis]]) for axis in (0, 1)]
+    inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(masses)), dtype=bool)
+    for k, rr in enumerate(ranges):
+        (a0, a1), (b0, b1) = (np.searchsorted(c, r) for c, r in zip(cuts, rr))
+        inside[a0:a1, b0:b1, k] = True
+    widths = [np.diff(c) for c in cuts]
+    flat = inside.reshape(-1, len(masses))
+    covered = np.flatnonzero(flat.any(axis=1))
+    _, first, atom_of = np.unique(np.packbits(flat[covered], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    atom_of = atom_of.ravel()
+    member = flat[covered[first]]  # member[a, k]: atom a lies in rectangle k
+    area = np.bincount(atom_of, np.outer(*widths).ravel()[covered]) / 4.0 ** depth
+    m = np.array([mass for _, mass in masses])
+
+    def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
+        inside_u = ~(member & ~chosen[:, None]).any(axis=0)
+        return float(np.cumsum(m[inside_u])[-1] / area[chosen].sum())
+
+    n_rect, n_atom = len(masses), len(area)
+    s, t = n_rect + n_atom, n_rect + n_atom + 1
+    links = [(k, n_rect + a, np.inf) for a, k in zip(*np.nonzero(member))]
+    links += [(s, k, float(m[k])) for k in range(n_rect)]
+    chosen = np.ones(n_atom, dtype=bool)  # the union of all rectangles
+    value, n_cuts = ratio(chosen), 0
+    while True:
+        lam = value * (1.0 + 1e-12)
+        sink = [(n_rect + a, t, lam * float(area[a])) for a in range(n_atom)]
+        source_side = _min_cut_source_side(n_rect + n_atom + 2, links + sink, s, t)
+        n_cuts += 1
+        candidate = np.array(source_side[n_rect:n_rect + n_atom])
+        better = ratio(candidate) if candidate.any() else 0.0
+        if better <= value:
+            break  # no union beats value (1 + 1e-12): the certificate
+        chosen, value = candidate, better
+    boxes = np.zeros(flat.shape[0], dtype=bool)
+    boxes[covered] = chosen[atom_of]
+    mask = np.repeat(np.repeat(boxes.reshape(inside.shape[:2]), widths[0], axis=0),
+                     widths[1], axis=1)
+    return value, mask, n_cuts
+
+
 def _rect_cell_bitmask(r: DyadicRectangle, depth: int) -> int:
+    """Cells of r as the bits of an int, bit i for flat cell index i."""
     grid = Grid(depth, 2)
     mask = np.zeros(grid.shape, dtype=bool)
     mask[r.cell_slices(grid)] = True
-    bits = 0
-    for idx in np.flatnonzero(mask.ravel()):
-        bits |= 1 << int(idx)
-    return bits
+    return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
 
 
 def _value_of_union(union_bits: int, depth: int, rect_bits: list, rect_mass: list) -> float:
@@ -264,71 +383,33 @@ def _value_of_union(union_bits: int, depth: int, rect_bits: list, rect_mass: lis
     return num / area
 
 
-def _best_cell_union(depth: int, rect_bits: list, rect_mass: list) -> tuple[float, int]:
-    """Exact sup over all nonempty unions of finest cells, vectorized over the
-    2^(#cells) subset masks."""
-    n_cells = 4 ** depth
-    U = np.arange(1, 1 << n_cells, dtype=np.uint64)
-    counts = np.bitwise_count(U).astype(float)
-    num = np.zeros(U.shape, dtype=float)
-    for bits, m in zip(rect_bits, rect_mass):
-        b = np.uint64(bits)
-        num += np.where((U & b) == b, m, 0.0)
-    vals = num / (counts * 4.0 ** -depth)
-    best = int(np.argmax(vals))
-    return float(vals[best]), int(U[best])
-
-
 def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None,
-                depth: int | None = None, book: dict | None = None,
-                max_rect_subset: int = 22) -> BmoReport:
+                depth: int | None = None, book: dict | None = None) -> BmoReport:
     """sup over unions of finest cells U of the product-BMO quadratic form.
 
-    Exact search is feasible by full cell-subset enumeration when the grid has
-    at most 20 cells, or by enumerating unions of the nonzero-coefficient
-    rectangles (the sup is always attained on such a union: removing cells
-    that complete no coefficient rectangle only shrinks |U|).
-    Heuristic mode returns a certified lower bound.
+    Exact mode: minimum cuts with Dinkelbach's iteration (`_max_union_ratio`),
+    no size limit; the witness is the optimal cell mask, whose own ratio is
+    the value, and the last cut certifies it to 1e-12 relative.  Heuristic
+    mode grows greedy unions from the heaviest rectangles: a lower bound.
     """
     if b.grid.dim != 2:
         raise ValueError("bmo_product handles d = 2")
     book = _book_from_args(b, family, meyer, depth, book)
     n = b.grid.depth if depth is None else depth
-    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    nz = [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
-    rects = [r for r, _ in nz]
-    rect_bits = [_rect_cell_bitmask(r, n) for r in rects]
-    rect_mass = [m for _, m in nz]
-    n_cells = 4 ** n
+    nz = _nonzero_masses(book)
 
     if mode == "exact":
-        if n_cells <= 20:
-            best_val, best_bits = _best_cell_union(n, rect_bits, rect_mass)
-            witness = _bits_to_mask(best_bits, n)
-            return BmoReport(np.sqrt(best_val), witness, "exact", family,
-                             {"search": "cells", "depth": n})
-        if len(rects) <= max_rect_subset:
-            best_val, best_bits = 0.0, 0
-            for size in range(1, len(rects) + 1):
-                for combo in itertools.combinations(range(len(rects)), size):
-                    union_bits = 0
-                    for i in combo:
-                        union_bits |= rect_bits[i]
-                    v = _value_of_union(union_bits, n, rect_bits, rect_mass)
-                    if v > best_val:
-                        best_val, best_bits = v, union_bits
-            witness = _bits_to_mask(best_bits, n)
-            return BmoReport(np.sqrt(best_val), witness, "exact", family,
-                             {"search": "rect-unions", "depth": n})
-        raise ValueError(
-            f"exact product BMO infeasible ({n_cells} cells, {len(rects)} rectangles);"
-            " use mode='heuristic'"
-        )
+        best_val, witness, cuts = _max_union_ratio(nz, n)
+        return BmoReport(np.sqrt(best_val), witness, "exact", family,
+                         {"search": "min-cut", "depth": n, "cuts": cuts})
 
     if mode != "heuristic":
         raise ValueError("mode must be 'exact' or 'heuristic'")
 
     # heuristic: rectangles, then greedy unions grown from each rectangle seed
+    rects = [r for r, _ in nz]
+    rect_bits = [_rect_cell_bitmask(r, n) for r in rects]
+    rect_mass = [m for _, m in nz]
     best_val, best_bits = 0.0, 0
     rect_report = bmo_rect(b, family, meyer, depth, book=book)
     order = np.argsort(rect_mass)[::-1]
@@ -360,41 +441,17 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
 
 def _bits_to_mask(bits: int, depth: int) -> np.ndarray:
     grid = Grid(depth, 2)
-    flat = np.zeros(grid.n_points ** 2, dtype=bool)
-    for idx in range(flat.size):
-        if bits >> idx & 1:
-            flat[idx] = True
-    return flat.reshape(grid.shape)
+    raw = np.frombuffer(bits.to_bytes((grid.n_points ** 2 + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:grid.n_points ** 2].astype(bool).reshape(grid.shape)
 
 
-def bmo_product_of_book(book: dict, depth: int, mode: str = "exact",
-                        max_rect_subset: int = 22) -> BmoReport:
-    """Product BMO evaluated directly on a coefficient book (wavelet-family
-    agnostic; used by the damped projections where the signal is synthetic)."""
-    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    nz = [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
-    rects = [r for r, _ in nz]
-    rect_bits = [_rect_cell_bitmask(r, depth) for r in rects]
-    rect_mass = [m for _, m in nz]
-    n_cells = 4 ** depth
-    best_val, best_bits = 0.0, 0
-    if mode == "exact" and n_cells <= 20:
-        best_val, best_bits = _best_cell_union(depth, rect_bits, rect_mass)
-    elif mode == "exact" and len(rects) <= max_rect_subset:
-        for size in range(1, len(rects) + 1):
-            for combo in itertools.combinations(range(len(rects)), size):
-                union_bits = 0
-                for i in combo:
-                    union_bits |= rect_bits[i]
-                v = _value_of_union(union_bits, depth, rect_bits, rect_mass)
-                if v > best_val:
-                    best_val, best_bits = v, union_bits
-    elif mode == "exact":
-        raise ValueError("exact product BMO infeasible for this book")
-    else:
-        raise ValueError("only exact mode is supported for raw books")
-    return BmoReport(np.sqrt(best_val), _bits_to_mask(best_bits, depth), "exact",
-                     "book", {"depth": depth})
+def bmo_product_of_book(book: dict, depth: int) -> BmoReport:
+    """Exact product BMO evaluated directly on a coefficient book (wavelet-family
+    agnostic; used by the damped projections where the signal is synthetic),
+    by the same minimum-cut solver as `bmo_product(mode="exact")`."""
+    best_val, witness, cuts = _max_union_ratio(_nonzero_masses(book), depth)
+    return BmoReport(np.sqrt(best_val), witness, "exact", "book",
+                     {"search": "min-cut", "depth": depth, "cuts": cuts})
 
 
 # ---------------------------------------------------------------------------
@@ -402,77 +459,37 @@ def bmo_product_of_book(book: dict, depth: int, mode: str = "exact",
 
 
 def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
-               book: dict | None = None, max_subset: int = 20) -> BmoReport:
+               book: dict | None = None) -> BmoReport:
     """sup over collections sharing one coordinate interval of
-    (|sh(U)|^-1 sum_{R in U} |<b,w_R>|^2)^(1/2)."""
+    (|sh(U)|^-1 sum_{R in U} |<b,w_R>|^2)^(1/2); exact, in closed form.
+
+    For rectangles I x K sharing I, the maximal K of U are disjoint and hold
+    every other member, so the ratio of U is a mediant of the ratios of its
+    parts under them; under I x J the best part takes every member inside.
+    The sup is max over members I x J of (sum_{K in J} m_{I x K}) / (|I| |J|),
+    and the witness is the members under the best I x J.
+    """
     if b.grid.dim != 2:
         raise ValueError("bmo_minus1 handles d = 2")
     book = _book_from_args(b, family, meyer, depth, book)
-    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    best_val, best_members, exact = 0.0, (), True
+    nz = _nonzero_masses(book)
+    best_val, best_members = 0.0, ()
     for axis in (0, 1):
         groups: dict = {}
-        for r, c in book.items():
-            if abs(c) <= tol:
-                continue
-            groups.setdefault(r.coordinates[axis], []).append((r, abs(c) ** 2))
-        for shared, items in groups.items():
-            others = [r.coordinates[1 - axis] for r, _ in items]
-            masses = [m for _, m in items]
-            if len(items) <= max_subset:
-                val, members = _best_shared_subset(shared, others, masses, exact=True)
-            else:
-                val, members = _best_shared_subset(shared, others, masses, exact=False)
-                exact = False
-            if val > best_val:
-                best_val = val
-                if axis == 0:
-                    best_members = tuple(
-                        DyadicRectangle((shared, iv)) for iv in members
-                    )
-                else:
-                    best_members = tuple(
-                        DyadicRectangle((iv, shared)) for iv in members
-                    )
+        for r, m in nz:
+            groups.setdefault(r.coordinates[axis], {})[r.coordinates[1 - axis]] = (r, m)
+        for shared, members in groups.items():
+            coarsest = max(iv.scale_exponent for iv in members)
+            total = dict.fromkeys(members, 0.0)
+            for iv, (_, m) in members.items():
+                while iv.scale_exponent <= coarsest:
+                    if iv in total:
+                        total[iv] += m
+                    iv = iv.parent()
+            for J, mass in total.items():
+                val = mass / (shared.length * J.length)
+                if val > best_val:
+                    best_val = val
+                    best_members = tuple(r for iv, (r, _) in members.items() if J.contains(iv))
     witness = RectangleCollection(best_members, b.grid) if best_members else None
-    return BmoReport(np.sqrt(best_val), witness,
-                     "exact" if exact else "lower_bound", family)
-
-
-def _union_length(intervals) -> float:
-    """Measure of a union of dyadic intervals in [0,1)."""
-    if not intervals:
-        return 0.0
-    finest = min(iv.scale_exponent for iv in intervals)
-    covered = set()
-    for iv in intervals:
-        shift = iv.scale_exponent - finest
-        start = iv.position << shift
-        covered.update(range(start, start + (1 << shift)))
-    return len(covered) * 2.0 ** finest
-
-
-def _best_shared_subset(shared, others, masses, exact: bool):
-    denom_factor = shared.length
-    k = len(others)
-    if exact:
-        best, best_members = 0.0, ()
-        for size in range(1, k + 1):
-            for combo in itertools.combinations(range(k), size):
-                num = sum(masses[i] for i in combo)
-                sh = _union_length([others[i] for i in combo]) * denom_factor
-                if num / sh > best:
-                    best, best_members = num / sh, tuple(others[i] for i in combo)
-        return best, best_members
-    # greedy fallback
-    order = sorted(range(k), key=lambda i: -masses[i])
-    chosen: list = []
-    best, best_members = 0.0, ()
-    num = 0.0
-    for i in order:
-        chosen.append(i)
-        num += masses[i]
-        sh = _union_length([others[j] for j in chosen]) * denom_factor
-        if num / sh > best:
-            best, best_members = num / sh, tuple(others[j] for j in chosen)
-    return best, best_members
+    return BmoReport(np.sqrt(best_val), witness, "exact", family)

@@ -17,7 +17,6 @@ from .dyadic import (
     ResolutionError,
     Signal,
     haar_function,
-    shifted_haar_g,
     zeros,
 )
 from .norms import OperatorMatrix
@@ -75,7 +74,6 @@ def para_double_sum(b: Signal, f: Signal) -> Signal:
     out = zeros(b.grid)
     bc = haar_analysis(b)
     fc = haar_analysis(f)
-    gridN = b.grid.n_points
     intervals = [(p, j) for p in range(n) for j in range(1 << p)]
     hs = {}
     for p, j in intervals:
@@ -411,7 +409,6 @@ def apply_petermichl_average(f: Signal, Y: float = 8.0, s_steps: int = 64,
 def hilbert_reference(f: Signal, oversample: int = 64) -> Signal:
     """Hilbert transform of the zero-extension of f, via a long periodic
     embedding (wrap-around error is negligible for compactly supported f)."""
-    n = f.grid.depth
     N = f.grid.n_points
     L = oversample * N
     buf = np.zeros(L, dtype=complex)

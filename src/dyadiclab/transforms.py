@@ -21,7 +21,6 @@ from .dyadic import (
     Grid,
     ResolutionError,
     Signal,
-    zeros,
 )
 
 
@@ -383,7 +382,6 @@ class MeyerFamily:
         p = -interval.scale_exponent
         if p not in self.scales:
             raise ResolutionError(f"scale 2^-{p} outside the resolvable Meyer range")
-        N = self.axis_grid.n_points
         k = mode_numbers(self.axis_grid)
         t = k * 2.0 ** -p
         if kind in ("w", "u", "v"):

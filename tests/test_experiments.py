@@ -53,6 +53,47 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     assert not (tmp_path / "res" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"experiment": "nehari2d", "trials": 0},
+    {"experiment": "nehari2d", "M": 0},
+    {"experiment": "nehari2d", "M": "8"},
+    {"experiment": "nehari2d", "n": 0},
+    {"experiment": "nehari2d", "n": 6},
+    {"experiment": "nehari2d", "n": 2.5},
+    {"experiment": "carleson", "n_list": []},
+    {"experiment": "carleson", "n_list": [0, 7]},
+    {"experiment": "carleson", "n_list": [-1]},
+    {"experiment": "carleson", "n_list": 3},
+    {"experiment": "lower-bound", "grid_depth": 5},
+], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
+        "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
+        "carleson_n_list_int", "lower_bound_grid_depth5"])
+def test_bad_config_exits_1_with_error_json(tmp_path, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = json.loads((tmp_path / "res" / "error.json").read_text())
+    assert err["error"] == "config_invalid"
+    assert not (tmp_path / "res" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "nehari2d", "n": 2, "M": 4, "trials": 2},
+    {"experiment": "nehari2d", "n": 3, "trials": 2},
+], ids=["default_written_out", "depth3"])
+def test_nehari2d_accepts_its_depth(tmp_path, cfg):
+    # n is the product-BMO depth here, so the grid rule 2^n >= 4M does not apply
+    m = ex.run(cfg, tmp_path, threads=1)
+    assert m["summary"]["bmo_depth"] == cfg["n"]
+    assert m["summary"]["ratio_min"] > 0
+
+
+def test_lower_bound_default_depth_runs(tmp_path):
+    m = ex.run({"experiment": "lower-bound"}, tmp_path, threads=1)
+    assert m["config"]["seed"] == 0 and m["summary"]["cauchy_schwarz_ok"]
+
+
 def test_trial_rng_streams_are_stable():
     a = ex.trial_rng(5, 7).standard_normal(4)
     b = ex.trial_rng(5, 7).standard_normal(4)

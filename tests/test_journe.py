@@ -72,18 +72,21 @@ def test_damped_check_on_carleson_family():
 
 
 def test_carleson_family_values():
-    # exact product/rect ratio sqrt(2(n+1)/(n+2)): monotone, 1 at n=0, >1 at n=1
+    # the corner chain is a bounded family: exact product/rect ratio^2 is
+    # 2(n+1)/(n+2), monotone, 1 at n=0 and > 1 from n=1
     ratios = []
-    for n in (0, 1, 2):
+    for n in range(7):
         g = Grid(n + 3, 2)
         b, book = jn.carleson_family(n, g, seed=0)
         assert len(book) == n + 1
-        pe = dl.bmo_product(b, mode="exact").value
-        re_ = dl.bmo_rect(b).value
-        ratios.append(pe / re_)
-        assert abs(pe / re_ - np.sqrt(2.0 * (n + 1) / (n + 2))) < 1e-9
-    assert ratios[0] == pytest.approx(1.0, abs=1e-9)
-    assert ratios[1] > 1.0 and ratios[2] > ratios[1]
+        coeffs = dl.norms.coefficient_book(b)  # one Haar analysis for both norms
+        pe = dl.bmo_product(b, mode="exact", book=coeffs)
+        re_ = dl.bmo_rect(b, book=coeffs).value
+        assert pe.exactness == "exact"
+        ratios.append(pe.value / re_)
+        assert abs(ratios[-1] ** 2 - 2.0 * (n + 1) / (n + 2)) < 1e-12
+    assert ratios[0] == pytest.approx(1.0, abs=1e-12)
+    assert all(r1 > r0 for r0, r1 in zip(ratios, ratios[1:]))
 
 
 def test_carleson_needs_depth():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -206,29 +208,144 @@ def test_minus1_equals_rect_fails_in_general():
     assert abs(bmo_minus1(b).value - np.sqrt(2.0)) < 1e-12
 
 
-def test_exact_mode_errors_out_when_infeasible():
+def _book_value(book, mask, grid):
+    """|U|^-1 sum_{R inside U} |c_R|^2 for a cell mask U on `grid`."""
+    num = sum(abs(c) ** 2 for r, c in book.items() if mask[r.cell_slices(grid)].all())
+    return num / (mask.sum() * grid.weight)
+
+
+def _cell_union_oracle(book, depth):
+    """Brute-force product BMO: every nonempty union of the 4^depth <= 16 cells."""
+    g = Grid(depth, 2)
+    assert g.n_points ** 2 <= 16
+    rect_bits = []
+    for r in book:
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[r.cell_slices(g)] = True
+        rect_bits.append(int(sum(1 << int(i) for i in np.flatnonzero(mask.ravel()))))
+    masses = np.array([abs(c) ** 2 for c in book.values()])
+    unions = np.arange(1, 1 << g.n_points ** 2, dtype=np.int64)
+    num = np.zeros(unions.shape)
+    for bits, m in zip(rect_bits, masses):
+        num += np.where(unions & bits == bits, m, 0.0)
+    return float(np.sqrt(np.max(num / (np.bitwise_count(unions) * g.weight))))
+
+
+def _sparse_book(depth, k, rng):
+    """k random Haar rectangles of sides >= 2^-(depth-1) with complex coefficients."""
+    book = {}
+    while len(book) < k:
+        p1, p2 = (int(p) for p in rng.integers(0, depth, 2))
+        r = DyadicRectangle((DyadicInterval(-p1, int(rng.integers(0, 1 << p1))),
+                             DyadicInterval(-p2, int(rng.integers(0, 1 << p2)))))
+        book[r] = complex(rng.standard_normal(), rng.standard_normal())
+    return book
+
+
+def _signal_of_book(book, grid):
+    b = dl.zeros(grid)
+    for r, c in book.items():
+        b = b + c * haar_tensor(r, grid)
+    return b
+
+
+def test_exact_product_bmo_matches_cell_union_oracle():
+    g = Grid(2, 2)
+    for _ in range(12):
+        b = random_signal(g, rng)
+        rep = bmo_product(b, mode="exact")
+        oracle = _cell_union_oracle(dl.norms.coefficient_book(b), 2)
+        assert rep.exactness == "exact"
+        assert abs(rep.value - oracle) <= 1e-12 * oracle
+    for k in (1, 2, 3, 5, 7):
+        book = _sparse_book(2, k, rng)
+        oracle = _cell_union_oracle(book, 2)
+        assert abs(dl.norms.bmo_product_of_book(book, 2).value - oracle) <= 1e-12 * oracle
+        assert abs(bmo_product(_signal_of_book(book, g)).value - oracle) <= 1e-12 * oracle
+
+
+def test_exact_product_bmo_matches_rectangle_union_oracle():
+    # the sup is attained on a union of nonzero-coefficient rectangles
+    # (dropping cells that complete no rectangle only shrinks |U|)
+    for depth, k in ((3, 8), (4, 9)):
+        g = Grid(depth, 2)
+        for _ in range(4):
+            book = _sparse_book(depth, k, rng)
+            best = 0.0
+            for size in range(1, k + 1):
+                for combo in itertools.combinations(list(book), size):
+                    mask = np.zeros(g.shape, dtype=bool)
+                    for r in combo:
+                        mask[r.cell_slices(g)] = True
+                    best = max(best, _book_value(book, mask, g))
+            rep = dl.norms.bmo_product_of_book(book, depth)
+            assert abs(rep.value - np.sqrt(best)) <= 1e-12 * np.sqrt(best)
+            assert abs(np.sqrt(_book_value(book, rep.witness, g)) - rep.value) <= 1e-12 * rep.value
+
+
+def test_heuristic_never_exceeds_exact_product_bmo():
+    for depth in (3, 4):
+        b = random_signal(Grid(depth, 2), rng)
+        exact = bmo_product(b, mode="exact")
+        heur = bmo_product(b, mode="heuristic")
+        assert exact.exactness == "exact" and heur.exactness == "lower_bound"
+        assert bmo_rect(b).value <= heur.value * (1 + 1e-12)
+        assert heur.value <= exact.value * (1 + 1e-12)
+
+
+def _minus1_oracle(book, grid):
+    """Brute-force BMO_-1: every subcollection of every shared-side group."""
+    best = 0.0
+    for axis in (0, 1):
+        groups = {}
+        for r, c in book.items():
+            if abs(c) > 0:
+                groups.setdefault(r.coordinates[axis], []).append(r)
+        for members in groups.values():
+            for size in range(1, len(members) + 1):
+                for combo in itertools.combinations(members, size):
+                    coll = dl.RectangleCollection(combo, grid)
+                    num = sum(abs(book[r]) ** 2 for r in combo)
+                    best = max(best, num / coll.shadow_measure())
+    return np.sqrt(best)
+
+
+def test_minus1_matches_subset_oracle():
     g = Grid(3, 2)
-    b = random_signal(g, rng)  # 49 nonzero rectangles, 64 cells
-    with pytest.raises(ValueError, match="heuristic"):
-        bmo_product(b, mode="exact")
-    rep = bmo_product(b, mode="heuristic")
-    assert rep.exactness == "lower_bound"
-    assert rep.value >= bmo_rect(b).value - 1e-12
+    books = [dl.norms.coefficient_book(random_signal(g, rng)) for _ in range(3)]
+    books += [_sparse_book(3, k, rng) for k in (2, 4, 8, 12)]
+    for book in books:
+        rep = bmo_minus1(_signal_of_book(book, g))
+        oracle = _minus1_oracle(book, g)
+        assert rep.exactness == "exact"
+        assert abs(rep.value - oracle) <= 1e-12 * oracle
+
+
+def test_minus1_exact_and_witness_at_depth_5():
+    # 31 rectangles share each side here: beyond any subset enumeration
+    g = Grid(5, 2)
+    b = random_signal(g, rng)
+    rep = bmo_minus1(b)
+    assert rep.exactness == "exact"
+    book = dl.norms.coefficient_book(b)
+    members = rep.witness.members
+    assert len({r.coordinates[0] for r in members}) == 1 or len({r.coordinates[1] for r in members}) == 1
+    num = sum(abs(book[r]) ** 2 for r in members)
+    assert abs(np.sqrt(num / rep.witness.shadow_measure()) - rep.value) <= 1e-12 * rep.value
+    assert rep.value <= bmo_rect(b).value * (1 + 1e-12)
 
 
 def test_product_witness_reproduces_value():
     g = Grid(2, 2)
     b = _corner_pair(g)
     rep = bmo_product(b, mode="exact")
-    mask = rep.witness
     book = dl.norms.coefficient_book(b)
-    num = 0.0
-    for r, c in book.items():
-        s1, s2 = r.cell_slices(g)
-        if mask[s1, s2].all():
-            num += abs(c) ** 2
-    area = mask.sum() * g.weight
-    assert abs(np.sqrt(num / area) - rep.value) < 1e-10
+    assert abs(np.sqrt(_book_value(book, rep.witness, g)) - rep.value) < 1e-10
+    g = Grid(4, 2)
+    b = random_signal(g, rng)
+    rep = bmo_product(b, mode="exact")
+    book = dl.norms.coefficient_book(b)
+    assert abs(np.sqrt(_book_value(book, rep.witness, g)) - rep.value) <= 1e-12 * rep.value
 
 
 def test_bmo_with_meyer_family():
@@ -243,14 +360,3 @@ def test_bmo_with_meyer_family():
     rep_prod = bmo_product(w, mode="exact", family="meyer", meyer=fam)
     assert abs(rep_prod.value - r.area ** -0.5) < 1e-8
     assert abs(bmo_minus1(w, family="meyer", meyer=fam).value - r.area ** -0.5) < 1e-8
-
-
-def test_minus1_greedy_fallback_is_lower_bound():
-    # force the greedy path by shrinking the exact-subset budget
-    g = Grid(3, 2)
-    b = random_signal(g, rng)
-    exact = bmo_minus1(b, max_subset=20)
-    greedy = bmo_minus1(b, max_subset=2)
-    assert greedy.exactness == "lower_bound"
-    assert greedy.value <= exact.value + 1e-10
-    assert greedy.value > 0
