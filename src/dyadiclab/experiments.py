@@ -243,9 +243,10 @@ def _exp_carleson(cfg, threads):
     for n in n_list:
         grid = Grid(n + 3, 2)
         b, _ = journe.carleson_family(n, grid, seed=seed)
-        rect = norms.bmo_rect(b)
-        exact = norms.bmo_product(b, mode="exact")
-        heur = norms.bmo_product(b, mode="heuristic")
+        book = norms.coefficient_book(b)
+        rect = norms.bmo_rect(b, book=book)
+        exact = norms.bmo_product(b, mode="exact", book=book)
+        heur = norms.bmo_product(b, mode="heuristic", book=book)
         rows.append({
             "n": n,
             "bmo_rect": rect.value,
@@ -421,18 +422,33 @@ def validate_config(cfg: dict) -> dict:
             kind = "a non-empty list of integers" if listed else "an integer"
             bound = f">= {low}" if high is None else f"in {low}..{high}"
             raise ConfigError(f"{key} must be {kind} {bound}, got {out[key]!r}")
+    if name == "nehari2d":
+        finest = hankel.symbol_grid_depth(out.get("M", 4)) - 1
+        if out.get("n", 2) > finest:
+            raise ConfigError(f"n must be <= {finest}, the finest Haar scale of the grid of M")
     return out
 
 
 # (lowest, highest or None) of each integer field; a key ending in _list
-# holds a list.  nehari2d's n and carleson's n_list are capped for run time
-# (a carleson entry n builds a 4^(n+3)-cell grid); lower-bound's scale-2
-# collection needs a Meyer family of max_scale grid_depth - 4 >= 2.
+# holds a list.  Lower bounds are what the code needs: a constant symbol
+# (M = 1) has zero BMO but not zero Hankel norm, petermichl also runs
+# steps // 2, journe's staircase has sides 2^-4 on its grid n + 3, and
+# lower-bound's collection needs Meyer scale 2.  Caps bound work growing as
+# N^2 or faster: an M x M SVD (nehari1d M <= 512), a 2^n x 2^n SVD
+# (para-bound n <= 10), eight 2^n x 2^n pieces (commutator-decomp n <= 9),
+# steps^2 passes over 17 * 2^n cells (petermichl steps <= 128, n <= 12),
+# exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or
+# to depth n (nehari2d n <= 5, and below the finest scale of M's grid).
 _INT_FIELDS = {
     "aak-extend": {"trials": (1, None), "K": (0, None), "recovery_trials": (0, None),
                    "recovery_degree": (1, None), "M_list": (1, None)},
-    "nehari2d": {"trials": (1, None), "M": (1, None), "n": (1, 5)},
+    "nehari1d": {"trials": (1, None), "M": (2, 512), "M_list": (2, 512), "trend_trials": (1, None)},
+    "nehari2d": {"trials": (1, None), "M": (2, None), "n": (1, 5)},
+    "para-bound": {"trials": (1, None), "n_list": (1, 10)},
+    "commutator-decomp": {"trials": (1, None), "n": (1, 9)},
+    "petermichl": {"n": (3, 12), "steps": (2, 128)},
     "carleson": {"n_list": (0, 6)},
+    "journe": {"n": (2, 5)},
     "lower-bound": {"grid_depth": (6, None)},
 }
 

@@ -10,6 +10,7 @@ the strictly positive projections of the transforms module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,12 @@ def toeplitz_matrix(alpha_centered, size: int) -> OperatorMatrix:
     a = np.asarray(alpha_centered, dtype=complex)
     if len(a) != 2 * size - 1:
         raise ValueError("need a centered sequence of length 2*size-1")
-    mat = np.empty((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            mat[i, j] = a[size - 1 + i - j]
+    mat = a[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
     return OperatorMatrix(mat, ("modes", tuple(range(size))), ("modes", tuple(range(size))))
 
 
 def shift_matrix(size: int) -> np.ndarray:
-    S = np.zeros((size, size), dtype=complex)
-    for i in range(1, size):
-        S[i, i - 1] = 1.0
-    return S
+    return np.eye(size, k=-1, dtype=complex)
 
 
 def check_intertwining(H: HankelOp) -> float:
@@ -135,27 +130,27 @@ def check_intertwining(H: HankelOp) -> float:
 # Hankel operators from symbols, via honest grid computation
 
 
+def symbol_grid_depth(degree: int) -> int:
+    """Depth of the default sampling grid for a symbol of the given degree:
+    the coarsest with N >= 4 * degree (alias-free products), at least 3."""
+    return max(3, int(np.ceil(np.log2(4 * degree))))
+
+
 def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
     """Matrix of phi -> P_{k>=0}(b * conj(phi)) on the exponential basis
-    e_0..e_{M-1}, computed by sampling on a grid with N >= 4M (alias-free)."""
+    e_0..e_{M-1}, computed by sampling on a grid with N >= 4M (alias-free):
+    one FFT along the rows of b * conj(e_j), j < M."""
     if b.dim != 1:
         raise ValueError("use little_hankel for 2D symbols")
     M = b.degree
     if grid is None:
-        n = max(3, int(np.ceil(np.log2(4 * M))))
-        grid = Grid(n, 1)
+        grid = Grid(symbol_grid_depth(M), 1)
     if grid.n_points < 4 * M:
         raise ValueError("need N >= 4*degree to avoid aliasing")
     bs = b.to_signal(grid).values
-    N = grid.n_points
-    cols = np.empty((M, M), dtype=complex)
-    x = grid.points()
-    for j in range(M):
-        phi = np.exp(2j * np.pi * j * x)
-        prod = bs * np.conj(phi)
-        spec = np.fft.fft(prod) / N
-        cols[:, j] = spec[:M]
-    om = OperatorMatrix(cols, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
+    e = np.exp(2j * np.pi * np.arange(M)[:, None] * grid.points())  # row j: e_j
+    spec = np.fft.fft(bs * np.conj(e), axis=-1) / grid.n_points
+    om = OperatorMatrix(spec[:, :M].T, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
     return HankelOp(om, "operator_on_H2", sequence=_sequence_from_symbol(b))
 
 
@@ -173,20 +168,22 @@ def little_hankel(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
         raise ValueError("little_hankel needs a 2D symbol")
     M = b.degree
     if grid is None:
-        n = max(3, int(np.ceil(np.log2(4 * M))))
-        grid = Grid(n, 2)
+        grid = Grid(symbol_grid_depth(M), 2)
     if grid.n_points < 4 * M:
         raise ValueError("need N >= 4*degree to avoid aliasing")
     bs = b.to_signal(grid).values
     N = grid.n_points
     basis = [(j1, j2) for j1 in range(M) for j2 in range(M)]
-    cols = np.empty((M * M, M * M), dtype=complex)
-    x = grid.points()
-    for col, (j1, j2) in enumerate(basis):
-        phi = np.multiply.outer(np.exp(2j * np.pi * j1 * x), np.exp(2j * np.pi * j2 * x))
-        spec = np.fft.fft2(bs * np.conj(phi)) / N ** 2
-        cols[:, col] = spec[:M, :M].ravel()
-    om = OperatorMatrix(cols, ("bimodes", tuple(basis)), ("bimodes", tuple(basis)))
+    e = np.exp(2j * np.pi * np.arange(M)[:, None] * grid.points())  # row j: e_j
+    spec = np.empty((M, M, M, M), dtype=complex)
+    # one FFT over the batch of phi = e_j1 (x) e_j2; degrees above 8 go in
+    # slices of j1 so that no batch holds more than 2^17 points
+    step = max(1, (1 << 17) // (M * N * N))
+    for lo in range(0, M, step):
+        phi = e[lo:lo + step, None, :, None] * e[None, :, None, :]
+        spec[lo:lo + step] = np.fft.fft2(bs * np.conj(phi, out=phi))[..., :M, :M] / N ** 2
+    om = OperatorMatrix(spec.reshape(M * M, M * M).T, ("bimodes", tuple(basis)),
+                        ("bimodes", tuple(basis)))
     return HankelOp(om, "little_product")
 
 
@@ -272,49 +269,41 @@ def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
 
       d=1:  P_+ C P_+ = 0,  P_- C P_- = 0,
             P_+ C P_- = -2 P_+ M_b P_-,  P_- C P_+ = +2 P_- M_b P_+.
-      d=2:  P_{-s} C P_s = s(1)s(2) * 4 * P_{-s} M_b P_s  for all sign pairs s.
+      d=2:  P_{-s} C P_s = s(1)s(2) * 4 * P_{-s} M_b P_s  for all sign pairs s,
+            and P_s C P_s = 0.
 
-    The factor 2^d comes from H = +-(I - 2P) on mean-free signals.  Returns
-    the largest defect over all identities, measured column by column on the
-    truncated mode basis (an upper bound for the scaled Frobenius defect).
+    The factor 2^d comes from H = +-(I - 2P) on mean-free signals.  P_s
+    annihilates every mode outside octant s, so each mode of the truncated
+    basis [-K, K]^d goes through C once, projected onto the octant of its
+    signs, and gives its column of both identities.  Returns the largest
+    defect, measured column by column (an upper bound for the scaled
+    Frobenius defect).
     """
     grid = b.grid
     d = grid.dim
     N = grid.n_points
     K = mode_cutoff if mode_cutoff is not None else N // 4
+    if K > N // 2 - 1:
+        raise ValueError("mode cutoff exceeds grid")
     apply_comm = _iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
 
     def project(vals: np.ndarray, sigma) -> np.ndarray:
-        out = Signal(grid, vals)
-        for ax, s in enumerate(sigma, start=1):
-            out = transforms.analytic_projection(s, ax, out)
-        return out.values
-
-    modes1d = _mode_basis(K)
-    if d == 1:
-        sigmas = [("+",), ("-",)]
-        basis = [(k,) for k in modes1d]
-    else:
-        sigmas = [(s1, s2) for s1 in "+-" for s2 in "+-"]
-        basis = [(k1, k2) for k1 in modes1d for k2 in modes1d]
+        return transforms.product_projection(sigma, Signal(grid, vals)).values
 
     defect = 0.0
-    for sigma in sigmas:
+    for kvec in itertools.product(_mode_basis(K), repeat=d):
+        if 0 in kvec:
+            continue  # outside every octant
+        sigma = tuple("+" if k > 0 else "-" for k in kvec)
         minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
-        sign = np.prod([1.0 if s == "+" else -1.0 for s in sigma])
-        factor = sign * 2.0 ** d
-        for kvec in basis:
-            e = transforms.fourier_mode(grid, *kvec).values
-            dom = project(e, sigma)
-            lhs = project(apply_comm(dom), minus_sigma)
-            rhs = factor * project(b.values * dom, minus_sigma)
-            defect = max(defect, float(np.max(np.abs(lhs - rhs))) * grid.weight ** 0.5)
-        # the diagonal blocks vanish
-        for kvec in basis:
-            e = transforms.fourier_mode(grid, *kvec).values
-            dom = project(e, sigma)
-            diag = project(apply_comm(dom), sigma)
-            defect = max(defect, float(np.max(np.abs(diag))) * grid.weight ** 0.5)
+        factor = np.prod([1.0 if s == "+" else -1.0 for s in sigma]) * 2.0 ** d
+        dom = project(transforms.fourier_mode(grid, *kvec).values, sigma)
+        comm = apply_comm(dom)
+        lhs = project(comm, minus_sigma)
+        rhs = factor * project(b.values * dom, minus_sigma)
+        diag = project(comm, sigma)
+        defect = max(defect, float(np.max(np.abs(lhs - rhs))) * grid.weight ** 0.5,
+                     float(np.max(np.abs(diag))) * grid.weight ** 0.5)
     return defect
 
 
@@ -329,13 +318,14 @@ class TruncationError(RuntimeError):
 def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
                  grid: Grid | None = None, product_depth: int = 2) -> dict:
     """Computes ||H_b|| and the requested BMO norm of the analytic part of b,
-    plus their ratio.  The report records both conventions in play."""
+    plus their ratio.  The report records both conventions in play.  In 2-D
+    a product_depth beyond the grid's finest Haar scale raises ValueError."""
     from . import norms as _norms
 
     M = b.degree
     if b.dim == 1:
         H = hankel_operator_1d(b, grid)
-        g = grid or Grid(max(3, int(np.ceil(np.log2(4 * M)))), 1)
+        g = grid or Grid(symbol_grid_depth(M), 1)
         analytic = b.to_signal(g)
         if bmo_variant == "dyadic":
             bmo_val = _norms.bmo_dyadic(analytic).value
@@ -344,11 +334,14 @@ def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
         else:
             raise ValueError("1D variants: 'dyadic', 'dyadic_shift'")
     else:
-        H = little_hankel(b, grid)
-        g = grid or Grid(max(3, int(np.ceil(np.log2(4 * M)))), 2)
-        analytic = b.to_signal(g)
+        g = grid or Grid(symbol_grid_depth(M), 2)
         if bmo_variant != "product_exact":
             raise ValueError("2D variant: 'product_exact'")
+        if product_depth > g.depth - 1:
+            raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
+                             f"{g.depth - 1} of the depth-{g.depth} grid")
+        H = little_hankel(b, grid)
+        analytic = b.to_signal(g)
         bmo_val = _norms.bmo_product(analytic, mode="exact", depth=product_depth).value
     hankel_norm = operator_norm(H.matrix)
     if bmo_val == 0.0 and hankel_norm > 1e-12:

@@ -2,7 +2,9 @@
 translation-dilation average, the commutator -> paraproduct decomposition,
 and the Meyer scale-block paraproducts in one and two parameters.
 
-Rank-one notation: (psi (x) phi) f = psi * <f, phi>, linear in f.
+Rank-one notation: (psi (x) phi) f = psi * <f, phi>, linear in f.  A sum of
+such terms is one coefficient matrix between two basis matrices, and an
+operator matrix is the operator applied once to the identity.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from .dyadic import (
     zeros,
 )
 from .norms import OperatorMatrix
-from .transforms import MeyerFamily, haar_analysis, haar_synthesis
+from .transforms import (
+    MeyerFamily,
+    _haar_pyramid_1d,
+    _haar_synth_axis,
+    haar_analysis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -38,31 +45,31 @@ def _block_average_pyramid(values: np.ndarray, depth: int) -> dict:
     return out
 
 
+def _para_haar_values(b: Signal, values: np.ndarray) -> np.ndarray:
+    """Para(b, .) along axis 0 of values; trailing axes are a batch."""
+    n = b.grid.depth
+    bc = haar_analysis(b)
+    avg = _block_average_pyramid(values, n)
+    batch = (1,) * (values.ndim - 1)
+    new_coeffs = {p: bc.wavelet[p].reshape((-1,) + batch) * avg[p] for p in range(n)}
+    return _haar_synth_axis(new_coeffs, np.zeros(values.shape[1:]), n)
+
+
 def para_haar(b: Signal, f: Signal) -> Signal:
     """Para(b, f) = sum_I (<b,h_I>/sqrt|I|) <f,h^1_I> h_I
                   = sum_I <b,h_I> (avg of f over I) h_I."""
     if b.grid.dim != 1 or b.grid != f.grid:
         raise ValueError("para_haar needs 1D signals on a common grid")
-    n = b.grid.depth
-    bc = haar_analysis(b)
-    avg = _block_average_pyramid(f.values, n)
-    new_coeffs = {p: bc.wavelet[p] * avg[p] for p in range(n)}
-    out = haar_synthesis(
-        type(bc)(grid=b.grid, mean=0.0, wavelet=new_coeffs)
-    )
-    return out
+    return Signal(b.grid, _para_haar_values(b, f.values))
 
 
 def para_haar_matrix(b: Signal) -> OperatorMatrix:
-    """Matrix of f -> para_haar(b, f) on the grid-cell basis."""
-    n = b.grid.depth
-    N = b.grid.n_points
-    cols = np.empty((N, N), dtype=complex)
-    for c in range(N):
-        e = zeros(b.grid)
-        e.values[c] = 1.0
-        cols[:, c] = para_haar(b, e).values
-    basis = ("cells", n)
+    """Matrix of f -> para_haar(b, f) on the grid-cell basis: the pyramid
+    applied once to the identity, whose columns are the cell indicators."""
+    if b.grid.dim != 1:
+        raise ValueError("para_haar_matrix needs a 1D symbol")
+    cols = _para_haar_values(b, np.eye(b.grid.n_points, dtype=complex))
+    basis = ("cells", b.grid.depth)
     return OperatorMatrix(cols, basis, basis)
 
 
@@ -98,36 +105,26 @@ def para_double_sum(b: Signal, f: Signal) -> Signal:
 # the dyadic shift G
 
 
+def _shift_values(values: np.ndarray, depth: int, left: float, right: float) -> np.ndarray:
+    """sum_J <f, h_J> (left h_{J_left} + right h_{J_right}) along axis 0 of
+    values, trailing axes a batch; J runs over intervals whose halves are
+    wavelet-resolvable, |J| >= 4 cells."""
+    coeffs, _ = _haar_pyramid_1d(values, depth)
+    new_coeffs = {p: np.zeros(coeffs[p].shape, dtype=complex) for p in range(depth)}
+    for p in range(depth - 1):
+        new_coeffs[p + 1][0::2] += left * coeffs[p]
+        new_coeffs[p + 1][1::2] += right * coeffs[p]
+    return _haar_synth_axis(new_coeffs, np.zeros(values.shape[1:]), depth)
+
+
 def dyadic_shift_G(f: Signal) -> Signal:
-    """G f = sum_I <f,h_I> g_I over intervals with |I| >= 4 cells."""
-    n = f.grid.depth
-    fc = haar_analysis(f)
-    new_coeffs = {p: np.zeros(1 << p, dtype=complex) for p in range(n)}
-    for p in range(n - 1):  # children at scale p+1 must be wavelet-resolvable
-        c = fc.wavelet[p]
-        new_coeffs[p + 1][0::2] -= c
-        new_coeffs[p + 1][1::2] += c
-    return haar_synthesis(type(fc)(grid=f.grid, mean=0.0, wavelet=new_coeffs))
+    """G f = sum_I <f,h_I> g_I, g_I = -h_{I_left} + h_{I_right}, over |I| >= 4 cells."""
+    return Signal(f.grid, _shift_values(f.values, f.grid.depth, -1.0, 1.0))
 
 
 def g_left(f: Signal) -> Signal:
     """G_left f = sum_J h_{J_left} <f, h_J>, over J with resolvable halves."""
-    n = f.grid.depth
-    fc = haar_analysis(f)
-    new_coeffs = {p: np.zeros(1 << p, dtype=complex) for p in range(n)}
-    for p in range(n - 1):
-        new_coeffs[p + 1][0::2] += fc.wavelet[p]
-    return haar_synthesis(type(fc)(grid=f.grid, mean=0.0, wavelet=new_coeffs))
-
-
-def _operator_matrix_on_cells(apply_fn, grid: Grid) -> np.ndarray:
-    N = grid.n_points
-    cols = np.empty((N, N), dtype=complex)
-    for c in range(N):
-        e = zeros(grid)
-        e.values[c] = 1.0
-        cols[:, c] = apply_fn(e).values
-    return cols
+    return Signal(f.grid, _shift_values(f.values, f.grid.depth, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +152,76 @@ class DecompositionError(RuntimeError):
 
 
 def commutator_gleft_matrix(b: Signal) -> np.ndarray:
-    """[M_b, G_left] as a dense matrix on the cell basis."""
+    """[M_b, G_left] as a dense matrix on the cell basis, from G_left applied
+    once to the identity."""
     Mb = np.diag(b.values)
-    GL = _operator_matrix_on_cells(g_left, b.grid)
+    GL = _shift_values(np.eye(b.grid.n_points, dtype=complex), b.grid.depth, 1.0, 0.0)
     return Mb @ GL - GL @ Mb
+
+
+# label -> bases (Psi, Phi) of the piece Psi C Phi^T: "h" samples h_I, "h1" samples h^1_I
+_GLEFT_BASES = {
+    "I=J_left:dual_para": ("h1", "h"),
+    "I=J_left:regular": ("h", "h"),
+    "I=J_right": ("h", "h"),
+    "I=J:para": ("h", "h1"),
+    "I=J:regular": ("h", "h"),
+    "I<J_left:analytic": ("h", "h"),
+    "I<J_left:dual": ("h", "h"),
+    "I<J_right": ("h", "h"),
+}
+
+
+def _haar_basis_matrices(grid: Grid) -> dict:
+    """Columns h_I and h^1_I sampled on the cells, for the intervals of scale
+    p < depth in heap order: I(p, j) is column 2^p - 1 + j, so the halves
+    of column J are 2J + 1 and 2J + 2."""
+    N = grid.n_points
+    H = np.empty((N, N - 1))
+    H1 = np.empty((N, N - 1))
+    for p in range(grid.depth):
+        amp = (2.0 ** -p) ** -0.5  # |I|^{-1/2}, as haar_function computes it
+        width = N >> p
+        cols = slice((1 << p) - 1, (2 << p) - 1)
+        H1[:, cols] = np.kron(np.eye(1 << p), np.full((width, 1), amp))
+        H[:, cols] = H1[:, cols] * np.tile(np.repeat([-1.0, 1.0], width // 2), 1 << p)[:, None]
+    return {"h": H, "h1": H1}
+
+
+def _heap_descendants(nodes: np.ndarray, k: int) -> np.ndarray:
+    """Heap indices of the 2^k descendants k levels below each node, one row per node."""
+    return ((nodes + 1) << k)[:, None] - 1 + np.arange(1 << k)
+
+
+def _gleft_coefficients(label: str, beta: np.ndarray, n: int) -> np.ndarray:
+    """Coefficient matrix of one labelled piece over the intervals in heap
+    order, beta = <b, h_I> in that order; the J of one scale are written
+    at once, their descendants by one slice per scale."""
+    C = np.zeros((beta.size, beta.size), dtype=complex)
+    for p in range(n - 1):  # J carries resolvable halves: scale p <= n - 2
+        J = np.arange((1 << p) - 1, (2 << p) - 1)
+        L, R = 2 * J + 1, 2 * J + 2
+        s = 2.0 ** (p / 2)  # |J|^{-1/2}
+        if label == "I=J_left:dual_para":
+            C[L, J] = s * np.sqrt(2) * beta[L]
+        elif label == "I=J_left:regular":
+            C[L, L] = s * beta[L]
+        elif label == "I=J_right":
+            C[L, R] = -s * beta[R]
+        elif label in ("I=J:para", "I=J:regular"):
+            C[L, J] = -s * beta[J]
+        for k in range(1, n - 1 - p):  # I at scale p + 1 + k <= n - 1
+            if label == "I<J_left:analytic":
+                I = _heap_descendants(L, k)
+                eps1 = np.repeat([-1.0, 1.0], 1 << (k - 1))  # sign of h_{J_left} on I
+                C[I, J[:, None]] = s * np.sqrt(2) * eps1 * beta[I]
+            elif label == "I<J_left:dual":
+                I = _heap_descendants(L, k)
+                C[L[:, None], I] = s * beta[I]
+            elif label == "I<J_right":
+                I = _heap_descendants(R, k)
+                C[L[:, None], I] = -s * beta[I]
+    return C
 
 
 def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> ParaproductPieces:
@@ -173,81 +236,22 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
       I inside J_right:-|J|^{-1/2} h_{J_left} (x) h_I
       (disjoint and J inside I vanish; the mean of b commutes)
 
-    eps1 is the sign of h_{J_left} on I.  The sum of the pieces is checked
-    against the dense commutator; any defect raises with the residual.
+    eps1 is the sign of h_{J_left} on I.  Each labelled piece, a sum of
+    such terms, is Psi C Phi^T w: C its interval x interval coefficients,
+    Psi and Phi the sampled bases h or h^1, w the quadrature weight.  The
+    sum of the pieces is checked against the dense commutator; any defect
+    raises with the residual.
     """
-    grid = b.grid
-    n, N = grid.depth, grid.n_points
-    w = grid.weight
-    bc = haar_analysis(b)
-
-    hvals = {}
-    h1vals = {}
-    for p in range(n + 1):
-        for j in range(1 << p):
-            iv = DyadicInterval(-p, j)
-            if p < n:
-                hvals[(p, j)] = haar_function(0, iv, grid).values
-            if p <= n:
-                h1vals[(p, j)] = haar_function(1, iv, grid).values
-
-    def rank_one(psi, phi):
-        return np.outer(psi, np.conj(phi)) * w
-
-    labels = [
-        "I=J_left:dual_para",
-        "I=J_left:regular",
-        "I=J_right",
-        "I=J:para",
-        "I=J:regular",
-        "I<J_left:analytic",
-        "I<J_left:dual",
-        "I<J_right",
-    ]
-    pieces = {lab: np.zeros((N, N), dtype=complex) for lab in labels}
-
-    # J runs over intervals whose halves carry wavelets: scale p <= n-2
-    for p in range(n - 1):
-        inv_sqrt_len = 2.0 ** (p / 2)  # |J|^{-1/2}
-        for j in range(1 << p):
-            hJ = hvals[(p, j)]
-            h1J = h1vals[(p, j)]
-            left = (p + 1, 2 * j)
-            right = (p + 1, 2 * j + 1)
-            hL, hR = hvals[left], hvals[right]
-            h1L = h1vals[left]
-            bL = bc.wavelet[p + 1][2 * j]
-            bR = bc.wavelet[p + 1][2 * j + 1]
-            bJ = bc.wavelet[p][j]
-            pieces["I=J_left:dual_para"] += bL * inv_sqrt_len * np.sqrt(2) * rank_one(h1L, hJ)
-            pieces["I=J_left:regular"] += bL * inv_sqrt_len * rank_one(hL, hL)
-            pieces["I=J_right"] += -bR * inv_sqrt_len * rank_one(hL, hR)
-            pieces["I=J:para"] += -bJ * inv_sqrt_len * rank_one(hL, h1J)
-            pieces["I=J:regular"] += -bJ * inv_sqrt_len * rank_one(hL, hJ)
-            # descendants strictly inside the halves
-            for pi in range(p + 2, n):
-                shift = pi - (p + 1)
-                for ji in range(2 * j << shift, (2 * j + 1) << shift):
-                    bI = bc.wavelet[pi][ji]
-                    if bI == 0:
-                        continue
-                    hI = hvals[(pi, ji)]
-                    # sign of h_{J_left} at the center of I
-                    midpoint = (ji * 2 + 1) << (n - pi - 1)
-                    eps1 = np.sign(hL[midpoint].real)
-                    pieces["I<J_left:analytic"] += (
-                        bI * inv_sqrt_len * np.sqrt(2) * eps1 * rank_one(hI, hJ)
-                    )
-                    pieces["I<J_left:dual"] += bI * inv_sqrt_len * rank_one(hL, hI)
-                for ji in range((2 * j + 1) << shift, (2 * j + 2) << shift):
-                    bI = bc.wavelet[pi][ji]
-                    if bI == 0:
-                        continue
-                    hI = hvals[(pi, ji)]
-                    pieces["I<J_right"] += -bI * inv_sqrt_len * rank_one(hL, hI)
-
-    result = ParaproductPieces(grid, pieces)
     target = commutator_gleft_matrix(b)
+    n = b.grid.depth
+    bc = haar_analysis(b)
+    beta = np.concatenate([bc.wavelet[p] for p in range(n)])
+    bases = _haar_basis_matrices(b.grid)
+    pieces = {}
+    for label, (psi, phi) in _GLEFT_BASES.items():
+        C = _gleft_coefficients(label, beta, n)
+        pieces[label] = (bases[psi] @ C) @ (bases[phi].T * b.grid.weight)
+    result = ParaproductPieces(b.grid, pieces)
     residual = result.total() - target
     defect = float(np.max(np.abs(residual)))
     scale = max(1.0, float(np.max(np.abs(target))))
@@ -500,20 +504,14 @@ def adapted_bump_constant(phi: Signal, interval: DyadicInterval, decay_power: in
 
 
 def delta_U(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
-    """DeltaU at interval size 2^-scale: sum over |I| = 2^-scale of u_I <f, u_I>."""
-    out = zeros(f.grid)
-    for j in range(1 << scale):
-        u = meyer.antianalytic_part(DyadicInterval(-scale, j))
-        out = out + f.inner(u) * u
-    return out
+    """DeltaU at interval size 2^-scale: sum over |I| = 2^-scale of u_I <f, u_I>,
+    i.e. the block projector P_scale applied to f."""
+    return Signal(f.grid, meyer.block_projector(scale) @ f.values)
 
 
 def U_operator(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
     """U at size 2^-scale: sum of DeltaU over all coarser-or-equal sizes."""
-    out = zeros(f.grid)
-    for p in range(0, scale + 1):
-        out = out + delta_U(meyer, p, f)
-    return out
+    return sum((meyer.block_projector(p) @ f.values for p in range(scale + 1)), zeros(f.grid))
 
 
 def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -> Signal:
@@ -522,58 +520,33 @@ def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -
     out = zeros(b.grid)
     for p in meyer.scales:
         q = p - offset
-        if q < 0:
-            continue
-        db = delta_U(meyer, p, b)
-        uphi = U_operator(meyer, min(q, meyer.max_scale), phi)
-        out = out + Signal(b.grid, db.values * np.conj(uphi.values))
-    return out
-
-
-def delta_U_2d(meyer: MeyerFamily, scales: tuple[int, int], f: Signal) -> Signal:
-    """Tensor block: sum over R with |R_s| = 2^{-scales[s]} of u_R <f, u_R>."""
-    out = zeros(f.grid)
-    p1, p2 = scales
-    from .dyadic import DyadicRectangle
-
-    for j1 in range(1 << p1):
-        for j2 in range(1 << p2):
-            r = DyadicRectangle((DyadicInterval(-p1, j1), DyadicInterval(-p2, j2)))
-            u = meyer.tensor_antianalytic(r)
-            out = out + f.inner(u) * u
-    return out
-
-
-def U_operator_2d(meyer: MeyerFamily, scales: tuple[int, int], J: tuple[int, ...],
-                  f: Signal) -> Signal:
-    """U_{jvec, J}: equality of scale on axes in J, coarser-or-equal elsewhere."""
-    p1, p2 = scales
-    if p1 < 0 or p2 < 0:
-        return zeros(f.grid)
-    range1 = [p1] if 1 in J else list(range(0, p1 + 1))
-    range2 = [p2] if 2 in J else list(range(0, p2 + 1))
-    out = zeros(f.grid)
-    for q1 in range1:
-        for q2 in range2:
-            out = out + delta_U_2d(meyer, (q1, q2), f)
+        if q >= 0:
+            out = out + delta_U(meyer, p, b) * U_operator(meyer, min(q, meyer.max_scale), phi).conj()
     return out
 
 
 def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
                      J: tuple[int, ...] = (1, 2), kvec: tuple[int, int] = (0, 0)) -> Signal:
     """sum_jvec (DeltaU_jvec b) * conj(U_{jvec - kvec, J} phi) on the torus;
-    kvec moves the U block toward coarser scales per axis, |kvec|_inf <= 8."""
+    kvec moves the U block toward coarser scales per axis, |kvec|_inf <= 8.
+    DeltaU_(p1,p2) F = P_p1 F P_p2^T with the 1-D block projectors P_p, and
+    U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere."""
     if max(abs(k) for k in kvec) > 8:
         raise ValueError("|kvec|_inf must be <= 8")
-    out = zeros(b.grid)
+    P = [meyer.block_projector(p) for p in meyer.scales]
+
+    def U(axis, q):
+        return P[q] if axis in J else sum(P[: q + 1])
+
+    out = np.zeros(b.grid.shape, dtype=complex)
     for p1 in meyer.scales:
+        q1 = p1 - kvec[0]
+        if not 0 <= q1 <= meyer.max_scale:
+            continue
+        b1 = P[p1] @ b.values
+        phi1 = U(1, q1) @ phi.values
         for p2 in meyer.scales:
-            db = delta_U_2d(meyer, (p1, p2), b)
-            if float(np.max(np.abs(db.values))) == 0.0:
-                continue
-            q = (p1 - kvec[0], p2 - kvec[1])
-            if q[0] < 0 or q[1] < 0 or q[0] > meyer.max_scale or q[1] > meyer.max_scale:
-                continue
-            uphi = U_operator_2d(meyer, q, J, phi)
-            out = out + Signal(b.grid, db.values * np.conj(uphi.values))
-    return out
+            q2 = p2 - kvec[1]
+            if 0 <= q2 <= meyer.max_scale:
+                out += (b1 @ P[p2].T) * np.conj(phi1 @ U(2, q2).T)
+    return Signal(b.grid, out)

@@ -65,9 +65,19 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "carleson", "n_list": [-1]},
     {"experiment": "carleson", "n_list": 3},
     {"experiment": "lower-bound", "grid_depth": 5},
+    {"experiment": "nehari2d", "M": 4, "n": 4},
+    {"experiment": "nehari2d", "M": 1, "n": 1},
+    {"experiment": "para-bound", "trials": 0},
+    {"experiment": "petermichl", "steps": 1},
+    {"experiment": "commutator-decomp", "trials": 0},
+    {"experiment": "nehari1d", "trials": 0},
+    {"experiment": "journe", "n": "2"},
+    {"experiment": "para-bound", "n_list": [0]},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
-        "carleson_n_list_int", "lower_bound_grid_depth5"])
+        "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
+        "nehari2d_M1_constant", "para_bound_trials0", "petermichl_steps1",
+        "commutator_decomp_trials0", "nehari1d_trials0", "journe_n_str", "para_bound_n0"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))
@@ -81,12 +91,28 @@ def test_bad_config_exits_1_with_error_json(tmp_path, bad):
 @pytest.mark.parametrize("cfg", [
     {"experiment": "nehari2d", "n": 2, "M": 4, "trials": 2},
     {"experiment": "nehari2d", "n": 3, "trials": 2},
-], ids=["default_written_out", "depth3"])
+    {"experiment": "nehari2d", "n": 4, "M": 8, "trials": 2},
+], ids=["default_written_out", "depth3", "depth4_on_the_grid_of_M8"])
 def test_nehari2d_accepts_its_depth(tmp_path, cfg):
     # n is the product-BMO depth here, so the grid rule 2^n >= 4M does not apply
     m = ex.run(cfg, tmp_path, threads=1)
     assert m["summary"]["bmo_depth"] == cfg["n"]
     assert m["summary"]["ratio_min"] > 0
+
+
+def test_carleson_builds_each_coefficient_book_once(tmp_path, monkeypatch):
+    from dyadiclab import norms
+
+    calls = []
+    build = norms._haar_coefficient_book
+
+    def counting(b, depth):
+        calls.append(b.grid.depth)
+        return build(b, depth)
+
+    monkeypatch.setattr(norms, "_haar_coefficient_book", counting)
+    ex.run({"experiment": "carleson", "n_list": [0, 1, 2]}, tmp_path, threads=1)
+    assert calls == [3, 4, 5]
 
 
 def test_lower_bound_default_depth_runs(tmp_path):

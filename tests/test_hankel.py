@@ -5,7 +5,7 @@ import dyadiclab as dl
 from dyadiclab.dyadic import Grid, Signal, constant
 from dyadiclab import hankel as hk
 from dyadiclab.norms import OperatorMatrix, operator_norm
-from dyadiclab.transforms import fourier_mode
+from dyadiclab.transforms import fourier_mode, product_projection
 
 rng = np.random.default_rng(17)
 
@@ -132,6 +132,36 @@ def test_block_identities():
     assert hk.block_identity_check(b2, mode_cutoff=6) < 1e-12
 
 
+def test_block_identity_check_sees_every_block(monkeypatch):
+    g2 = Grid(5, 2)
+    b2 = hk.random_symbol(4, rng, dim=2).to_signal(g2)
+    with pytest.raises(ValueError, match="cutoff"):
+        hk.block_identity_check(b2, mode_cutoff=g2.n_points // 2)
+    exact = hk._iterated_commutator_values
+
+    def scaled(b, axes, variant):
+        comm = exact(b, axes, variant)
+        return lambda vals: 1.01 * comm(vals)
+
+    monkeypatch.setattr(hk, "_iterated_commutator_values", scaled)
+    assert hk.block_identity_check(b2, mode_cutoff=6) > 1e-3
+    # a term that only one diagonal block P_s (.) P_s sees is caught in every octant s
+    for sigma in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
+        def diagonal(b, axes, variant, sigma=sigma):
+            comm = exact(b, axes, variant)
+            return lambda vals: comm(vals) + 0.1 * product_projection(sigma, Signal(g2, vals)).values
+
+        monkeypatch.setattr(hk, "_iterated_commutator_values", diagonal)
+        assert hk.block_identity_check(b2, mode_cutoff=6) > 1e-3
+
+
+def test_little_hankel_in_several_fft_batches():
+    # degree 12 samples on a 64^2 grid, so its 144 columns go in six FFT batches
+    b = hk.random_symbol(12, rng, dim=2)
+    H = hk.little_hankel(b)
+    assert np.max(np.abs(H.matrix.entries - hk.little_hankel_structural(b))) < 1e-12
+
+
 def test_nehari_ratio_contracts():
     b = hk.random_symbol(8, rng)
     rep = hk.nehari_ratio(b, "dyadic")
@@ -141,6 +171,11 @@ def test_nehari_ratio_contracts():
     assert abs(rep["ratio"] - rep2["ratio"]) < 1e-9
     with pytest.raises(hk.TruncationError):
         hk.nehari_ratio(hk.SymbolCoefficients([1.0]), "dyadic")  # constant: BMO 0, Hankel 1
+    # degree 4 is sampled on a depth-4 grid, whose finest Haar scale is 3
+    b2 = hk.random_symbol(4, rng, dim=2)
+    assert hk.nehari_ratio(b2, "product_exact", product_depth=3)["ratio"] > 0
+    with pytest.raises(ValueError, match="finest Haar scale"):
+        hk.nehari_ratio(b2, "product_exact", product_depth=4)
 
 
 def test_nehari_ratio_calibration_point():

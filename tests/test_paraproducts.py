@@ -49,6 +49,16 @@ def test_para_haar_bilinear():
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
 
+def test_para_haar_matrix_columns_are_para_haar_bit_for_bit():
+    g = Grid(6, 1)
+    b = random_signal(g, rng)
+    mat = pp.para_haar_matrix(b).entries
+    for c in range(g.n_points):
+        e = zeros(g)
+        e.values[c] = 1.0
+        assert np.array_equal(mat[:, c], pp.para_haar(b, e).values)
+
+
 def test_para_norm_vs_bmo_single_wavelet_scale_invariance():
     # ratio ||Para_b|| / bmo_dyadic(b) is the same at two grid depths
     vals = []
@@ -104,6 +114,49 @@ def test_decomposition_reconstructs_exactly():
         target = pp.commutator_gleft_matrix(b)
         assert np.max(np.abs(pieces.total() - target)) < 1e-12
         assert len(pieces.labels()) == 8
+
+
+def _rank_one_table(b: Signal) -> dict:
+    """The five-case table summed term by term with sampled Haar functions."""
+    g = b.grid
+    n, N, w = g.depth, g.n_points, g.weight
+    bc = dl.haar_analysis(b)
+    h = lambda eps, p, j: haar_function(eps, DyadicInterval(-p, j), g).values
+    rank_one = lambda psi, phi: np.outer(psi, np.conj(phi)) * w
+    labels = ["I=J_left:dual_para", "I=J_left:regular", "I=J_right", "I=J:para", "I=J:regular",
+              "I<J_left:analytic", "I<J_left:dual", "I<J_right"]
+    out = {lab: np.zeros((N, N), dtype=complex) for lab in labels}
+    for p in range(n - 1):
+        s = 2.0 ** (p / 2)
+        for j in range(1 << p):
+            hJ, h1J = h(0, p, j), h(1, p, j)
+            hL, hR, h1L = h(0, p + 1, 2 * j), h(0, p + 1, 2 * j + 1), h(1, p + 1, 2 * j)
+            bL, bR, bJ = bc.wavelet[p + 1][2 * j], bc.wavelet[p + 1][2 * j + 1], bc.wavelet[p][j]
+            out["I=J_left:dual_para"] += bL * s * np.sqrt(2) * rank_one(h1L, hJ)
+            out["I=J_left:regular"] += bL * s * rank_one(hL, hL)
+            out["I=J_right"] += -bR * s * rank_one(hL, hR)
+            out["I=J:para"] += -bJ * s * rank_one(hL, h1J)
+            out["I=J:regular"] += -bJ * s * rank_one(hL, hJ)
+            for pi in range(p + 2, n):
+                shift = pi - (p + 1)
+                for ji in range(2 * j << shift, (2 * j + 1) << shift):
+                    hI, bI = h(0, pi, ji), bc.wavelet[pi][ji]
+                    eps1 = np.sign(hL[((ji * 2 + 1) << (n - pi - 1))])
+                    out["I<J_left:analytic"] += bI * s * np.sqrt(2) * eps1 * rank_one(hI, hJ)
+                    out["I<J_left:dual"] += bI * s * rank_one(hL, hI)
+                for ji in range((2 * j + 1) << shift, (2 * j + 2) << shift):
+                    out["I<J_right"] += -bc.wavelet[pi][ji] * s * rank_one(hL, h(0, pi, ji))
+    return out
+
+
+def test_decomposition_pieces_match_rank_one_table():
+    g = Grid(5, 1)
+    b = random_signal(g, rng)
+    pieces = pp.decompose_commutator_Gleft(b).pieces
+    table = _rank_one_table(b)
+    assert list(pieces) == list(table)
+    for label, ref in table.items():
+        assert np.max(np.abs(pieces[label] - ref)) <= 1e-13, label
 
 
 def test_decomposition_single_haar_rank_one_algebra():
@@ -194,6 +247,28 @@ def test_meyer_para_single_scale_localization():
     assert tail < 0.10 * total
 
 
+def test_meyer_block_projectors_match_rank_one_sums():
+    g1, g2 = Grid(6, 1), Grid(6, 2)
+    fam = build_meyer_family(g1)
+    F = random_signal(g2, rng)
+    for p1, p2 in [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (1, 2)]:
+        ref = zeros(g2)
+        for j1 in range(1 << p1):
+            for j2 in range(1 << p2):
+                r = DyadicRectangle((DyadicInterval(-p1, j1), DyadicInterval(-p2, j2)))
+                u = fam.tensor_antianalytic(r)
+                ref = ref + F.inner(u) * u
+        got = fam.block_projector(p1) @ F.values @ fam.block_projector(p2).T
+        assert np.max(np.abs(got - ref.values)) <= 1e-13
+    f = random_signal(g1, rng)
+    for p in fam.scales:
+        ref = zeros(g1)
+        for j in range(1 << p):
+            u = fam.antianalytic_part(DyadicInterval(-p, j))
+            ref = ref + f.inner(u) * u
+        assert np.max(np.abs(pp.delta_U(fam, p, f).values - ref.values)) <= 1e-13
+
+
 def test_meyer_para_multi_tensor_factorization():
     g1 = Grid(6, 1)
     fam = build_meyer_family(g1)
@@ -213,6 +288,29 @@ def test_meyer_para_multi_tensor_factorization():
     assert pp.meyer_para_multi(zeros(g2), ptens, fam).norm2() == 0.0
     with pytest.raises(ValueError):
         pp.meyer_para_multi(btens, ptens, fam, kvec=(9, 0))
+
+
+@pytest.mark.parametrize("J", [(1, 2), (1,), (2,), ()])
+def test_meyer_para_multi_matches_block_sums(J):
+    # U_{q,J} phi summed block by block: equal scale on the axes in J,
+    # every coarser-or-equal scale elsewhere
+    g1, g2 = Grid(6, 1), Grid(6, 2)
+    fam = build_meyer_family(g1)
+    b, phi = random_signal(g2, rng), random_signal(g2, rng)
+    P = fam.block_projector
+    for kvec in [(0, 0), (1, 2), (-1, 0)]:
+        ref = np.zeros(g2.shape, dtype=complex)
+        for p1 in fam.scales:
+            for p2 in fam.scales:
+                q1, q2 = p1 - kvec[0], p2 - kvec[1]
+                if not (0 <= q1 <= fam.max_scale and 0 <= q2 <= fam.max_scale):
+                    continue
+                uphi = sum(P(a) @ phi.values @ P(c).T
+                           for a in ([q1] if 1 in J else range(q1 + 1))
+                           for c in ([q2] if 2 in J else range(q2 + 1)))
+                ref += (P(p1) @ b.values @ P(p2).T) * np.conj(uphi)
+        out = pp.meyer_para_multi(b, phi, fam, J=J, kvec=kvec).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_meyer_para_multi_separation_decay():
