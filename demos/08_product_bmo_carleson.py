@@ -22,7 +22,8 @@ print("corner pair:")
 print("  bmo_rect    =", dl.bmo_rect(b).value)
 print("  bmo_minus1  =", dl.bmo_minus1(b).value)
 print("  bmo_product =", dl.bmo_product(b, mode='exact').value, "(exact, min-cut certified)")
-print("  heuristic   =", dl.bmo_product(b, mode='heuristic').value, "(certified lower bound)")
+print("  heuristic   =", dl.bmo_product(b, mode='heuristic').value,
+      "(the same min cut, labelled a lower bound)")
 
 print("\nstaircase family ratios (exact / heuristic):")
 for n in range(0, 7):

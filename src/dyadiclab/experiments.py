@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -46,6 +47,14 @@ def _map_trials(fn, n_trials: int, threads: int):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(fn, range(n_trials)))
     return results
+
+
+def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ys against xs; NaN on fewer than two distinct xs,
+    where no line is determined."""
+    if len(set(xs.tolist())) < 2:
+        return np.nan
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +99,7 @@ def _exp_nehari1d(cfg, threads):
         summary[f"mean_log_ratio_M{m}"] = mean_log
     xs = np.log2(np.array(m_list, dtype=float))
     ys = np.array([summary[f"mean_log_ratio_M{m}"] for m in m_list])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    summary["log_ratio_slope_per_log2M"] = slope
+    summary["log_ratio_slope_per_log2M"] = _slope(xs, ys)
     return rows + trend_rows, summary, ["exact"]
 
 
@@ -144,9 +152,8 @@ def _exp_para_bound(cfg, threads):
     max_ratios = {n: max(v) for n, v in by_n.items()}
     xs = np.array(sorted(max_ratios), dtype=float)
     ys = np.log(np.array([max_ratios[int(n)] for n in xs]))
-    slope = float(np.polyfit(xs, ys, 1)[0])
     summary = {"max_ratio_by_n": {str(k): float(v) for k, v in sorted(max_ratios.items())},
-               "log_max_ratio_slope_vs_n": slope}
+               "log_max_ratio_slope_vs_n": _slope(xs, ys)}
     return rows, summary, ["exact"]
 
 
@@ -258,13 +265,12 @@ def _exp_carleson(cfg, threads):
     xs = np.log(np.array(n_list, dtype=float) + 1.0)
     ys = np.log(np.array([r["ratio_exact"] for r in rows]))
     mask = xs > 0
-    exponent = float(np.polyfit(xs[mask], ys[mask], 1)[0]) if mask.sum() > 1 else np.nan
     summary = {
         "ratios_exact": [float(r["ratio_exact"]) for r in rows],
         "monotone_exact": bool(all(
             rows[i + 1]["ratio_exact"] > rows[i]["ratio_exact"] - 1e-12
             for i in range(len(rows) - 1))),
-        "fitted_growth_exponent_vs_nplus1": exponent,
+        "fitted_growth_exponent_vs_nplus1": _slope(xs[mask], ys[mask]),
     }
     return rows, summary, ["exact", "heuristic_lower_bound"]
 
@@ -406,22 +412,30 @@ def validate_config(cfg: dict) -> dict:
             f"unknown experiment {name!r}; catalog: {sorted(CATALOG)}")
     out = dict(cfg)
     out.setdefault("seed", 0)
-    if not isinstance(out["seed"], int) or out["seed"] < 0:
+    if not _is_int(out["seed"]) or out["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    n = out.get("n")
-    m = out.get("M")
-    # nehari2d's n is the product-BMO depth, not the grid depth
-    if name != "nehari2d" and n is not None and m is not None and (1 << n) < 4 * m:
-        raise ConfigError(f"need 2^n >= 4*M, got n={n}, M={m}")
     for key, (low, high) in _INT_FIELDS.get(name, {}).items():
         listed = key.endswith("_list")
         values = out.get(key, [low]) if listed else [out.get(key, low)]
         if not (isinstance(values, list) and values and all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= low
-                and (high is None or v <= high) for v in values)):
+                _is_int(v) and v >= low and (high is None or v <= high) for v in values)):
             kind = "a non-empty list of integers" if listed else "an integer"
             bound = f">= {low}" if high is None else f"in {low}..{high}"
             raise ConfigError(f"{key} must be {kind} {bound}, got {out[key]!r}")
+    for key, (low, closed) in _REAL_FIELDS.get(name, {}).items():
+        v = out.get(key)
+        if key in out and not (_is_real(v) and (v >= low if closed else v > low)):
+            raise ConfigError(f"{key} must be a real number {'>=' if closed else '>'} {low}, got {v!r}")
+    if name == "petermichl" and out.get("y_measure", "uniform") not in ("uniform", "log"):
+        raise ConfigError(f"y_measure must be 'uniform' or 'log', got {out['y_measure']!r}")
+    n = out.get("n")
+    m = out.get("M")
+    # nehari2d's n is the product-BMO depth, not the grid depth
+    if name != "nehari2d" and n is not None and m is not None:
+        if not (_is_int(n) and _is_int(m) and n >= 0 and m >= 1):
+            raise ConfigError(f"n and M must be integers, n >= 0, M >= 1, got n={n!r}, M={m!r}")
+        if n < (4 * m - 1).bit_length():  # 2^n < 4M, without building 2^n
+            raise ConfigError(f"need 2^n >= 4*M, got n={n}, M={m}")
     if name == "nehari2d":
         finest = hankel.symbol_grid_depth(out.get("M", 4)) - 1
         if out.get("n", 2) > finest:
@@ -451,6 +465,22 @@ _INT_FIELDS = {
     "journe": {"n": (2, 5)},
     "lower-bound": {"grid_depth": (6, None)},
 }
+
+
+# (lowest, whether the lowest itself is allowed) of each real field
+_REAL_FIELDS = {
+    "petermichl": {"Y": (0.0, False), "bump_width": (0.0, False)},
+    "journe": {"eps": (0.0, True)},
+    "lower-bound": {"eta_J": (0.0, True), "eta_minus1": (0.0, True)},
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _canonical_json(obj) -> str:

@@ -164,7 +164,7 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
         emb_values[r] = mu
         damped[r] = c * mu ** -eps
     lhs = bmo_product_of_book(damped, n).value
-    rhs = bmo_rect(f, family, meyer, depth).value
+    rhs = bmo_rect(f, family, meyer, depth, book=book).value
     return {
         "lhs_bmo": lhs,
         "rhs_rect_bmo": rhs,
@@ -217,7 +217,7 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
         if abs(c) > 0:
             damped[r] = c * emb_map[r] ** (-2.0 * d)
     lhs = bmo_product_of_book(damped, n).value
-    rhs = bmo_minus1(f, family, meyer, depth).value
+    rhs = bmo_minus1(f, family, meyer, depth, book=book).value
     return {
         "a_ok": True,
         "b_ok": True,

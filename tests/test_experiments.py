@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_validate_config():
         ex.validate_config({"experiment": "nehari1d", "n": 3, "M": 8})
     cfg = ex.validate_config({"experiment": "nehari1d"})
     assert cfg["seed"] == 0
+    for bad in ({"experiment": "petermichl", "bump_width": 0},
+                {"experiment": "petermichl", "Y": True},
+                {"experiment": "journe", "eps": -0.5},
+                {"experiment": "journe", "eps": False},
+                {"experiment": "lower-bound", "eta_J": -1},
+                {"experiment": "lower-bound", "eta_minus1": "0.01"},
+                {"experiment": "nehari1d", "n": 6, "M": 8.0},
+                {"experiment": "nehari1d", "n": True, "M": 8}):
+        with pytest.raises(ex.ConfigError):
+            ex.validate_config(bad)
+    ex.validate_config({"experiment": "journe", "eps": 0})
+    ex.validate_config({"experiment": "petermichl", "Y": 2, "y_measure": "log"})
 
 
 @pytest.mark.parametrize("bad", [
@@ -73,11 +86,17 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "nehari1d", "trials": 0},
     {"experiment": "journe", "n": "2"},
     {"experiment": "para-bound", "n_list": [0]},
+    {"experiment": "petermichl", "y_measure": "bogus", "n": 3, "steps": 2},
+    {"experiment": "nehari1d", "n": "3", "M": 8},
+    {"experiment": "journe", "eps": "x"},
+    {"experiment": "petermichl", "Y": -1, "n": 3, "steps": 2},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
         "nehari2d_M1_constant", "para_bound_trials0", "petermichl_steps1",
-        "commutator_decomp_trials0", "nehari1d_trials0", "journe_n_str", "para_bound_n0"])
+        "commutator_decomp_trials0", "nehari1d_trials0", "journe_n_str", "para_bound_n0",
+        "petermichl_y_measure_bogus", "nehari1d_n_str_in_grid_rule", "journe_eps_str",
+        "petermichl_Y_negative"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))
@@ -218,3 +237,15 @@ def test_para_bound_csv_shape(tmp_path):
     assert len(rows) == 4  # one row per (n, trial)
     assert {(r["n"], r["trial"]) for r in rows} == {("4", "0"), ("4", "1"), ("5", "0"), ("5", "1")}
     assert "log_max_ratio_slope_vs_n" in m["summary"]
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"experiment": "para-bound", "n_list": [3], "trials": 1}, "log_max_ratio_slope_vs_n"),
+    ({"experiment": "nehari1d", "trials": 1, "M": 8, "M_list": [8], "trend_trials": 2},
+     "log_ratio_slope_per_log2M"),
+], ids=["para_bound_one_n", "nehari1d_one_M"])
+def test_slope_of_one_point_is_nan(tmp_path, cfg, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = ex.run(cfg, tmp_path, threads=1)
+    assert np.isnan(m["summary"][key])

@@ -121,6 +121,25 @@ def test_checker_rejects_bad_candidates():
         jn.journe_inequality_checker_d1(f, coll, big_V, emb, eta=0.1)
 
 
+def test_journe_checks_build_each_coefficient_book_once(monkeypatch):
+    calls = []
+    build = dl.norms._haar_coefficient_book
+
+    def counting(b, depth):
+        calls.append(b.grid.depth)
+        return build(b, depth)
+
+    monkeypatch.setattr(dl.norms, "_haar_coefficient_book", counting)
+    g = Grid(3, 2)
+    f = dl.random_signal(g, rng)
+    jn.journe_damped_check(f, np.ones(g.shape, dtype=bool), eps=0.5)
+    assert calls == [3]
+    coll = RectangleCollection((_rect(DyadicInterval(-1, 0), DyadicInterval(-2, 1)),), g)
+    V, emb = jn.trivial_candidate(coll)
+    jn.journe_inequality_checker_d1(f, coll, V, emb, eta=0.0)
+    assert calls == [3, 3]
+
+
 def test_checker_cross_checks_damped_check():
     # with the maximal-function candidate, the damped numerator of the checker
     # agrees with journe_damped_check restricted to the collection

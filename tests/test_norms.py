@@ -170,7 +170,7 @@ def test_chain_ratio_and_heuristic():
     heur = bmo_product(b, mode="heuristic")
     assert heur.exactness == "lower_bound"
     assert heur.value <= exact.value + 1e-12
-    # on this instance the greedy search finds the exact union
+    # heuristic mode runs the exact solver, so it finds the exact union
     assert abs(heur.value - exact.value) < 1e-10
 
 
@@ -283,14 +283,23 @@ def test_exact_product_bmo_matches_rectangle_union_oracle():
             assert abs(np.sqrt(_book_value(book, rep.witness, g)) - rep.value) <= 1e-12 * rep.value
 
 
+# greedy-search values of the former heuristic mode on these inputs
+_GREEDY_VALUES = {
+    (3, 0): 1.1494052248915043, (3, 1): 1.2376560186654793, (3, 2): 1.4827891487679863,
+    (4, 0): 1.6318624040463652, (4, 1): 1.6996851451614268, (4, 2): 1.34654667021321,
+}
+
+
 def test_heuristic_never_exceeds_exact_product_bmo():
-    for depth in (3, 4):
-        b = random_signal(Grid(depth, 2), rng)
+    for (depth, seed), greedy in _GREEDY_VALUES.items():
+        b = random_signal(Grid(depth, 2), np.random.default_rng(seed))
         exact = bmo_product(b, mode="exact")
         heur = bmo_product(b, mode="heuristic")
         assert exact.exactness == "exact" and heur.exactness == "lower_bound"
         assert bmo_rect(b).value <= heur.value * (1 + 1e-12)
         assert heur.value <= exact.value * (1 + 1e-12)
+        # the exact sup is certified to 1e-12 relative, so no lower bound beats it by more
+        assert heur.value >= greedy * (1 - 1e-12)
 
 
 def _minus1_oracle(book, grid):
@@ -311,14 +320,17 @@ def _minus1_oracle(book, grid):
 
 
 def test_minus1_matches_subset_oracle():
-    g = Grid(3, 2)
-    books = [dl.norms.coefficient_book(random_signal(g, rng)) for _ in range(3)]
-    books += [_sparse_book(3, k, rng) for k in (2, 4, 8, 12)]
-    for book in books:
+    g3, g4 = Grid(3, 2), Grid(4, 2)
+    cases = [(g3, dl.norms.coefficient_book(random_signal(g3, rng))) for _ in range(3)]
+    cases += [(g3, _sparse_book(3, k, rng)) for k in (2, 4, 8, 12)]
+    cases += [(g4, _sparse_book(4, k, rng)) for k in (3, 6, 12, 20)]
+    for g, book in cases:
         rep = bmo_minus1(_signal_of_book(book, g))
         oracle = _minus1_oracle(book, g)
         assert rep.exactness == "exact"
         assert abs(rep.value - oracle) <= 1e-12 * oracle
+        num = sum(abs(book[r]) ** 2 for r in rep.witness.members)
+        assert abs(np.sqrt(num / rep.witness.shadow_measure()) - rep.value) <= 1e-12 * rep.value
 
 
 def test_minus1_exact_and_witness_at_depth_5():
@@ -333,6 +345,16 @@ def test_minus1_exact_and_witness_at_depth_5():
     num = sum(abs(book[r]) ** 2 for r in members)
     assert abs(np.sqrt(num / rep.witness.shadow_measure()) - rep.value) <= 1e-12 * rep.value
     assert rep.value <= bmo_rect(b).value * (1 + 1e-12)
+
+
+def test_haar_book_holds_exactly_the_nonzero_coefficients():
+    b, _ = dl.carleson_family(6, Grid(9, 2), seed=0)
+    book = dl.norms.coefficient_book(b)
+    ww = dl.haar_analysis(b).ww
+    assert len(book) == sum(np.count_nonzero(arr) for arr in ww.values())
+    for r, c in book.items():
+        p1, p2 = (-iv.scale_exponent for iv in r.coordinates)
+        assert c != 0 and c == ww[p1, p2][r.coordinates[0].position, r.coordinates[1].position]
 
 
 def test_product_witness_reproduces_value():
