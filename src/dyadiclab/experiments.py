@@ -295,6 +295,7 @@ def _exp_journe(cfg, threads):
     eps = cfg.get("eps", 0.5)
     grid = Grid(n + 3, 2)
     U = np.ones(grid.shape, dtype=bool)
+    V = journe.enlarged_set(U, grid)
     rows = []
     rng = trial_rng(seed, 0)
     for name, members in _journe_staircase_family(seed):
@@ -303,13 +304,13 @@ def _exp_journe(cfg, threads):
             from .dyadic import haar_tensor
             sign = float(rng.integers(0, 2) * 2 - 1)
             f = f + sign * haar_tensor(r, grid)
-        rep = journe.journe_damped_check(f, U, eps=eps)
+        rep = journe.journe_damped_check(f, U, eps=eps, V_mask=V)
         rows.append({"instance": name, "eps": eps,
                      "damped_bmo": rep["lhs_bmo"], "rect_bmo": rep["rhs_rect_bmo"],
                      "ratio": rep["ratio"]})
     b, _ = journe.carleson_family(n, grid, seed=seed)
-    undamped = journe.journe_damped_check(b, U, eps=0.0)
-    damped = journe.journe_damped_check(b, U, eps=eps)
+    undamped = journe.journe_damped_check(b, U, eps=0.0, V_mask=V)
+    damped = journe.journe_damped_check(b, U, eps=eps, V_mask=V)
     rows.append({"instance": "carleson_undamped", "eps": 0.0,
                  "damped_bmo": undamped["lhs_bmo"], "rect_bmo": undamped["rhs_rect_bmo"],
                  "ratio": undamped["ratio"]})
@@ -422,10 +423,11 @@ def validate_config(cfg: dict) -> dict:
             kind = "a non-empty list of integers" if listed else "an integer"
             bound = f">= {low}" if high is None else f"in {low}..{high}"
             raise ConfigError(f"{key} must be {kind} {bound}, got {out[key]!r}")
-    for key, (low, closed) in _REAL_FIELDS.get(name, {}).items():
+    for key, (low, closed, high) in _REAL_FIELDS.get(name, {}).items():
         v = out.get(key)
-        if key in out and not (_is_real(v) and (v >= low if closed else v > low)):
-            raise ConfigError(f"{key} must be a real number {'>=' if closed else '>'} {low}, got {v!r}")
+        if key in out and not (_is_real(v) and (v >= low if closed else v > low) and v <= high):
+            raise ConfigError(f"{key} must be a real number {'>=' if closed else '>'} {low}"
+                              f"{f' and <= {high}' if high < math.inf else ''}, got {v!r}")
     if name == "petermichl" and out.get("y_measure", "uniform") not in ("uniform", "log"):
         raise ConfigError(f"y_measure must be 'uniform' or 'log', got {out['y_measure']!r}")
     n = out.get("n")
@@ -450,9 +452,10 @@ def validate_config(cfg: dict) -> dict:
 # lower-bound's collection needs Meyer scale 2.  Caps bound work growing as
 # N^2 or faster: an M x M SVD (nehari1d M <= 512), a 2^n x 2^n SVD
 # (para-bound n <= 10), eight 2^n x 2^n pieces (commutator-decomp n <= 9),
-# steps^2 passes over 17 * 2^n cells (petermichl steps <= 128, n <= 12),
-# exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or
-# to depth n (nehari2d n <= 5, and below the finest scale of M's grid).
+# steps^2 nodes of about s 2^n cells per window scale (petermichl
+# steps <= 128, n <= 12: 2.4 ms a node at n = 12 on one core), exact
+# product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
+# depth n (nehari2d n <= 5, and below the finest scale of M's grid).
 _INT_FIELDS = {
     "aak-extend": {"trials": (1, None), "K": (0, None), "recovery_trials": (0, None),
                    "recovery_degree": (1, None), "M_list": (1, None)},
@@ -467,11 +470,12 @@ _INT_FIELDS = {
 }
 
 
-# (lowest, whether the lowest itself is allowed) of each real field
+# (lowest, whether the lowest itself is allowed, highest) of each real field.
+# A petermichl node costs ~ n + log2(pad ~ Y) scales: Y <= 1024 is <= 1.2x Y = 8.
 _REAL_FIELDS = {
-    "petermichl": {"Y": (0.0, False), "bump_width": (0.0, False)},
-    "journe": {"eps": (0.0, True)},
-    "lower-bound": {"eta_J": (0.0, True), "eta_minus1": (0.0, True)},
+    "petermichl": {"Y": (0.0, False, 1024.0), "bump_width": (0.0, False, math.inf)},
+    "journe": {"eps": (0.0, True, math.inf)},
+    "lower-bound": {"eta_J": (0.0, True, math.inf), "eta_minus1": (0.0, True, math.inf)},
 }
 
 

@@ -144,12 +144,13 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
 
 def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
                         family: str = "haar", meyer: MeyerFamily | None = None,
-                        depth: int | None = None) -> dict:
+                        depth: int | None = None, V_mask: np.ndarray | None = None) -> dict:
     """Compare the product BMO of the damped projection
-    sum_{R in U} Emb(R;U)^{-eps} <f, w_R> w_R against bmo_rect(f)."""
+    sum_{R in U} Emb(R;U)^{-eps} <f, w_R> w_R against bmo_rect(f); V_mask,
+    if given, is enlarged_set(U_mask, f.grid), shared by checks on one U."""
     grid = f.grid
     book = coefficient_book(f, family, meyer, depth)
-    V = enlarged_set(U_mask, grid)
+    V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
     damped = {}
     emb_values = {}
     n = grid.depth if depth is None else depth

@@ -263,99 +263,101 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
 
 
 # ---------------------------------------------------------------------------
-# the line window: dyadic shift on [-P, P+1) and the Petermichl average
+# the line window: dyadic shift on [-pad, pad+1) and the Petermichl average
+#
+# The window has L = (2 pad + 1) 2^n cells x_i = -pad + i h, h = 2^-n.  Each
+# node (y, s) applies Tr_y, Dil_s, G, Dil_{1/s}, Tr_{-y} on it: linear
+# interpolation on the window grid, zero outside [-pad, pad+1-h], and G over
+# the aligned dyadic I of >= 4 cells (scale 2^e covers cells < (L >> e) << e).
 
 
-@dataclass
-class LineWindow:
-    """Non-periodic window [-pad, pad+1) sampled at 2^depth cells per unit;
-    unit-interval data is embedded with zero padding."""
-
-    depth: int
-    pad: int
-
-    def __post_init__(self):
-        # power-of-two pad keeps every dyadic scale aligned with the array
-        if self.pad & (self.pad - 1):
-            raise ValueError("pad must be a power of two")
-
-    @property
-    def cell(self) -> float:
-        return 2.0 ** -self.depth
-
-    @property
-    def n_cells(self) -> int:
-        return (2 * self.pad + 1) << self.depth
-
-    @property
-    def left(self) -> float:
-        return -float(self.pad)
-
-    def coords(self) -> np.ndarray:
-        return self.left + np.arange(self.n_cells) * self.cell
-
-    def embed(self, f: Signal) -> np.ndarray:
-        if f.grid.depth != self.depth:
-            raise ValueError("resolution mismatch")
-        out = np.zeros(self.n_cells, dtype=complex)
-        start = self.pad << self.depth
-        out[start : start + f.grid.n_points] = f.values
-        return out
-
-    def restrict(self, values: np.ndarray) -> Signal:
-        start = self.pad << self.depth
-        g = Grid(self.depth, 1)
-        return Signal(g, values[start : start + g.n_points].copy())
+def _window_interp(q: np.ndarray, start: np.ndarray, rows: np.ndarray,
+                   n: int, pad: int) -> np.ndarray:
+    """Data rows (R, w, B) on window indices start[r] + c, zero off them,
+    interpolated at the points q (R, m) as np.interp(left=0, right=0) does
+    on the window; one data row serves all of q.  Result (R, m, B)."""
+    padded = np.pad(rows, ((0, 0), (2, 2), (0, 0)))  # two zeros on either side
+    h = 2.0 ** -n
+    j = np.floor((q + pad) / h).astype(np.int64)
+    # the bracket x_j <= q < x_{j+1} that np.interp's search finds, and its formula
+    j -= j * h - pad > q
+    j += (j + 1) * h - pad <= q
+    frac = ((q - (j * h - pad)) / h)[..., None]
+    r, c = np.arange(rows.shape[0])[:, None], np.clip(j - start[:, None] + 2, 0, rows.shape[1] + 2)
+    lo, hi = padded[r, c], padded[r, c + 1]
+    inside = ((q >= -pad) & (q <= pad + 1 - h))[..., None]
+    return np.where(inside, lo + (hi - lo) * frac, 0.0)
 
 
-def _window_shift_G(win: LineWindow, values: np.ndarray) -> np.ndarray:
-    """G on the window: sum over dyadic I inside the window, |I| >= 4 cells."""
-    n = win.depth
-    L = win.n_cells
-    out = np.zeros(L, dtype=complex)
-    cell = win.cell
-    # scale exponent k: |I| = 2^k, from 4 cells up to the largest power of two <= pad
-    k_min = -n + 2
-    k_max = int(np.log2(win.pad)) if win.pad > 1 else 0
-    for k in range(k_min, k_max + 1):
-        size = 1 << (n + k)  # cells per interval
-        m = L // size  # aligned intervals fully inside
-        if m == 0:
-            continue
-        f_blocks = values[: m * size].reshape(m, size)
-        half = size // 2
-        quarter = size // 4
-        lsum = f_blocks[:, :half].sum(axis=1) * cell
-        rsum = f_blocks[:, half:].sum(axis=1) * cell
-        amp = 2.0 ** (-k / 2)  # |I|^{-1/2}
-        coef = (rsum - lsum) * amp  # <f, h_I>
-        # g_I = -h_{I_left} + h_{I_right}: amplitude sqrt(2)/sqrt(|I|) on quarters
-        gamp = np.sqrt(2.0) * amp
-        block_out = np.zeros((m, size), dtype=complex)
-        block_out[:, :quarter] = (coef * gamp)[:, None]
-        block_out[:, quarter:half] = (-coef * gamp)[:, None]
-        block_out[:, half : half + quarter] = (-coef * gamp)[:, None]
-        block_out[:, half + quarter :] = (coef * gamp)[:, None]
-        out[: m * size] += block_out.ravel()
-    return out
+def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_steps: int,
+                       pad: int, y_measure: str) -> np.ndarray:
+    """The translation-dilation average of G on the window, applied to the
+    columns of values (2^n, B) on [0, 1) and read back on [0, 1).
 
+    Per y node the s nodes run as one batch of rows, each on its own index
+    range: Dil_s of the translated input only on its support (about s 2^n
+    cells), G's coefficients <v, h_I> from one prefix sum of that support,
+    G only at the indices the back-dilation reads, and the rows summed with
+    their weights before the one back-translation, which is linear."""
+    if n < 3:
+        raise ResolutionError("averaging the shift needs grid depth >= 3")
+    if pad is None:
+        pad = 1 << int(np.ceil(np.log2(max(4.0, Y + 1.0))))
+    if pad < 1 or pad & (pad - 1):  # keeps every dyadic scale aligned with the window
+        raise ValueError("pad must be a power of two")
+    N, B = values.shape
+    h = 2.0 ** -n
+    L = (2 * pad + 1) << n
 
-def _window_translate(win: LineWindow, values: np.ndarray, y: float) -> np.ndarray:
-    """(Tr_y f)(x) = f(x - y) by linear interpolation, zero outside the window."""
-    x = win.coords()
-    xp = x - y
-    re = np.interp(xp, x, values.real, left=0.0, right=0.0)
-    im = np.interp(xp, x, values.imag, left=0.0, right=0.0)
-    return re + 1j * im
+    def x(i):  # window coordinate of index i
+        return -pad + i * h
 
+    y_nodes, y_w, s_nodes, s_w = petermichl_quadrature(Y, s_steps, y_steps, h, y_measure)
+    width = 2 * N + 18  # covers any row's support and reads, s <= 2
+    chunk = max(1, (1 << 18) // (width * B))  # rows per batch: working arrays of <= 2^18 entries
+    acc = np.zeros((N, B), dtype=complex)
+    for y, wy in zip(y_nodes, y_w):
+        # Tr_y: the translate is zero outside indices m0 + 2 ... m0 + N + 2
+        m0 = int(np.floor((pad + y) / h)) - 2
+        m = m0 + np.arange(N + 6)
+        shifted = _window_interp((x(m) - y)[None], np.array([pad << n]), values[None], n, pad)
+        shifted[:, (m < 0) | (m >= L)] = 0.0
+        # Tr_{-y} reads the back-dilated rows V at the same indices m
+        V = np.zeros((N + 6, B), dtype=complex)
+        for c0 in range(0, s_steps, chunk):
+            s, ws = s_nodes[c0 : c0 + chunk], s_w[c0 : c0 + chunk]
+            r = np.arange(s.size)[:, None]
+            # Dil_s on the support, zero beyond the window
+            u_start = np.floor((s * x(m0) + pad) / h).astype(np.int64) - 2
+            ui = u_start[:, None] + np.arange(width)
+            u = _window_interp(x(ui) / s[:, None], np.array([m0]), shifted, n, pad) * (s ** -0.5)[:, None, None]
+            u[(ui < 0) | (ui >= L)] = 0.0
+            prefix = np.pad(np.cumsum(u, axis=1), ((0, 0), (1, 0), (0, 0)))
+            # G at the indices Dil_{1/s} reads: x_m s for the m read by Tr_{-y}
+            q = x(m)[None, :] / (1.0 / s)[:, None]
+            g_start = np.floor((q[:, 0] + pad) / h).astype(np.int64) - 2
+            gi = g_start[:, None] + np.arange(width)
+            Gu = np.zeros((s.size, width, B), dtype=complex)
 
-def _window_dilate(win: LineWindow, values: np.ndarray, s: float) -> np.ndarray:
-    """(Dil_s^2 f)(x) = s^{-1/2} f(x/s) by linear interpolation."""
-    x = win.coords()
-    xp = x / s
-    re = np.interp(xp, x, values.real, left=0.0, right=0.0)
-    im = np.interp(xp, x, values.imag, left=0.0, right=0.0)
-    return (re + 1j * im) * s ** -0.5
+            def mass(idx):  # sum of u over the row's cells below window index idx
+                return prefix[r, np.clip(idx - u_start[:, None], 0, width)]
+
+            for e in range(2, n + int(pad).bit_length()):  # |I| = 2^e cells, 4 cells ... pad units
+                nb = ((width - 1) >> e) + 2
+                blocks = (g_start >> e)[:, None] + np.arange(nb)
+                at_mid = mass((2 * blocks + 1) << (e - 1))
+                coef = (mass((blocks + 1) << e) - at_mid) - (at_mid - mass(blocks << e))
+                coef *= h * np.sqrt(2.0) * 2.0 ** (n - e)  # <u, h_I> |I|^{-1/2} sqrt 2
+                coef[blocks >= (L >> e)] = 0.0
+                # g_I = -h_{I_left} + h_{I_right}: signs + - - + on the quarters
+                quarters = coef[:, :, None, :] * np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+                Gu += quarters.reshape(s.size, 4 * nb, B)[r, (gi >> (e - 2)) - 4 * blocks[:, :1]]
+            v = _window_interp(q, g_start, Gu, n, pad)
+            V += np.tensordot(ws * (1.0 / s) ** -0.5, v, axes=(0, 0))
+        V[m >= L] = 0.0
+        out = _window_interp(x((pad << n) + np.arange(N))[None] + y, np.array([m0]), V[None], n, pad)
+        acc += wy * out[0]
+    return acc
 
 
 def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
@@ -389,25 +391,13 @@ def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
 def apply_petermichl_average(f: Signal, Y: float = 8.0, s_steps: int = 64,
                              y_steps: int = 64, pad: int | None = None,
                              y_measure: str = "uniform") -> Signal:
-    """Apply the translation-dilation average of G to a unit-interval signal
-    and restrict back to [0,1)."""
-    n = f.grid.depth
-    if n < 3:
-        raise ResolutionError("averaging the shift needs grid depth >= 3")
-    if pad is None:
-        pad = 1 << int(np.ceil(np.log2(max(4.0, Y + 1.0))))
-    win = LineWindow(n, pad)
-    base = win.embed(f)
-    y_nodes, y_w, s_nodes, s_w = petermichl_quadrature(Y, s_steps, y_steps, win.cell, y_measure)
-    acc = np.zeros(win.n_cells, dtype=complex)
-    for yi, wy in zip(y_nodes, y_w):
-        shifted = _window_translate(win, base, yi)
-        for sj, ws in zip(s_nodes, s_w):
-            v = _window_dilate(win, shifted, sj)
-            v = _window_shift_G(win, v)
-            v = _window_dilate(win, v, 1.0 / sj)
-            acc += (wy * ws) * _window_translate(win, v, -yi)
-    return win.restrict(acc)
+    """Apply the translation-dilation average of G to a unit-interval signal,
+    zero-padded on the window [-pad, pad+1) (default pad: the least power of
+    two >= max(4, Y + 1)), and restrict back to [0,1).  A node costs about
+    s 2^n cells per dyadic scale of the window, whatever the window's length."""
+    values = _petermichl_values(f.values[:, None], f.grid.depth, Y, s_steps, y_steps,
+                                pad, y_measure)
+    return Signal(f.grid, values[:, 0])
 
 
 def hilbert_reference(f: Signal, oversample: int = 64) -> Signal:
@@ -428,19 +418,13 @@ def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: i
                        pad: int | None = None, y_measure: str = "uniform") -> dict:
     """Matrix of the averaged operator restricted to the interior window,
     plus the constant c fitted against the Hilbert transform (reported, not
-    asserted).  Heavy at fine grids; experiments use apply_petermichl_average
-    for single signals."""
+    asserted).  The average is applied once, to the batch of the N cell
+    indicators; the working arrays grow as N^2 per s node."""
     N = grid.n_points
-    cols = np.empty((N, N), dtype=complex)
-    for c in range(N):
-        e = zeros(grid)
-        e.values[c] = 1.0
-        cols[:, c] = apply_petermichl_average(e, Y, s_steps, y_steps, pad, y_measure).values
-    Hcols = np.empty((N, N), dtype=complex)
-    for c in range(N):
-        e = zeros(grid)
-        e.values[c] = 1.0
-        Hcols[:, c] = hilbert_reference(e).values
+    cols = _petermichl_values(np.eye(N, dtype=complex), grid.depth, Y, s_steps, y_steps,
+                              pad, y_measure)
+    Hcols = np.stack([hilbert_reference(Signal(grid, e)).values
+                      for e in np.eye(N, dtype=complex)], axis=1)
     # least squares fit of avg ~ c * H over matrix entries
     num = np.vdot(Hcols, cols).real
     den = np.vdot(Hcols, Hcols).real
@@ -503,15 +487,20 @@ def adapted_bump_constant(phi: Signal, interval: DyadicInterval, decay_power: in
 # Meyer scale-block paraproducts
 
 
+def _block_project(Uf: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P X along axis 0 for the projector P = Uf Uf^* / N of rank Uf.shape[1]."""
+    return Uf @ (Uf.conj().T @ X) / Uf.shape[0]
+
+
 def delta_U(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
     """DeltaU at interval size 2^-scale: sum over |I| = 2^-scale of u_I <f, u_I>,
     i.e. the block projector P_scale applied to f."""
-    return Signal(f.grid, meyer.block_projector(scale) @ f.values)
+    return Signal(f.grid, _block_project(meyer.block_factor(scale), f.values))
 
 
 def U_operator(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
     """U at size 2^-scale: sum of DeltaU over all coarser-or-equal sizes."""
-    return sum((meyer.block_projector(p) @ f.values for p in range(scale + 1)), zeros(f.grid))
+    return sum((delta_U(meyer, p, f) for p in range(scale + 1)), zeros(f.grid))
 
 
 def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -> Signal:
@@ -530,23 +519,26 @@ def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
     """sum_jvec (DeltaU_jvec b) * conj(U_{jvec - kvec, J} phi) on the torus;
     kvec moves the U block toward coarser scales per axis, |kvec|_inf <= 8.
     DeltaU_(p1,p2) F = P_p1 F P_p2^T with the 1-D block projectors P_p, and
-    U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere."""
+    U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere.
+    Each P_p = U_p U_p^* / N has rank 2^p and is applied through its factor
+    U_p (X P^T as (P X^T)^T); a sum over p <= q is the projector of the
+    concatenated factors."""
     if max(abs(k) for k in kvec) > 8:
         raise ValueError("|kvec|_inf must be <= 8")
-    P = [meyer.block_projector(p) for p in meyer.scales]
+    F = [meyer.block_factor(p) for p in meyer.scales]
 
     def U(axis, q):
-        return P[q] if axis in J else sum(P[: q + 1])
+        return F[q] if axis in J else np.concatenate(F[: q + 1], axis=1)
 
     out = np.zeros(b.grid.shape, dtype=complex)
     for p1 in meyer.scales:
         q1 = p1 - kvec[0]
         if not 0 <= q1 <= meyer.max_scale:
             continue
-        b1 = P[p1] @ b.values
-        phi1 = U(1, q1) @ phi.values
+        b1 = _block_project(F[p1], b.values).T
+        phi1 = _block_project(U(1, q1), phi.values).T
         for p2 in meyer.scales:
             q2 = p2 - kvec[1]
             if 0 <= q2 <= meyer.max_scale:
-                out += (b1 @ P[p2].T) * np.conj(phi1 @ U(2, q2).T)
+                out += _block_project(F[p2], b1).T * np.conj(_block_project(U(2, q2), phi1).T)
     return Signal(b.grid, out)

@@ -371,7 +371,7 @@ class MeyerFamily:
         ]
         self._mode_cache: dict = {}
         self._signal_cache: dict = {}
-        self._projector_cache: dict = {}
+        self._factor_cache: dict = {}
 
     # -- 1D builders --------------------------------------------------------
 
@@ -420,14 +420,17 @@ class MeyerFamily:
     def father(self, interval) -> Signal:
         return self.signal(interval, "W")
 
+    def block_factor(self, scale: int) -> np.ndarray:
+        """U_p, the N x 2^p matrix of the sampled u_I over |I| = 2^-p (cached)."""
+        if scale not in self._factor_cache:
+            cols = [self.signal(DyadicInterval(-scale, j), "u").values for j in range(1 << scale)]
+            self._factor_cache[scale] = np.stack(cols, axis=1)
+        return self._factor_cache[scale]
+
     def block_projector(self, scale: int) -> np.ndarray:
-        """P_p f = sum over |I| = 2^-p of u_I <f, u_I> as an N x N matrix
-        (cached): P_p = U_p U_p^* / N, the columns of U_p the sampled u_I."""
-        if scale not in self._projector_cache:
-            U = np.stack([self.signal(DyadicInterval(-scale, j), "u").values
-                          for j in range(1 << scale)], axis=1)
-            self._projector_cache[scale] = U @ U.conj().T / self.axis_grid.n_points
-        return self._projector_cache[scale]
+        """P_p f = sum_{|I| = 2^-p} u_I <f, u_I> as the N x N matrix U_p U_p^* / N."""
+        U = self.block_factor(scale)
+        return U @ U.conj().T / self.axis_grid.n_points
 
     def gram_defect(self) -> float:
         """max |<w_I, w_J> - delta_IJ| over all resolvable pairs."""

@@ -213,3 +213,19 @@ def test_positive_function_symmetry_exact_in_1d():
     spec = np.fft.fft(f.values) / g.n_points
     rhs -= 0.5 * abs(spec[g.n_points // 2]) ** 2
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_journe_experiment_builds_the_enlarged_set_once(tmp_path, monkeypatch):
+    # every check of the experiment shares one all-ones U, so one V serves all
+    from dyadiclab import experiments
+
+    calls = []
+    original = jn.enlarged_set
+
+    def counting(U_mask, grid):
+        calls.append(grid.depth)
+        return original(U_mask, grid)
+
+    monkeypatch.setattr(jn, "enlarged_set", counting)
+    experiments.run({"experiment": "journe"}, tmp_path)
+    assert len(calls) == 1
