@@ -41,12 +41,8 @@ class SymbolCoefficients:
         """Sample sum bhat(k) e^{2 pi i k.x} on the grid (requires N >= 2*degree)."""
         if grid.n_points < 2 * self.degree:
             raise ValueError("grid too coarse for the symbol degree")
-        shape = grid.shape
-        modes = np.zeros(shape, dtype=complex)
-        if self.dim == 1:
-            modes[: self.degree] = self.coeffs
-        else:
-            modes[: self.degree, : self.degree] = self.coeffs
+        modes = np.zeros(grid.shape, dtype=complex)
+        modes[(slice(0, self.degree),) * self.dim] = self.coeffs
         return Signal(grid, np.fft.ifftn(modes) * grid.n_points ** grid.dim)
 
 
@@ -151,14 +147,7 @@ def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> Hanke
     e = np.exp(2j * np.pi * np.arange(M)[:, None] * grid.points())  # row j: e_j
     spec = np.fft.fft(bs * np.conj(e), axis=-1) / grid.n_points
     om = OperatorMatrix(spec[:, :M].T, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
-    return HankelOp(om, "operator_on_H2", sequence=_sequence_from_symbol(b))
-
-
-def _sequence_from_symbol(b: SymbolCoefficients) -> np.ndarray:
-    M = b.degree
-    seq = np.zeros(2 * M - 1, dtype=complex)
-    seq[:M] = b.coeffs
-    return seq
+    return HankelOp(om, "operator_on_H2", sequence=np.append(b.coeffs, np.zeros(M - 1)))
 
 
 def little_hankel(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
@@ -192,19 +181,32 @@ def little_hankel_structural(b: SymbolCoefficients) -> np.ndarray:
     M = b.degree
     c = np.zeros((2 * M, 2 * M), dtype=complex)
     c[:M, :M] = b.coeffs
-    out = np.empty((M * M, M * M), dtype=complex)
-    for r, (i1, i2) in enumerate([(a, b_) for a in range(M) for b_ in range(M)]):
-        for col, (j1, j2) in enumerate([(a, b_) for a in range(M) for b_ in range(M)]):
-            out[r, col] = c[i1 + j1, i2 + j2]
-    return out
+    i1, i2 = np.divmod(np.arange(M * M), M)  # row-major bi-mode (i1, i2)
+    return c[np.add.outer(i1, i1), np.add.outer(i2, i2)]
 
 
 # ---------------------------------------------------------------------------
 # commutators [M_b, H] on the truncated mode basis
 
 
-def _mode_basis(K: int) -> list:
-    return list(range(-K, K + 1))
+# grid points per batch of modes: 8 modes of a 64^2 grid, whose arrays stay in cache
+_BATCH_POINTS = 1 << 15
+
+
+def _mode_batches(grid: Grid, kvecs: list):
+    """(lo, hi, values) over consecutive slices of the mode list, values[i] the
+    exponential e^{2 pi i k.x} of kvecs[lo + i] as a product of per-axis
+    exponentials; no batch holds more than _BATCH_POINTS grid points."""
+    d, N, x = grid.dim, grid.n_points, grid.points()
+    kvecs = np.asarray(kvecs, dtype=float).reshape(-1, d)
+    step = max(1, _BATCH_POINTS // N ** d)
+    for lo in range(0, len(kvecs), step):
+        ks = kvecs[lo:lo + step]
+        values = 1.0
+        for a in range(d):
+            e = np.exp(2j * np.pi * ks[:, a, None] * x)
+            values = values * e.reshape((len(ks),) + (1,) * a + (N,) + (1,) * (d - 1 - a))
+        yield lo, lo + len(ks), values
 
 
 def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int | None = None,
@@ -214,53 +216,41 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int 
 
     variant 'imaginary' uses the real-for-real multiplier -i sgn(k); variant
     'signum' uses sgn(k) = P_+ - P_-, which matches printed block identities.
+    The commutator acts on batches of basis modes at once; one FFT of each
+    batch gives its columns, read off at the basis modes.
     """
-    grid = b.grid
-    d = grid.dim
-    N = grid.n_points
-    if mode_cutoff is None:
-        mode_cutoff = N // 4
-    K = mode_cutoff
+    grid, d, N = b.grid, b.grid.dim, b.grid.n_points
+    K = N // 4 if mode_cutoff is None else mode_cutoff
     if K > N // 2 - 1:
         raise ValueError("mode cutoff exceeds grid")
     apply_vals = _iterated_commutator_values(b, axes, variant)
-
-    def comm_apply(f: Signal) -> Signal:
-        return Signal(grid, apply_vals(f.values))
-
-    modes1d = _mode_basis(K)
-    if d == 1:
-        basis = [(k,) for k in modes1d]
-    elif d == 2:
-        basis = [(k1, k2) for k1 in modes1d for k2 in modes1d]
-    else:
-        raise ValueError("d must be 1 or 2")
+    basis = list(itertools.product(range(-K, K + 1), repeat=d))
+    rows = (slice(None),) + tuple(np.array(basis).T % N)
     cols = np.empty((len(basis), len(basis)), dtype=complex)
-    for c, kvec in enumerate(basis):
-        e = transforms.fourier_mode(grid, *kvec)
-        out = comm_apply(e)
-        spec = np.fft.fftn(out.values) / N ** d
-        if d == 1:
-            cols[:, c] = [spec[k % N] for (k,) in basis]
-        else:
-            cols[:, c] = [spec[k1 % N, k2 % N] for (k1, k2) in basis]
+    for lo, hi, modes in _mode_batches(grid, basis):
+        comm = apply_vals(modes)
+        cols[:, lo:hi] = np.fft.fftn(comm, axes=tuple(range(-d, 0)), out=comm)[rows].T / N ** d
     return OperatorMatrix(cols, ("modes", tuple(basis)), ("modes", tuple(basis)))
 
 
 def _iterated_commutator_values(b: Signal, axes, variant: str):
-    """Value-level application of A_d where A_0 = M_b, A_j = [A_{j-1}, H_j]."""
-    trans = transforms.hilbert_transform if variant == "imaginary" else transforms.signum_transform
-    grid = b.grid
+    """Value-level application of A_d where A_0 = M_b, A_j = [A_{j-1}, H_j]; the
+    values may carry leading batch axes before the grid axes.  The A_j work in
+    place on their argument, so the returned map copies its input once."""
+    kinds = {ax: transforms.on_axis("hilbert" if variant == "imaginary" else "signum", ax,
+                                    b.grid.dim) for ax in axes}
 
-    def hilb(ax, vals):
-        return trans(ax, Signal(grid, vals)).values
+    def apply(vals):
+        vals *= b.values
+        return vals
 
-    apply = lambda vals: b.values * vals
     for ax in axes:
         def nxt(vals, prev=apply, ax=ax):
-            return prev(hilb(ax, vals)) - hilb(ax, prev(vals))
+            out = prev(transforms.apply_multipliers(kinds[ax], vals))
+            out -= transforms.apply_multipliers(kinds[ax], prev(vals), out=vals)
+            return out
         apply = nxt
-    return apply
+    return lambda vals: apply(np.array(vals, dtype=complex))
 
 
 def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
@@ -273,37 +263,30 @@ def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
             and P_s C P_s = 0.
 
     The factor 2^d comes from H = +-(I - 2P) on mean-free signals.  P_s
-    annihilates every mode outside octant s, so each mode of the truncated
-    basis [-K, K]^d goes through C once, projected onto the octant of its
-    signs, and gives its column of both identities.  Returns the largest
+    annihilates every mode outside octant s, so the modes of the truncated
+    basis [-K, K]^d go through C octant by octant, in batches, each projected
+    onto its octant s.  By linearity one projection P_{-s} of
+    C e - factor * b e gives the off-diagonal identity.  Returns the largest
     defect, measured column by column (an upper bound for the scaled
     Frobenius defect).
     """
-    grid = b.grid
-    d = grid.dim
-    N = grid.n_points
-    K = mode_cutoff if mode_cutoff is not None else N // 4
+    grid, d, N = b.grid, b.grid.dim, b.grid.n_points
+    K = N // 4 if mode_cutoff is None else mode_cutoff
     if K > N // 2 - 1:
         raise ValueError("mode cutoff exceeds grid")
     apply_comm = _iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
-
-    def project(vals: np.ndarray, sigma) -> np.ndarray:
-        return transforms.product_projection(sigma, Signal(grid, vals)).values
-
     defect = 0.0
-    for kvec in itertools.product(_mode_basis(K), repeat=d):
-        if 0 in kvec:
-            continue  # outside every octant
-        sigma = tuple("+" if k > 0 else "-" for k in kvec)
+    for sigma in itertools.product("+-", repeat=d):
         minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
-        factor = np.prod([1.0 if s == "+" else -1.0 for s in sigma]) * 2.0 ** d
-        dom = project(transforms.fourier_mode(grid, *kvec).values, sigma)
-        comm = apply_comm(dom)
-        lhs = project(comm, minus_sigma)
-        rhs = factor * project(b.values * dom, minus_sigma)
-        diag = project(comm, sigma)
-        defect = max(defect, float(np.max(np.abs(lhs - rhs))) * grid.weight ** 0.5,
-                     float(np.max(np.abs(diag))) * grid.weight ** 0.5)
+        factor_b = (-1) ** sigma.count("-") * 2.0 ** d * b.values
+        octant = itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma))
+        for _, _, modes in _mode_batches(grid, list(octant)):
+            dom = transforms.apply_multipliers(sigma, modes, out=modes)
+            comm = apply_comm(dom)
+            off = transforms.apply_multipliers(minus_sigma, comm - factor_b * dom, out=dom)
+            diag = transforms.apply_multipliers(sigma, comm, out=comm)
+            defect = max(defect, float(np.max(np.abs(off))) * grid.weight ** 0.5,
+                         float(np.max(np.abs(diag))) * grid.weight ** 0.5)
     return defect
 
 

@@ -12,6 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,40 +58,62 @@ def from_spectrum(s: Spectrum) -> Signal:
     return Signal(s.grid, vals)
 
 
-def _apply_multiplier(f: Signal, mult_1d: np.ndarray, axis: int) -> Signal:
-    spec = np.fft.fft(f.values, axis=axis - 1)
-    shape = [1] * f.grid.dim
-    shape[axis - 1] = f.grid.n_points
-    spec *= mult_1d.reshape(shape)
-    return Signal(f.grid, np.fft.ifft(spec, axis=axis - 1))
+@functools.lru_cache(maxsize=None)
+def axis_multiplier(kind: str, n_points: int) -> np.ndarray:
+    """Read-only FFT-layout multiplier of one axis of n_points samples, built once:
+    '+' and '-' keep 0 < k < N/2 and -N/2 < k < 0, 'mean' keeps k = 0 and N/2,
+    'hilbert' is -i sgn(k) and 'signum' is sgn(k), with sgn(0) = sgn(N/2) = 0."""
+    k = mode_numbers(Grid(n_points.bit_length() - 1))
+    sgn = np.where(k == n_points // 2, 0.0, np.sign(k).astype(float))
+    table = {"+": (sgn > 0) * 1.0, "-": (sgn < 0) * 1.0, "mean": (sgn == 0) * 1.0,
+             "hilbert": -1j * sgn, "signum": sgn + 0j}
+    table[kind].flags.writeable = False
+    return table[kind]
+
+
+def apply_multipliers(kinds: tuple, values: np.ndarray, out=None) -> np.ndarray:
+    """Per-axis Fourier multipliers on an array whose last len(kinds) axes are the
+    grid axes 1..d; any leading axes are a batch.  kinds[a] names the multiplier
+    of grid axis a + 1 (see `axis_multiplier`) or is None to leave that axis
+    alone.  One FFT, multiply and inverse FFT per named axis, in axis order,
+    written to `out` if given (a complex array, which may be `values` itself);
+    with no named axis `values` comes back as it is."""
+    d = len(kinds)
+    for a, kind in enumerate(kinds):
+        if kind is not None:
+            out = np.fft.fft(values, axis=a - d, out=out)
+            out *= axis_multiplier(kind, values.shape[a - d]).reshape((-1,) + (1,) * (d - 1 - a))
+            values = np.fft.ifft(out, axis=a - d, out=out)
+    return values
+
+
+def on_axis(kind: str, axis: int, dim: int) -> tuple:
+    """The `apply_multipliers` kinds of one multiplier on one axis of a dim-d grid."""
+    return (None,) * (axis - 1) + (kind,) + (None,) * (dim - axis)
+
+
+def _multiply(kind: str, axis: int, f: Signal) -> Signal:
+    return Signal(f.grid, apply_multipliers(on_axis(kind, axis, f.grid.dim), f.values))
 
 
 def analytic_projection(sign: str, axis: int, f: Signal) -> Signal:
     """Spectral projection onto 0 < k < N/2 ('+') or -N/2 < k < 0 ('-') on one axis."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    k = mode_numbers(f.grid)
-    N = f.grid.n_points
-    if sign == "+":
-        mask = (k > 0) & (k < N // 2)
-    else:
-        mask = k < 0
-    return _apply_multiplier(f, mask.astype(float), axis)
+    return _multiply(sign, axis, f)
 
 
 def axis_mean_projection(axis: int, f: Signal) -> Signal:
     """Projection onto the k = 0 and Nyquist modes of one axis (the leftover of P_+ + P_-)."""
-    k = mode_numbers(f.grid)
-    mask = (k == 0) | (k == f.grid.n_points // 2)
-    return _apply_multiplier(f, mask.astype(float), axis)
+    return _multiply("mean", axis, f)
 
 
 def product_projection(sigma: tuple[str, ...], f: Signal) -> Signal:
     """P_sigma = tensor product of per-axis projections, sigma in {'+','-'}^d."""
-    out = f
-    for ax, s in enumerate(sigma, start=1):
-        out = analytic_projection(s, ax, out)
-    return out
+    if not set(sigma) <= {"+", "-"}:
+        raise ValueError("sign must be '+' or '-'")
+    return Signal(f.grid, apply_multipliers(tuple(sigma) + (None,) * (f.grid.dim - len(sigma)),
+                                            f.values))
 
 
 def all_analytic_projection(f: Signal) -> Signal:
@@ -100,18 +123,12 @@ def all_analytic_projection(f: Signal) -> Signal:
 
 def hilbert_transform(axis: int, f: Signal) -> Signal:
     """Multiplier -i sgn(k) on the chosen axis; annihilates constants and Nyquist."""
-    k = mode_numbers(f.grid)
-    sgn = np.sign(k).astype(float)
-    sgn[f.grid.n_points // 2] = 0.0
-    return _apply_multiplier(f, -1j * sgn, axis)
+    return _multiply("hilbert", axis, f)
 
 
 def signum_transform(axis: int, f: Signal) -> Signal:
     """The variant with multiplier sgn(k) = P_+ - P_-; equals i * hilbert_transform."""
-    k = mode_numbers(f.grid)
-    sgn = np.sign(k).astype(float)
-    sgn[f.grid.n_points // 2] = 0.0
-    return _apply_multiplier(f, sgn + 0j, axis)
+    return _multiply("signum", axis, f)
 
 
 def fourier_mode(grid: Grid, *k: int) -> Signal:

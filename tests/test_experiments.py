@@ -135,6 +135,28 @@ def test_carleson_builds_each_coefficient_book_once(tmp_path, monkeypatch):
     assert calls == [3, 4, 5]
 
 
+def test_carleson_runs_one_min_cut_per_depth(tmp_path, monkeypatch):
+    from dyadiclab import norms
+
+    calls = []
+    solve = norms._max_union_ratio
+
+    def counting(masses, depth):
+        calls.append(depth)
+        return solve(masses, depth)
+
+    monkeypatch.setattr(norms, "_max_union_ratio", counting)
+    m = ex.run({"experiment": "carleson", "n_list": [0, 1, 2]}, tmp_path, threads=1)
+    assert calls == [3, 4, 5]
+    # the heuristic column is the same cut, reported as a labelled lower bound
+    assert "heuristic_lower_bound" in m["exactness_flags"]
+    rows = (tmp_path / "rows.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    for line in rows[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert row["bmo_product_heuristic"] == row["bmo_product_exact"]
+
+
 def test_lower_bound_default_depth_runs(tmp_path):
     m = ex.run({"experiment": "lower-bound"}, tmp_path, threads=1)
     assert m["config"]["seed"] == 0 and m["summary"]["cauchy_schwarz_ok"]

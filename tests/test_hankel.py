@@ -5,7 +5,7 @@ import dyadiclab as dl
 from dyadiclab.dyadic import Grid, Signal, constant
 from dyadiclab import hankel as hk
 from dyadiclab.norms import OperatorMatrix, operator_norm
-from dyadiclab.transforms import fourier_mode, product_projection
+from dyadiclab.transforms import apply_multipliers, fourier_mode
 
 rng = np.random.default_rng(17)
 
@@ -120,6 +120,29 @@ def test_commutator_basics():
     assert np.max(np.abs(Mc.entries - M0.adjoint().entries)) < 1e-12
 
 
+def _commutator_closed_form(b, K, axes):
+    """Entry (k, j) = bhat(k - j) prod_a (m(j_a) - m(k_a)), m(k) = -i sgn(k), on [-K, K]^d."""
+    N, d = b.grid.n_points, b.grid.dim
+    bhat = np.fft.fftn(b.values) / N ** d
+    ks = np.stack(np.meshgrid(*[np.arange(-K, K + 1)] * d, indexing="ij"), -1).reshape(-1, d)
+    m = lambda k: -1j * np.sign(k)
+    out = bhat[tuple((ks[:, None, a] - ks[None, :, a]) % N for a in range(d))]
+    for a in axes:
+        out = out * (m(ks[None, :, a - 1]) - m(ks[:, None, a - 1]))
+    return out
+
+
+def test_commutator_matrix_matches_closed_form():
+    # d = 2 at n = 6, K = 6: 169 modes, so several batches and a partial last one
+    b2 = dl.random_signal(Grid(6, 2), rng)
+    assert 169 % max(1, hk._BATCH_POINTS // 64 ** 2) != 0
+    M2 = hk.commutator_matrix(b2, (1, 2), mode_cutoff=6).entries
+    assert np.max(np.abs(M2 - _commutator_closed_form(b2, 6, (1, 2)))) < 1e-12
+    b1 = dl.random_signal(Grid(7, 1), rng)
+    M1 = hk.commutator_matrix(b1, (1,), mode_cutoff=30).entries
+    assert np.max(np.abs(M1 - _commutator_closed_form(b1, 30, (1,)))) < 1e-12
+
+
 def test_block_identities():
     g1 = Grid(6, 1)
     b = hk.random_symbol(8, rng).to_signal(g1)
@@ -149,10 +172,34 @@ def test_block_identity_check_sees_every_block(monkeypatch):
     for sigma in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
         def diagonal(b, axes, variant, sigma=sigma):
             comm = exact(b, axes, variant)
-            return lambda vals: comm(vals) + 0.1 * product_projection(sigma, Signal(g2, vals)).values
+            return lambda vals: comm(vals) + 0.1 * apply_multipliers(sigma, vals)
 
         monkeypatch.setattr(hk, "_iterated_commutator_values", diagonal)
         assert hk.block_identity_check(b2, mode_cutoff=6) > 1e-3
+
+
+def test_block_identity_check_sees_the_last_mode_of_each_octant(monkeypatch):
+    # 36 modes per octant at K = 6 on a 32^2 grid: the last one ends a partial batch
+    g2, K = Grid(5, 2), 6
+    assert K * K % max(1, hk._BATCH_POINTS // g2.n_points ** 2) != 0
+    b2 = hk.random_symbol(4, rng, dim=2).to_signal(g2)
+    exact = hk._iterated_commutator_values
+    for sigma in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
+        last = tuple(K if s == "+" else -1 for s in sigma)
+        for wrong in (last, tuple(-k for k in last)):  # seen by P_s C P_s, by P_-s C P_s
+            target = fourier_mode(g2, *last).values
+            bad = fourier_mode(g2, *wrong).values
+
+            def one_mode_off(b, axes, variant, target=target, bad=bad):
+                comm = exact(b, axes, variant)
+
+                def apply(vals):
+                    weight = np.mean(vals * np.conj(target), axis=(-2, -1))[..., None, None]
+                    return comm(vals) + 0.1 * weight * bad
+                return apply
+
+            monkeypatch.setattr(hk, "_iterated_commutator_values", one_mode_off)
+            assert hk.block_identity_check(b2, mode_cutoff=K) > 1e-3
 
 
 def test_little_hankel_in_several_fft_batches():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,16 @@ from dyadiclab.dyadic import DyadicInterval, Grid, Signal, constant, random_sign
 from dyadiclab.transforms import (
     all_analytic_projection,
     analytic_projection,
+    apply_multipliers,
     axis_mean_projection,
+    axis_multiplier,
     dyadic_maximal,
     fourier_mode,
     from_spectrum,
     haar_analysis,
     haar_synthesis,
     hilbert_transform,
+    on_axis,
     product_projection,
     signum_transform,
     square_function,
@@ -95,6 +100,37 @@ def test_hilbert_transform():
     assert np.max(np.abs(hh.values - (-(f.values - mean_part.values)))) < 1e-12
     # the sign-multiplier variant is i times the real-for-real one
     assert np.max(np.abs(signum_transform(1, f).values - 1j * hilbert_transform(1, f).values)) < 1e-12
+
+
+def test_array_multipliers_act_on_a_batch():
+    for d in (1, 2):
+        g = Grid(6 if d == 1 else 4, d)
+        stack = np.stack([random_signal(g, rng).values for _ in range(5)])
+        cases = []
+        for ax in range(1, d + 1):
+            for s in "+-":
+                cases.append((on_axis(s, ax, d), lambda f, s=s, ax=ax: analytic_projection(s, ax, f)))
+            cases.append((on_axis("hilbert", ax, d), lambda f, ax=ax: hilbert_transform(ax, f)))
+            cases.append((on_axis("signum", ax, d), lambda f, ax=ax: signum_transform(ax, f)))
+        for sigma in itertools.product("+-", repeat=d):
+            cases.append((sigma, lambda f, sigma=sigma: product_projection(sigma, f)))
+        for kinds, per_signal in cases:
+            batched = apply_multipliers(kinds, stack)
+            for vals, out in zip(stack, batched):
+                assert np.max(np.abs(out - per_signal(Signal(g, vals)).values)) <= 1e-15
+            # in place on a copy gives the same array
+            again = stack.copy()
+            assert apply_multipliers(kinds, again, out=again) is again
+            assert np.max(np.abs(again - batched)) <= 1e-15
+
+
+def test_cached_multipliers_are_read_only():
+    for kind in ("+", "-", "mean", "hilbert", "signum"):
+        mult = axis_multiplier(kind, 16)
+        assert mult is axis_multiplier(kind, 16)
+        with pytest.raises(ValueError):
+            mult[1] = 2.0
+    assert np.array_equal(axis_multiplier("hilbert", 8), -1j * np.array([0, 1, 1, 1, 0, -1, -1, -1]))
 
 
 def test_haar_roundtrip_and_parseval():
