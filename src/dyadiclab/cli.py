@@ -24,7 +24,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None,
                        help="output directory (default: $DYADICLAB_OUT or ./results)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the trials of para-bound, commutator-decomp "
+                            "and aak-extend (nehari1d and nehari2d stack their trials instead)")
 
     sub.add_parser("list", help="print the experiment catalog")
 

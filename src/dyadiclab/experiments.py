@@ -6,6 +6,12 @@ Philox(key=(seed, trial_index)), trials may run on any number of threads,
 and aggregation sorts by trial index, so reruns of the same config produce
 byte-identical manifest and CSV files.  Wall-clock data goes to a separate
 run_info.json that is excluded from the contract.
+
+The `threads` argument sizes the trial pool of `_map_trials`, which
+para-bound, commutator-decomp and aak-extend use.  nehari1d and nehari2d
+stack their trials' symbols along an array axis and run them through the
+batched kernels of `hankel.nehari_ratios` instead; the other experiments
+have no trials to spread.
 """
 
 from __future__ import annotations
@@ -61,6 +67,19 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
 # individual experiments; each returns (rows, summary, exactness_flags)
 
 
+def _symbol_stack(seed: int, trials: int, degree: int, dim: int = 1) -> np.ndarray:
+    """The analytic coefficients of trials random symbols, trial t drawn from
+    its own stream trial_rng(seed, t), stacked along the leading axis."""
+    return np.stack([hankel.random_symbol(degree, trial_rng(seed, t), dim=dim).coeffs
+                     for t in range(trials)])
+
+
+def _nehari_rows(rep: dict, degree: int) -> list:
+    return [{"trial": t, "M": degree, "hankel_norm": h, "bmo_value": v, "ratio": r}
+            for t, (h, v, r) in enumerate(zip(rep["hankel_norm"].tolist(),
+                                              rep["bmo_value"].tolist(), rep["ratio"].tolist()))]
+
+
 def _exp_nehari1d(cfg, threads):
     seed = cfg["seed"]
     trials = cfg.get("trials", 100)
@@ -68,14 +87,7 @@ def _exp_nehari1d(cfg, threads):
     m_list = cfg.get("M_list", [8, 16, 32])
     trend_trials = cfg.get("trend_trials", 40)
 
-    def one(t):
-        rng = trial_rng(seed, t)
-        b = hankel.random_symbol(degree, rng)
-        rep = hankel.nehari_ratio(b, "dyadic")
-        return {"trial": t, "M": degree, "hankel_norm": rep["hankel_norm"],
-                "bmo_value": rep["bmo_value"], "ratio": rep["ratio"]}
-
-    rows = _map_trials(one, trials, threads)
+    rows = _nehari_rows(hankel.nehari_ratios(_symbol_stack(seed, trials, degree), "dyadic"), degree)
     ratios = np.array([r["ratio"] for r in rows])
     summary = {
         "ratio_min": float(ratios.min()),
@@ -88,11 +100,7 @@ def _exp_nehari1d(cfg, threads):
     # trend across degrees
     trend_rows = []
     for m in m_list:
-        def one_m(t, m=m):
-            rng = trial_rng(seed + 1000 * m, t)
-            b = hankel.random_symbol(m, rng)
-            return hankel.nehari_ratio(b, "dyadic")["ratio"]
-        vals = _map_trials(one_m, trend_trials, threads)
+        vals = hankel.nehari_ratios(_symbol_stack(seed + 1000 * m, trend_trials, m), "dyadic")["ratio"]
         mean_log = float(np.mean(np.log(vals)))
         trend_rows.append({"trial": -1, "M": m, "hankel_norm": np.nan,
                            "bmo_value": np.nan, "ratio": float(np.exp(mean_log))})
@@ -109,14 +117,9 @@ def _exp_nehari2d(cfg, threads):
     degree = cfg.get("M", 4)
     depth = cfg.get("n", 2)
 
-    def one(t):
-        rng = trial_rng(seed, t)
-        b = hankel.random_symbol(degree, rng, dim=2)
-        rep = hankel.nehari_ratio(b, "product_exact", product_depth=depth)
-        return {"trial": t, "M": degree, "hankel_norm": rep["hankel_norm"],
-                "bmo_value": rep["bmo_value"], "ratio": rep["ratio"]}
-
-    rows = _map_trials(one, trials, threads)
+    rep = hankel.nehari_ratios(_symbol_stack(seed, trials, degree, dim=2), "product_exact",
+                               product_depth=depth)
+    rows = _nehari_rows(rep, degree)
     ratios = np.array([r["ratio"] for r in rows])
     summary = {
         "ratio_min": float(ratios.min()),

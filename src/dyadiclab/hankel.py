@@ -10,14 +10,18 @@ the strictly positive projections of the transforms module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import Grid, Signal
-from .norms import OperatorMatrix, operator_norm
+from .norms import OperatorMatrix, operator_norm, operator_norms
 from . import transforms
+
+# grid points per batch of stacked work: 8 modes of a 64^2 grid, whose arrays stay in cache
+_BATCH_POINTS = 1 << 15
 
 
 @dataclass
@@ -39,11 +43,18 @@ class SymbolCoefficients:
 
     def to_signal(self, grid: Grid) -> Signal:
         """Sample sum bhat(k) e^{2 pi i k.x} on the grid (requires N >= 2*degree)."""
-        if grid.n_points < 2 * self.degree:
-            raise ValueError("grid too coarse for the symbol degree")
-        modes = np.zeros(grid.shape, dtype=complex)
-        modes[(slice(0, self.degree),) * self.dim] = self.coeffs
-        return Signal(grid, np.fft.ifftn(modes) * grid.n_points ** grid.dim)
+        return Signal(grid, _symbol_samples(self.coeffs[None], grid)[0])
+
+
+def _symbol_samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Samples of sum bhat(k) e^{2 pi i k.x} on the grid for a stack of
+    coefficient arrays (leading axis), by one inverse FFT."""
+    degree = coeffs.shape[1]
+    if grid.n_points < 2 * degree:
+        raise ValueError("grid too coarse for the symbol degree")
+    modes = np.zeros(coeffs.shape[:1] + grid.shape, dtype=complex)
+    modes[(slice(None),) + (slice(0, degree),) * grid.dim] = coeffs
+    return np.fft.ifftn(modes, axes=tuple(range(1, grid.dim + 1))) * grid.n_points ** grid.dim
 
 
 def random_symbol(degree: int, rng: np.random.Generator, dim: int = 1) -> SymbolCoefficients:
@@ -132,6 +143,53 @@ def symbol_grid_depth(degree: int) -> int:
     return max(3, int(np.ceil(np.log2(4 * degree))))
 
 
+def _symbol_grid(degree: int, dim: int, grid: Grid | None) -> Grid:
+    """The default sampling grid of a symbol, or `grid` once it is alias-free."""
+    if grid is None:
+        return Grid(symbol_grid_depth(degree), dim)
+    if grid.n_points < 4 * degree:
+        raise ValueError("need N >= 4*degree to avoid aliasing")
+    return grid
+
+
+@functools.lru_cache(maxsize=None)
+def _conj_exponentials(degree: int, n_points: int) -> np.ndarray:
+    """Read-only table of conj(e_j) at the n_points grid points, row j < degree,
+    built once."""
+    x = Grid(n_points.bit_length() - 1).points()
+    table = np.conj(np.exp(2j * np.pi * np.arange(degree)[:, None] * x))
+    table.flags.writeable = False
+    return table
+
+
+def _hankel_stack(samples: np.ndarray, degree: int) -> np.ndarray:
+    """Matrices of phi -> P_{k_i >= 0}(b * conj(phi)) on the modes 0..M-1 per
+    axis (row-major bi-modes in 2-D), one per symbol b of a stack of samples
+    (leading axis; the others are the d grid axes, N >= 4M: alias-free).
+
+    Column j is the FFT of b * conj(e_j), read off at the analytic modes.  The
+    products go through the FFT in batches of (symbol, j1) rows, as many as
+    fit in _BATCH_POINTS grid points (at least one), one in-place pass per
+    axis, last axis first.
+    """
+    T, d, N, M = len(samples), samples.ndim - 1, samples.shape[-1], degree
+    conj_e = _conj_exponentials(M, N)
+    spec = np.empty((T * M,) + (M,) * (2 * d - 1), dtype=complex)
+    step = max(1, _BATCH_POINTS // (M ** (d - 1) * N ** d))
+    for lo in range(0, T * M, step):
+        rows = np.arange(lo, min(lo + step, T * M))
+        if d == 1:
+            phi = conj_e[rows % M]
+        else:  # conj(e_j1 (x) e_j2) for every j2
+            phi = conj_e[rows % M, None, :, None] * conj_e[None, :, None, :]
+        prod = np.multiply(samples[rows // M].reshape((-1,) + (1,) * (d - 1) + (N,) * d),
+                           phi, out=phi)
+        for axis in range(-1, -d - 1, -1):
+            np.fft.fft(prod, axis=axis, out=prod)
+        spec[lo:lo + len(rows)] = prod[(Ellipsis,) + (slice(0, M),) * d] / N ** d
+    return spec.reshape(T, M ** d, M ** d).transpose(0, 2, 1)
+
+
 def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
     """Matrix of phi -> P_{k>=0}(b * conj(phi)) on the exponential basis
     e_0..e_{M-1}, computed by sampling on a grid with N >= 4M (alias-free):
@@ -139,14 +197,9 @@ def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> Hanke
     if b.dim != 1:
         raise ValueError("use little_hankel for 2D symbols")
     M = b.degree
-    if grid is None:
-        grid = Grid(symbol_grid_depth(M), 1)
-    if grid.n_points < 4 * M:
-        raise ValueError("need N >= 4*degree to avoid aliasing")
-    bs = b.to_signal(grid).values
-    e = np.exp(2j * np.pi * np.arange(M)[:, None] * grid.points())  # row j: e_j
-    spec = np.fft.fft(bs * np.conj(e), axis=-1) / grid.n_points
-    om = OperatorMatrix(spec[:, :M].T, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
+    grid = _symbol_grid(M, 1, grid)
+    mat = _hankel_stack(_symbol_samples(b.coeffs[None], grid), M)[0]
+    om = OperatorMatrix(mat, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
     return HankelOp(om, "operator_on_H2", sequence=np.append(b.coeffs, np.zeros(M - 1)))
 
 
@@ -156,24 +209,10 @@ def little_hankel(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
     if b.dim != 2:
         raise ValueError("little_hankel needs a 2D symbol")
     M = b.degree
-    if grid is None:
-        grid = Grid(symbol_grid_depth(M), 2)
-    if grid.n_points < 4 * M:
-        raise ValueError("need N >= 4*degree to avoid aliasing")
-    bs = b.to_signal(grid).values
-    N = grid.n_points
-    basis = [(j1, j2) for j1 in range(M) for j2 in range(M)]
-    e = np.exp(2j * np.pi * np.arange(M)[:, None] * grid.points())  # row j: e_j
-    spec = np.empty((M, M, M, M), dtype=complex)
-    # one FFT over the batch of phi = e_j1 (x) e_j2; degrees above 8 go in
-    # slices of j1 so that no batch holds more than 2^17 points
-    step = max(1, (1 << 17) // (M * N * N))
-    for lo in range(0, M, step):
-        phi = e[lo:lo + step, None, :, None] * e[None, :, None, :]
-        spec[lo:lo + step] = np.fft.fft2(bs * np.conj(phi, out=phi))[..., :M, :M] / N ** 2
-    om = OperatorMatrix(spec.reshape(M * M, M * M).T, ("bimodes", tuple(basis)),
-                        ("bimodes", tuple(basis)))
-    return HankelOp(om, "little_product")
+    grid = _symbol_grid(M, 2, grid)
+    basis = tuple((j1, j2) for j1 in range(M) for j2 in range(M))
+    mat = _hankel_stack(_symbol_samples(b.coeffs[None], grid), M)[0]
+    return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)), "little_product")
 
 
 def little_hankel_structural(b: SymbolCoefficients) -> np.ndarray:
@@ -187,10 +226,6 @@ def little_hankel_structural(b: SymbolCoefficients) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # commutators [M_b, H] on the truncated mode basis
-
-
-# grid points per batch of modes: 8 modes of a 64^2 grid, whose arrays stay in cache
-_BATCH_POINTS = 1 << 15
 
 
 def _mode_batches(grid: Grid, kvecs: list):
@@ -303,36 +338,57 @@ def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
     """Computes ||H_b|| and the requested BMO norm of the analytic part of b,
     plus their ratio.  The report records both conventions in play.  In 2-D
     a product_depth beyond the grid's finest Haar scale raises ValueError."""
+    rep = nehari_ratios(b.coeffs[None], bmo_variant, grid, product_depth)
+    for key in ("hankel_norm", "bmo_value", "ratio"):
+        rep[key] = float(rep[key][0])
+    return rep
+
+
+def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
+                  grid: Grid | None = None, product_depth: int = 2) -> dict:
+    """`nehari_ratio` of each symbol of a stack of analytic coefficient arrays
+    (leading axis: symbols), with arrays over the stack.
+
+    The symbols go in chunks of at most _BATCH_POINTS grid points of
+    products: per chunk one inverse FFT gives the samples, `_hankel_stack` the
+    Hankel matrices, one stacked SVD their norms, and in 1-D one Haar
+    pyramid with the symbols as its trailing axis the dyadic BMO.  Product
+    BMO is one minimum-cut search per symbol.  Raises TruncationError if a
+    symbol has BMO 0 but a nonzero Hankel norm.
+    """
     from . import norms as _norms
 
-    M = b.degree
-    if b.dim == 1:
-        H = hankel_operator_1d(b, grid)
-        g = grid or Grid(symbol_grid_depth(M), 1)
-        analytic = b.to_signal(g)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    T, d, M = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[1]
+    if d == 1 and bmo_variant not in ("dyadic", "dyadic_shift"):
+        raise ValueError("1D variants: 'dyadic', 'dyadic_shift'")
+    if d == 2 and bmo_variant != "product_exact":
+        raise ValueError("2D variant: 'product_exact'")
+    g = _symbol_grid(M, d, grid)
+    if d == 2 and product_depth > g.depth - 1:
+        raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
+                         f"{g.depth - 1} of the depth-{g.depth} grid")
+    hankel_norm, bmo_val = np.empty(T), np.empty(T)
+    step = max(1, _BATCH_POINTS // (M * g.n_points) ** d)
+    for lo in range(0, T, step):
+        chunk = slice(lo, lo + step)
+        samples = _symbol_samples(coeffs[chunk], g)
+        hankel_norm[chunk] = operator_norms(_hankel_stack(samples, M))
         if bmo_variant == "dyadic":
-            bmo_val = _norms.bmo_dyadic(analytic).value
+            bmo_val[chunk] = np.sqrt(_norms._dyadic_bmo_squares(samples.T, g.depth)[0])
         elif bmo_variant == "dyadic_shift":
-            bmo_val = _norms.bmo_dyadic_shift_average(analytic)
+            bmo_val[chunk] = [_norms.bmo_dyadic_shift_average(Signal(g, s)) for s in samples]
         else:
-            raise ValueError("1D variants: 'dyadic', 'dyadic_shift'")
-    else:
-        g = grid or Grid(symbol_grid_depth(M), 2)
-        if bmo_variant != "product_exact":
-            raise ValueError("2D variant: 'product_exact'")
-        if product_depth > g.depth - 1:
-            raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
-                             f"{g.depth - 1} of the depth-{g.depth} grid")
-        H = little_hankel(b, grid)
-        analytic = b.to_signal(g)
-        bmo_val = _norms.bmo_product(analytic, mode="exact", depth=product_depth).value
-    hankel_norm = operator_norm(H.matrix)
-    if bmo_val == 0.0 and hankel_norm > 1e-12:
-        raise TruncationError("BMO value 0 with nonzero Hankel norm: inconsistent truncation")
+            bmo_val[chunk] = [_norms.bmo_product(Signal(g, s), mode="exact",
+                                                 depth=product_depth).value for s in samples]
+    bad = np.flatnonzero((bmo_val == 0.0) & (hankel_norm > 1e-12))
+    if bad.size:
+        raise TruncationError(f"symbol {bad[0]}: BMO value 0 with nonzero Hankel norm: "
+                              "inconsistent truncation")
     return {
         "hankel_norm": hankel_norm,
         "bmo_value": bmo_val,
-        "ratio": hankel_norm / bmo_val if bmo_val > 0 else np.nan,
+        "ratio": np.divide(hankel_norm, bmo_val, out=np.full(T, np.nan), where=bmo_val > 0),
         "bmo_variant": bmo_variant,
         "degree": M,
         "projection": "analytic (k >= 0, Hardy with DC)",

@@ -41,47 +41,28 @@ from .transforms import MeyerFamily, all_analytic_projection
 
 def _padded_strong_maximal(mask: np.ndarray, depth: int) -> np.ndarray:
     """Strong maximal function of an indicator on the 3x-padded window, using
-    the dyadic rectangles of the integer-dyadic grid contained in [-1, 2)^2."""
+    the dyadic rectangles of the integer-dyadic grid contained in [-1, 2)^2.
+
+    Block sums of an indicator are exact integers, so summing blocks of
+    blocks, scale by scale, gives each average exactly."""
     N = 1 << depth
-    L = 3 * N
-    f = mask.astype(float)
-    best = np.zeros((L, L), dtype=float)
+    best = np.zeros((3 * N, 3 * N), dtype=float)
 
-    def axis_blocks(k: int):
-        """Aligned block decomposition of [-1, 2) at scale 2^k; returns block
-        size in cells and the number of full blocks from the left edge."""
-        size = 1 << (depth + k)
-        count = L // size  # -1 is a multiple of every 2^k <= 1, so all aligned
-        return size, count
+    def block_sums(a):
+        """(first cell, block size, sums) over the aligned blocks of [-1, 2)
+        along axis 0 at each scale 2^k: each 2^k <= 1 tiles the whole window
+        (-1 is a multiple of it), and 2^1 fits only [0, 2)."""
+        levels = [(0, 1, a)]
+        for k in range(depth):
+            a = a[0::2] + a[1::2]
+            levels.append((0, 2 << k, a))
+        return levels + [(N, 2 * N, a[1:2] + a[2:3])]
 
-    scales = list(range(-depth, 1)) + [1]
-    for k1 in scales:
-        if k1 == 1:
-            # only [0, 2) fits; handle by explicit slice
-            s1, c1 = 2 * N, 1
-            row_slices = [slice(N, 3 * N)]
-        else:
-            s1, c1 = axis_blocks(k1)
-            row_slices = [slice(i * s1, (i + 1) * s1) for i in range(c1)]
-        for k2 in scales:
-            if k2 == 1:
-                col_slices = [slice(N, 3 * N)]
-                s2 = 2 * N
-            else:
-                s2, c2 = axis_blocks(k2)
-                col_slices = [slice(i * s2, (i + 1) * s2) for i in range(c2)]
-            if k1 <= 0 and k2 <= 0:
-                blocks = f.reshape(L // s1, s1, L // s2, s2)
-                avg = blocks.mean(axis=(1, 3))
-                blown = np.repeat(np.repeat(avg, s1, axis=0), s2, axis=1)
-                np.maximum(best, blown, out=best)
-            else:
-                for rs in row_slices:
-                    for cs in col_slices:
-                        avg = f[rs, cs].mean()
-                        if avg > 0:
-                            view = best[rs, cs]
-                            np.maximum(view, avg, out=view)
+    for r0, s1, rows in block_sums(mask.astype(float)):
+        for c0, s2, sums in block_sums(rows.T):
+            shape = (sums.shape[1], s1, sums.shape[0], s2)
+            view = best[r0:r0 + shape[0] * s1, c0:c0 + shape[2] * s2].reshape(shape)  # a view
+            np.maximum(view, (sums.T / (s1 * s2))[:, None, :, None], out=view)
     return best
 
 

@@ -66,13 +66,17 @@ class OperatorMatrix:
         return operator_norm(self)
 
 
+# the largest dimension whose operator norm `operator_norm` takes from a dense SVD
+_DENSE_SVD_MAX = 4096
+
+
 def operator_norm(A, method: str = "auto", tol: float = 1e-10, max_iter: int = 10_000) -> float:
     """Largest singular value; dense SVD up to dimension 4096, else power iteration."""
     mat = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=complex)
     if mat.size == 0:
         return 0.0
     if method == "auto":
-        method = "dense" if max(mat.shape) <= 4096 else "power"
+        method = "dense" if max(mat.shape) <= _DENSE_SVD_MAX else "power"
     if method == "dense":
         return float(np.linalg.svd(mat, compute_uv=False)[0])
     if method != "power":
@@ -95,6 +99,14 @@ def operator_norm(A, method: str = "auto", tol: float = 1e-10, max_iter: int = 1
     raise OperatorNormError(
         f"power iteration did not converge in {max_iter} steps", sigma, upper
     )
+
+
+def operator_norms(mats: np.ndarray) -> np.ndarray:
+    """`operator_norm` of each matrix of a stack (leading axis), the dense ones
+    by one stacked SVD."""
+    if mats.size == 0 or max(mats.shape[1:]) > _DENSE_SVD_MAX:
+        return np.array([operator_norm(mat) for mat in mats])
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
 def lp_norm(f: Signal, p) -> float:
@@ -125,20 +137,29 @@ def bmo_dyadic(b: Signal) -> BmoReport:
     """sup over dyadic I of (|I|^-1 sum_{J subset I} |<b,h_J>|^2)^(1/2); exact."""
     if b.grid.dim != 1:
         raise ValueError("bmo_dyadic handles d = 1")
-    coeffs = transforms.haar_analysis(b)
-    n = b.grid.depth
+    best, p, j = _dyadic_bmo_squares(b.values[:, None], b.grid.depth)
+    return BmoReport(np.sqrt(best[0]), DyadicInterval(-int(p[0]), int(j[0])), "exact", "haar")
+
+
+def _dyadic_bmo_squares(values: np.ndarray, depth: int):
+    """Squared dyadic BMO of each column of `values` (axis 0: the 2^depth
+    samples of one signal), with the scale p and position j of the first
+    interval attaining it, scales coarse to fine."""
+    coeffs, _ = transforms._haar_pyramid_1d(values, depth)
     # mass[p][j] = sum of |c_J|^2 over J inside I(p, j), accumulated fine-to-coarse
-    mass = {p: np.abs(coeffs.wavelet[p]) ** 2 for p in range(n)}
-    for p in range(n - 2, -1, -1):
-        children = mass[p + 1].reshape(-1, 2).sum(axis=1)
-        mass[p] = mass[p] + children
-    best_val, best_iv = 0.0, DyadicInterval(0, 0)
-    for p in range(n):
+    mass = {p: np.abs(c) ** 2 for p, c in coeffs.items()}
+    for p in range(depth - 2, -1, -1):
+        mass[p] = mass[p] + mass[p + 1].reshape(1 << p, 2, -1).sum(axis=1)
+    cols = np.arange(values.shape[1])
+    best = np.zeros(len(cols))
+    at_p, at_j = np.zeros(len(cols), dtype=int), np.zeros(len(cols), dtype=int)
+    for p in range(depth):
         vals = mass[p] * 2.0 ** p  # |I|^{-1} = 2^p
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_iv = float(vals[j]), DyadicInterval(-p, j)
-    return BmoReport(np.sqrt(best_val), best_iv, "exact", "haar")
+        j = np.argmax(vals, axis=0)
+        top = vals[j, cols]
+        wins = top > best
+        best[wins], at_p[wins], at_j[wins] = top[wins], p, j[wins]
+    return best, at_p, at_j
 
 
 def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
@@ -146,11 +167,8 @@ def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
     output for comparing against translation-invariant BMO, never substituted
     for the plain dyadic norm."""
     N = b.grid.n_points
-    vals = []
-    for s in range(shifts):
-        shifted = Signal(b.grid, np.roll(b.values, s * (N // shifts)))
-        vals.append(bmo_dyadic(shifted).value)
-    return float(np.mean(vals))
+    shifted = np.stack([np.roll(b.values, s * (N // shifts)) for s in range(shifts)], axis=1)
+    return float(np.mean(np.sqrt(_dyadic_bmo_squares(shifted, b.grid.depth)[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -264,58 +282,75 @@ def _nonzero_masses(book: dict) -> list:
     return [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
 
 
-def _min_cut_source_side(n_nodes: int, arcs: list, s: int, t: int) -> list:
-    """Dinic's maximum flow on float capacities, iterative (no recursion).
+def _closure_source_side(supply: list, demand: list, atoms_of: list) -> list:
+    """Maximum flow through the two-layer closure graph: s -> rectangle k
+    (capacity supply[k]) -> every atom of atoms_of[k] (infinite) -> t
+    (capacity demand[a]).
 
-    Returns, per node, whether it is reachable from s in the final residual
-    graph: the source side of a minimum s-t cut.  An augmentation subtracts
-    the path's bottleneck from the bottleneck arc itself, which leaves it at
-    exactly 0, so each phase ends and at most n_nodes phases run.
+    Returns, per atom, whether it is reachable from s in the final residual
+    graph: the atom side of the minimal minimum s-t cut, which every maximum
+    flow leaves the same.  A greedy pass first sends each rectangle's supply
+    into its atoms in turn, rectangles with the fewest atoms first.  Then
+    each breadth-first search of the residual graph (rectangles with supply
+    left, their atoms, and back along positive flow to the rectangles that
+    feed an atom) augments along every path of its search tree that still
+    has room at its end.  An augmentation subtracts the path's bottleneck
+    from the bottleneck arc itself, which leaves it at exactly 0.
     """
-    to, cap, adj = [], [], [[] for _ in range(n_nodes)]
-    for u, v, c in arcs:  # arc 2i and its reverse 2i + 1
-        adj[u].append(len(to))
-        adj[v].append(len(to) + 1)
-        to += [v, u]
-        cap += [c, 0.0]
-    while True:
-        level = [-1] * n_nodes
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in adj[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[t] < 0:
-            return [lv >= 0 for lv in level]
-        ptr = [0] * n_nodes
-        path, u = [], s
-        while True:
-            if u == t:
-                f = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= f
-                    cap[e ^ 1] += f
-                k = next(i for i, e in enumerate(path) if cap[e] <= 0)
-                del path[k:]
-                u = to[path[-1]] if path else s
-                continue
-            edges = adj[u]
-            while ptr[u] < len(edges):
-                e = edges[ptr[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    break
-                ptr[u] += 1
-            if ptr[u] < len(edges):
-                path.append(edges[ptr[u]])
-                u = to[path[-1]]
-            elif u == s:
+    sup, dem = list(supply), list(demand)
+    feed = [{} for _ in dem]  # feed[a][k] > 0: the flow on the arc k -> a
+    for k in sorted(range(len(sup)), key=lambda k: len(atoms_of[k])):
+        for a in atoms_of[k]:
+            if sup[k] <= 0.0:
                 break
-            else:
-                level[u] = -1  # dead end for the rest of this phase
-                u = to[path.pop() ^ 1]
-                ptr[u] += 1
+            push = min(sup[k], dem[a])
+            if push > 0.0:
+                sup[k] -= push
+                dem[a] -= push
+                feed[a][k] = push
+    source = len(dem)
+    while True:
+        came = [-1] * len(dem)  # the rectangle the search reached atom a from
+        via = [-1] * len(sup)  # the atom it reached rectangle k from, or source
+        queue = [k for k, left in enumerate(sup) if left > 0.0]
+        for k in queue:
+            via[k] = source
+        ends = []
+        for k in queue:  # the queue grows while it is read
+            for a in atoms_of[k]:
+                if came[a] < 0:
+                    came[a] = k
+                    if dem[a] > 0.0:
+                        ends.append(a)
+                    for k2 in feed[a]:
+                        if via[k2] < 0:
+                            via[k2] = a
+                            queue.append(k2)
+        if not ends:
+            return [k >= 0 for k in came]
+        for end in ends:
+            forward, backward, a = [], [], end  # arcs k -> a gaining flow, a -> k losing it
+            while True:
+                k = came[a]
+                forward.append((a, k))
+                a = via[k]
+                if a == source:
+                    break
+                backward.append((a, k))
+            first = forward[-1][1]
+            push = min([dem[end], sup[first]] + [feed[a].get(k, 0.0) for a, k in backward])
+            if push <= 0.0:
+                continue
+            dem[end] -= push
+            sup[first] -= push
+            for a, k in forward:
+                feed[a][k] = feed[a].get(k, 0.0) + push
+            for a, k in backward:
+                left = feed[a][k] - push
+                if left > 0.0:
+                    feed[a][k] = left
+                else:
+                    del feed[a][k]
 
 
 def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
@@ -324,21 +359,27 @@ def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
     The cut points of all rectangle sides split the square into boxes; boxes
     lying in exactly the same rectangles form one atom.  For a fixed lam, the
     best U maximises sum_{R inside U} m_R - lam |U|: a maximum-weight closure
-    (taking R forces its atoms), solved by one s-t minimum cut (Picard 1976).
+    (taking R forces its atoms), solved by one s-t minimum cut (Picard 1976)
+    of the two-layer graph s -> rectangles -> atoms -> t.
     Dinkelbach's iteration sets lam to the ratio of the last union and cuts
     again at lam (1 + 1e-12); the first cut that finds no better union
-    certifies the current one.  Returns (sup, cell mask of U, number of cuts).
+    certifies the current one.  The minimal optimal unions shrink as lam
+    rises (Gallo, Grigoriadis and Tarjan 1989), so each cut after the first
+    runs on the rectangles inside the last union only.  Returns (sup, cell
+    mask of U, number of cuts).
     """
     N = 1 << depth
     axis_grid = Grid(depth, 1)
     if not masses:
         return 0.0, np.zeros((N, N), dtype=bool), 0
-    ranges = [[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses]
-    cuts = [np.unique([0, N] + [x for rr in ranges for x in rr[axis]]) for axis in (0, 1)]
-    inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(masses)), dtype=bool)
-    for k, rr in enumerate(ranges):
-        (a0, a1), (b0, b1) = (np.searchsorted(c, r) for c, r in zip(cuts, rr))
-        inside[a0:a1, b0:b1, k] = True
+    ranges = np.array([[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses])
+    cuts = [np.unique(np.append([0, N], ranges[:, axis])) for axis in (0, 1)]
+    spans = []  # spans[axis][i, k]: box i along the axis lies in rectangle k's side
+    for axis, c in enumerate(cuts):
+        lo, hi = np.searchsorted(c, ranges[:, axis]).T
+        box = np.arange(c.size - 1)[:, None]
+        spans.append((lo <= box) & (box < hi))
+    inside = spans[0][:, None, :] & spans[1][None, :, :]
     widths = [np.diff(c) for c in cuts]
     flat = inside.reshape(-1, len(masses))
     covered = np.flatnonzero(flat.any(axis=1))
@@ -349,22 +390,25 @@ def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
     area = np.bincount(atom_of, np.outer(*widths).ravel()[covered]) / 4.0 ** depth
     m = np.array([mass for _, mass in masses])
 
-    def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
-        inside_u = ~(member & ~chosen[:, None]).any(axis=0)
-        return float(np.cumsum(m[inside_u])[-1] / area[chosen].sum())
+    rect_arc, atom_arc = np.nonzero(member.T)  # the arcs rectangle -> atom, by rectangle
+    starts = np.searchsorted(rect_arc, np.arange(len(m)))  # every rectangle has an atom
 
-    n_rect, n_atom = len(masses), len(area)
-    s, t = n_rect + n_atom, n_rect + n_atom + 1
-    links = [(k, n_rect + a, np.inf) for a, k in zip(*np.nonzero(member))]
-    links += [(s, k, float(m[k])) for k in range(n_rect)]
-    chosen = np.ones(n_atom, dtype=bool)  # the union of all rectangles
+    def inside_union(chosen):  # the rectangles whose atoms all lie in the union
+        return np.logical_and.reduceat(chosen[atom_arc], starts)
+
+    def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
+        return float(np.cumsum(m[inside_union(chosen)])[-1] / area[chosen].sum())
+
+    atoms, bounds = atom_arc.tolist(), starts.tolist() + [len(atom_arc)]
+    atoms_of = [atoms[i:j] for i, j in zip(bounds, bounds[1:])]
+    chosen = np.ones(len(area), dtype=bool)  # the union of all rectangles
     value, n_cuts = ratio(chosen), 0
     while True:
         lam = value * (1.0 + 1e-12)
-        sink = [(n_rect + a, t, lam * float(area[a])) for a in range(n_atom)]
-        source_side = _min_cut_source_side(n_rect + n_atom + 2, links + sink, s, t)
+        keep = np.flatnonzero(inside_union(chosen))
+        candidate = np.array(_closure_source_side(m[keep].tolist(), (lam * area).tolist(),
+                                                  [atoms_of[k] for k in keep]))
         n_cuts += 1
-        candidate = np.array(source_side[n_rect:n_rect + n_atom])
         better = ratio(candidate) if candidate.any() else 0.0
         if better <= value:
             break  # no union beats value (1 + 1e-12): the certificate

@@ -196,6 +196,17 @@ def test_run_writes_deterministic_outputs(tmp_path):
     assert "elapsed_seconds" in info
 
 
+def test_pooled_trials_are_deterministic_under_threads(tmp_path):
+    # para-bound runs its trials through the --threads pool (nehari1d stacks them)
+    cfg = {"experiment": "para-bound", "n_list": [3, 4], "trials": 6, "seed": 3}
+    outputs = []
+    for threads in (1, 2, 8):
+        ex.run(cfg, tmp_path / f"t{threads}", threads=threads)
+        outputs.append([(tmp_path / f"t{threads}" / f).read_bytes()
+                        for f in ("manifest.json", "rows.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_commutator_decomp_experiment(tmp_path):
     m = ex.run({"experiment": "commutator-decomp", "n": 5, "trials": 3, "seed": 1},
                tmp_path, threads=1)

@@ -203,7 +203,7 @@ def test_block_identity_check_sees_the_last_mode_of_each_octant(monkeypatch):
 
 
 def test_little_hankel_in_several_fft_batches():
-    # degree 12 samples on a 64^2 grid, so its 144 columns go in six FFT batches
+    # degree 12 samples on a 64^2 grid, so its 144 columns go in twelve FFT batches
     b = hk.random_symbol(12, rng, dim=2)
     H = hk.little_hankel(b)
     assert np.max(np.abs(H.matrix.entries - hk.little_hankel_structural(b))) < 1e-12
@@ -223,6 +223,29 @@ def test_nehari_ratio_contracts():
     assert hk.nehari_ratio(b2, "product_exact", product_depth=3)["ratio"] > 0
     with pytest.raises(ValueError, match="finest Haar scale"):
         hk.nehari_ratio(b2, "product_exact", product_depth=4)
+
+
+@pytest.mark.parametrize("degree, dim, variant", [(32, 1, "dyadic"), (4, 2, "product_exact")])
+def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim, variant):
+    # (M N)^d = 4096 grid points a symbol in both cases: 8 symbols fill a
+    # chunk, so 19 make three chunks, and dropping the first 5 moves every boundary
+    coeffs = np.stack([hk.random_symbol(degree, rng, dim=dim).coeffs for _ in range(19)])
+    whole = hk.nehari_ratios(coeffs, variant)
+    later = hk.nehari_ratios(coeffs[5:], variant)
+    for t in range(19):
+        alone = hk.nehari_ratio(hk.SymbolCoefficients(coeffs[t]), variant)
+        for key in ("hankel_norm", "bmo_value", "ratio"):
+            assert whole[key][t] == alone[key]
+            assert t < 5 or later[key][t - 5] == alone[key]
+
+
+def test_nehari_ratios_raise_for_one_bad_symbol_in_a_stack():
+    coeffs = np.stack([hk.random_symbol(8, rng).coeffs for _ in range(12)])
+    coeffs[9] = 0.0
+    coeffs[9, 0] = 1.0  # constant: BMO 0, Hankel norm 1
+    with pytest.raises(hk.TruncationError, match="symbol 9"):
+        hk.nehari_ratios(coeffs, "dyadic")
+    assert np.all(hk.nehari_ratios(np.delete(coeffs, 9, axis=0), "dyadic")["ratio"] > 0)
 
 
 def test_nehari_ratio_calibration_point():

@@ -229,3 +229,35 @@ def test_journe_experiment_builds_the_enlarged_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(jn, "enlarged_set", counting)
     experiments.run({"experiment": "journe"}, tmp_path)
     assert len(calls) == 1
+
+
+def _strong_maximal_by_blocks(mask, depth):
+    """The padded strong maximal function block by block: one mean per
+    aligned dyadic block of [-1, 2) at each scale pair."""
+    N = 1 << depth
+    L = 3 * N
+    f = mask.astype(float)
+    best = np.zeros((L, L))
+    # (first cell, block size, count) per scale 2^k, k = -depth..0, then 2^1
+    scales = [(0, 1 << (depth + k), L >> (depth + k)) for k in range(-depth, 1)] + [(N, 2 * N, 1)]
+    for r0, s1, c1 in scales:
+        for c0, s2, c2 in scales:
+            for i in range(c1):
+                for j in range(c2):
+                    rows = slice(r0 + i * s1, r0 + (i + 1) * s1)
+                    cols = slice(c0 + j * s2, c0 + (j + 1) * s2)
+                    best[rows, cols] = np.maximum(best[rows, cols], f[rows, cols].mean())
+    return best
+
+
+def test_padded_strong_maximal_matches_block_means():
+    for depth in (1, 2, 3, 4):
+        N = 1 << depth
+        for density in (0.0, 0.2, 0.7, 1.0):
+            mask = np.zeros((3 * N, 3 * N), dtype=bool)
+            mask[N:2 * N, N:2 * N] = rng.random((N, N)) < density
+            assert np.array_equal(jn._padded_strong_maximal(mask, depth),
+                                  _strong_maximal_by_blocks(mask, depth))
+        mask = rng.random((3 * N, 3 * N)) < 0.5  # mass outside the unit square too
+        assert np.array_equal(jn._padded_strong_maximal(mask, depth),
+                              _strong_maximal_by_blocks(mask, depth))

@@ -382,3 +382,172 @@ def test_bmo_with_meyer_family():
     rep_prod = bmo_product(w, mode="exact", family="meyer", meyer=fam)
     assert abs(rep_prod.value - r.area ** -0.5) < 1e-8
     assert abs(bmo_minus1(w, family="meyer", meyer=fam).value - r.area ** -0.5) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the two-layer minimum cut against Dinic's general maximum flow
+
+
+def _min_cut_source_side(n_nodes: int, arcs: list, s: int, t: int) -> list:
+    """Dinic's maximum flow on float capacities, iterative (no recursion).
+
+    Returns, per node, whether it is reachable from s in the final residual
+    graph: the source side of a minimum s-t cut.  An augmentation subtracts
+    the path's bottleneck from the bottleneck arc itself, which leaves it at
+    exactly 0, so each phase ends and at most n_nodes phases run.
+    """
+    to, cap, adj = [], [], [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:  # arc 2i and its reverse 2i + 1
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += [v, u]
+        cap += [c, 0.0]
+    while True:
+        level = [-1] * n_nodes
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            return [lv >= 0 for lv in level]
+        ptr = [0] * n_nodes
+        path, u = [], s
+        while True:
+            if u == t:
+                f = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                k = next(i for i, e in enumerate(path) if cap[e] <= 0)
+                del path[k:]
+                u = to[path[-1]] if path else s
+                continue
+            edges = adj[u]
+            while ptr[u] < len(edges):
+                e = edges[ptr[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                ptr[u] += 1
+            if ptr[u] < len(edges):
+                path.append(edges[ptr[u]])
+                u = to[path[-1]]
+            elif u == s:
+                break
+            else:
+                level[u] = -1  # dead end for the rest of this phase
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+
+
+def _dinic_atom_side(supply, demand, atoms_of) -> list:
+    """The atom side of the two-layer closure graph's minimal minimum cut, by Dinic."""
+    n_rect, n_atom = len(supply), len(demand)
+    s, t = n_rect + n_atom, n_rect + n_atom + 1
+    arcs = [(s, k, float(c)) for k, c in enumerate(supply)]
+    arcs += [(k, n_rect + a, np.inf) for k, atoms in enumerate(atoms_of) for a in atoms]
+    arcs += [(n_rect + a, t, float(c)) for a, c in enumerate(demand)]
+    return _min_cut_source_side(n_rect + n_atom + 2, arcs, s, t)[n_rect:n_rect + n_atom]
+
+
+def _dinic_max_union_ratio(masses: list, depth: int):
+    """Product BMO's Dinkelbach iteration with one Dinic cut of the whole
+    closure graph per step: the solver before the two-layer flow and its
+    nested cuts."""
+    N = 1 << depth
+    axis_grid = Grid(depth, 1)
+    if not masses:
+        return 0.0, np.zeros((N, N), dtype=bool), 0
+    ranges = [[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses]
+    cuts = [np.unique([0, N] + [x for rr in ranges for x in rr[axis]]) for axis in (0, 1)]
+    inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(masses)), dtype=bool)
+    for k, rr in enumerate(ranges):
+        (a0, a1), (b0, b1) = (np.searchsorted(c, r) for c, r in zip(cuts, rr))
+        inside[a0:a1, b0:b1, k] = True
+    widths = [np.diff(c) for c in cuts]
+    flat = inside.reshape(-1, len(masses))
+    covered = np.flatnonzero(flat.any(axis=1))
+    _, first, atom_of = np.unique(np.packbits(flat[covered], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    atom_of = atom_of.ravel()
+    member = flat[covered[first]]
+    area = np.bincount(atom_of, np.outer(*widths).ravel()[covered]) / 4.0 ** depth
+    m = np.array([mass for _, mass in masses])
+
+    def ratio(chosen):
+        inside_u = ~(member & ~chosen[:, None]).any(axis=0)
+        return float(np.cumsum(m[inside_u])[-1] / area[chosen].sum())
+
+    atoms_of = [np.flatnonzero(member[:, k]).tolist() for k in range(len(masses))]
+    chosen = np.ones(len(area), dtype=bool)
+    value, n_cuts = ratio(chosen), 0
+    while True:
+        lam = value * (1.0 + 1e-12)
+        candidate = np.array(_dinic_atom_side(m, [lam * float(a) for a in area], atoms_of))
+        n_cuts += 1
+        better = ratio(candidate) if candidate.any() else 0.0
+        if better <= value:
+            break
+        chosen, value = candidate, better
+    boxes = np.zeros(flat.shape[0], dtype=bool)
+    boxes[covered] = chosen[atom_of]
+    mask = np.repeat(np.repeat(boxes.reshape(inside.shape[:2]), widths[0], axis=0),
+                     widths[1], axis=1)
+    return value, mask, n_cuts
+
+
+def test_two_layer_cut_matches_dinic_on_random_graphs():
+    # small dyadic capacities make exact ties; zero and infinite capacities
+    # appear on one side at a time (both at once would make the flow infinite)
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        n_rect, n_atom = (int(v) for v in rng.integers(1, 20, 2))
+        member = rng.random((n_atom, n_rect)) < rng.uniform(0.05, 0.6)
+        member[rng.integers(0, n_atom, n_rect), np.arange(n_rect)] = True  # no empty rectangle
+        atoms_of = [np.flatnonzero(member[:, k]).tolist() for k in range(n_rect)]
+        kind = trial % 4
+        if kind == 0:
+            supply = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], n_rect)
+            demand = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], n_atom)
+        elif kind == 1:
+            supply = rng.random(n_rect)
+            demand = rng.random(n_atom) * rng.uniform(0.1, 3.0)
+        elif kind == 2:
+            supply = rng.choice([0.0, 1.0, np.inf], n_rect)
+            demand = rng.choice([0.0, 0.5, 1.5], n_atom)
+        else:
+            supply = rng.choice([0.0, 0.5, 1.0], n_rect)
+            demand = rng.choice([0.0, 1.0, np.inf], n_atom)
+        got = dl.norms._closure_source_side(supply.tolist(), demand.tolist(), atoms_of)
+        assert got == _dinic_atom_side(supply, demand, atoms_of)
+
+
+def test_max_union_ratio_matches_the_dinic_solver_on_experiment_books(tmp_path, monkeypatch):
+    # every book of the default carleson, journe and nehari2d runs, plus dense
+    # and +-1 (tied) books of depths 2 to 5: values, witnesses and cut counts agree exactly
+    from dyadiclab import experiments
+
+    books = []
+    solve = dl.norms._max_union_ratio
+
+    def recording(masses, depth):
+        books.append((masses, depth))
+        return solve(masses, depth)
+
+    monkeypatch.setattr(dl.norms, "_max_union_ratio", recording)
+    for name in ("carleson", "journe", "nehari2d"):
+        experiments.run({"experiment": name}, tmp_path / name, threads=1)
+    assert len(books) == 5 + 9 + 30
+    book_rng = np.random.default_rng(12)
+    for depth in (2, 3, 4, 5):
+        b = random_signal(Grid(depth, 2), book_rng)
+        book = dl.norms.coefficient_book(b)
+        books.append((dl.norms._nonzero_masses(book), depth))
+        signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in book if book_rng.random() < 0.3}
+        books.append((dl.norms._nonzero_masses(signs), depth))
+    for masses, depth in books:
+        value, mask, cuts = solve(masses, depth)
+        want = _dinic_max_union_ratio(masses, depth)
+        assert value == want[0] and np.array_equal(mask, want[1]) and cuts == want[2]
