@@ -453,7 +453,9 @@ def validate_config(cfg: dict) -> dict:
 # (M = 1) has zero BMO but not zero Hankel norm, petermichl also runs
 # steps // 2, journe's staircase has sides 2^-4 on its grid n + 3, and
 # lower-bound's collection needs Meyer scale 2.  Caps bound work growing as
-# N^2 or faster: an M x M SVD (nehari1d M <= 512), a 2^n x 2^n SVD
+# N^2 or faster: an M x M SVD (nehari1d M <= 512), an M^2 x M^2 SVD and
+# M^4-point products per trial (nehari2d M <= 32: 2 trials take 1.9 s and
+# 80 MiB; M = 64 is a 4096^2 SVD per trial), a 2^n x 2^n SVD
 # (para-bound n <= 10), eight 2^n x 2^n pieces (commutator-decomp n <= 9),
 # steps^2 nodes of about s 2^n cells per window scale (petermichl
 # steps <= 128, n <= 12: 2.4 ms a node at n = 12 on one core), exact
@@ -463,7 +465,7 @@ _INT_FIELDS = {
     "aak-extend": {"trials": (1, None), "K": (0, None), "recovery_trials": (0, None),
                    "recovery_degree": (1, None), "M_list": (1, None)},
     "nehari1d": {"trials": (1, None), "M": (2, 512), "M_list": (2, 512), "trend_trials": (1, None)},
-    "nehari2d": {"trials": (1, None), "M": (2, None), "n": (1, 5)},
+    "nehari2d": {"trials": (1, None), "M": (2, 32), "n": (1, 5)},
     "para-bound": {"trials": (1, None), "n_list": (1, 10)},
     "commutator-decomp": {"trials": (1, None), "n": (1, 9)},
     "petermichl": {"n": (3, 12), "steps": (2, 128)},

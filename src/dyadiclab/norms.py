@@ -9,9 +9,11 @@ with U ranging over dyadic intervals (dyadic BMO), dyadic rectangles
 shadows of one-parameter rectangle collections (the d-1 norm).  Each sup
 has one exact solver: fine-to-coarse accumulation for the first two, the
 same rectangular accumulation restricted to one shared side for the d-1
-norm (a closed form), and minimum cuts with Dinkelbach's ratio iteration
-for product BMO, whose last cut certifies the value.  Product BMO's
-heuristic mode runs that same solver and labels its value a lower bound.
+norm (a closed form), and for product BMO minimum cuts between the book's
+rectangles and the boxes their sides cut out, with Dinkelbach's ratio
+iteration, whose last cut certifies the value.  Product BMO's heuristic
+mode runs that same solver and labels its value a lower bound.  A book
+rectangle outside [0,1)^2 raises ValueError.
 """
 
 from __future__ import annotations
@@ -212,14 +214,14 @@ def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | N
     raise ValueError("family must be 'haar' or 'meyer'")
 
 
-def _book_from_args(b, family, meyer, depth, book):
-    if book is not None:
-        return book
-    return coefficient_book(b, family, meyer, depth)
-
-
 # ---------------------------------------------------------------------------
 # rectangular BMO
+
+
+def _check_unit_square(lo, hi, depth) -> None:
+    """ValueError unless each cell range [lo, hi) lies in its 2^depth cells (elementwise)."""
+    if np.any(lo < 0) or np.any(hi > np.exp2(depth)):
+        raise ValueError("book rectangles must lie in [0,1)^2")
 
 
 def _densest_rectangle(pairs, n: int, shared: int | None = None) -> tuple[float, object]:
@@ -231,14 +233,14 @@ def _densest_rectangle(pairs, n: int, shared: int | None = None) -> tuple[float,
     Masses go on the rectangle lattice, one array per scale pair, and each
     target scale sums the blocks of every finer scale pair under it.
     """
+    sides = np.array([[(-iv.scale_exponent, iv.position) for iv in r.coordinates]
+                      for r, _ in pairs], dtype=np.int64).reshape(-1, 2, 2)
+    _check_unit_square(sides[..., 1], sides[..., 1] + 1, sides[..., 0])
     mass = {}
-    for r, m in pairs:
-        p1 = -r.coordinates[0].scale_exponent
-        p2 = -r.coordinates[1].scale_exponent
-        key = (p1, p2)
-        if key not in mass:
-            mass[key] = np.zeros((1 << p1, 1 << p2))
-        mass[key][r.coordinates[0].position, r.coordinates[1].position] += m
+    for ((p1, j1), (p2, j2)), (_, m) in zip(sides.tolist(), pairs):
+        if (p1, p2) not in mass:
+            mass[p1, p2] = np.zeros((1 << p1, 1 << p2))
+        mass[p1, p2][j1, j2] += m
     best_val, best_rect = 0.0, None
     for q1 in range(n + 1):
         for q2 in range(n + 1):
@@ -266,7 +268,7 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
     """Product-BMO quadratic form with U ranging over dyadic rectangles; exact."""
     if b.grid.dim != 2:
         raise ValueError("bmo_rect handles d = 2")
-    book = _book_from_args(b, family, meyer, depth, book)
+    book = coefficient_book(b, family, meyer, depth) if book is None else book
     n = b.grid.depth if depth is None else depth
     best_val, best_rect = _densest_rectangle([(r, abs(c) ** 2) for r, c in book.items()], n)
     return BmoReport(np.sqrt(best_val), best_rect, "exact", family)
@@ -282,25 +284,25 @@ def _nonzero_masses(book: dict) -> list:
     return [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
 
 
-def _closure_source_side(supply: list, demand: list, atoms_of: list) -> list:
+def _closure_source_side(supply: list, demand: list, boxes_of: list) -> list:
     """Maximum flow through the two-layer closure graph: s -> rectangle k
-    (capacity supply[k]) -> every atom of atoms_of[k] (infinite) -> t
+    (capacity supply[k]) -> every box of boxes_of[k] (infinite) -> t
     (capacity demand[a]).
 
-    Returns, per atom, whether it is reachable from s in the final residual
-    graph: the atom side of the minimal minimum s-t cut, which every maximum
+    Returns, per box, whether it is reachable from s in the final residual
+    graph: the box side of the minimal minimum s-t cut, which every maximum
     flow leaves the same.  A greedy pass first sends each rectangle's supply
-    into its atoms in turn, rectangles with the fewest atoms first.  Then
+    into its boxes in turn, rectangles with the fewest boxes first.  Then
     each breadth-first search of the residual graph (rectangles with supply
-    left, their atoms, and back along positive flow to the rectangles that
-    feed an atom) augments along every path of its search tree that still
+    left, their boxes, and back along positive flow to the rectangles that
+    feed a box) augments along every path of its search tree that still
     has room at its end.  An augmentation subtracts the path's bottleneck
     from the bottleneck arc itself, which leaves it at exactly 0.
     """
     sup, dem = list(supply), list(demand)
     feed = [{} for _ in dem]  # feed[a][k] > 0: the flow on the arc k -> a
-    for k in sorted(range(len(sup)), key=lambda k: len(atoms_of[k])):
-        for a in atoms_of[k]:
+    for k in sorted(range(len(sup)), key=lambda k: len(boxes_of[k])):
+        for a in boxes_of[k]:
             if sup[k] <= 0.0:
                 break
             push = min(sup[k], dem[a])
@@ -310,14 +312,14 @@ def _closure_source_side(supply: list, demand: list, atoms_of: list) -> list:
                 feed[a][k] = push
     source = len(dem)
     while True:
-        came = [-1] * len(dem)  # the rectangle the search reached atom a from
-        via = [-1] * len(sup)  # the atom it reached rectangle k from, or source
+        came = [-1] * len(dem)  # the rectangle the search reached box a from
+        via = [-1] * len(sup)  # the box it reached rectangle k from, or source
         queue = [k for k, left in enumerate(sup) if left > 0.0]
         for k in queue:
             via[k] = source
         ends = []
         for k in queue:  # the queue grows while it is read
-            for a in atoms_of[k]:
+            for a in boxes_of[k]:
                 if came[a] < 0:
                     came[a] = k
                     if dem[a] > 0.0:
@@ -356,11 +358,11 @@ def _closure_source_side(supply: list, demand: list, atoms_of: list) -> list:
 def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
     """Exact sup over unions U of finest cells of |U|^-1 sum_{R inside U} m_R.
 
-    The cut points of all rectangle sides split the square into boxes; boxes
-    lying in exactly the same rectangles form one atom.  For a fixed lam, the
-    best U maximises sum_{R inside U} m_R - lam |U|: a maximum-weight closure
-    (taking R forces its atoms), solved by one s-t minimum cut (Picard 1976)
-    of the two-layer graph s -> rectangles -> atoms -> t.
+    The cut points of all rectangle sides split the square into boxes, and
+    each rectangle is the block of boxes lo0:hi0 x lo1:hi1.  For a fixed lam,
+    the best U maximises sum_{R inside U} m_R - lam |U|: a maximum-weight
+    closure (taking R forces its boxes), solved by one s-t minimum cut
+    (Picard 1976) of the two-layer graph s -> rectangles -> boxes -> t.
     Dinkelbach's iteration sets lam to the ratio of the last union and cuts
     again at lam (1 + 1e-12); the first cut that finds no better union
     certifies the current one.  The minimal optimal unions shrink as lam
@@ -373,50 +375,45 @@ def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
     if not masses:
         return 0.0, np.zeros((N, N), dtype=bool), 0
     ranges = np.array([[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses])
+    _check_unit_square(ranges[..., 0], ranges[..., 1], depth)
     cuts = [np.unique(np.append([0, N], ranges[:, axis])) for axis in (0, 1)]
-    spans = []  # spans[axis][i, k]: box i along the axis lies in rectangle k's side
-    for axis, c in enumerate(cuts):
-        lo, hi = np.searchsorted(c, ranges[:, axis]).T
-        box = np.arange(c.size - 1)[:, None]
-        spans.append((lo <= box) & (box < hi))
-    inside = spans[0][:, None, :] & spans[1][None, :, :]
+    (lo0, hi0), (lo1, hi1) = (np.searchsorted(c, ranges[:, axis]).T for axis, c in enumerate(cuts))
     widths = [np.diff(c) for c in cuts]
-    flat = inside.reshape(-1, len(masses))
-    covered = np.flatnonzero(flat.any(axis=1))
-    _, first, atom_of = np.unique(np.packbits(flat[covered], axis=1), axis=0,
-                                  return_index=True, return_inverse=True)
-    atom_of = atom_of.ravel()
-    member = flat[covered[first]]  # member[a, k]: atom a lies in rectangle k
-    area = np.bincount(atom_of, np.outer(*widths).ravel()[covered]) / 4.0 ** depth
+    shape = (widths[0].size, widths[1].size)
+    area = np.outer(*widths).ravel() / 4.0 ** depth
     m = np.array([mass for _, mass in masses])
 
-    rect_arc, atom_arc = np.nonzero(member.T)  # the arcs rectangle -> atom, by rectangle
-    starts = np.searchsorted(rect_arc, np.arange(len(m)))  # every rectangle has an atom
+    # the arcs rectangle -> box, by rectangle, each block of boxes row by row
+    across, size = hi1 - lo1, (hi0 - lo0) * (hi1 - lo1)
+    ends = np.cumsum(size)
+    rect_arc = np.repeat(np.arange(len(m)), size)
+    offset = np.arange(ends[-1]) - np.repeat(ends - size, size)
+    row, col = np.divmod(offset, across[rect_arc])
+    box_arc = (lo0[rect_arc] + row) * shape[1] + lo1[rect_arc] + col
+    table = np.zeros((shape[0] + 1, shape[1] + 1), dtype=np.int64)  # a padded summed-area table
 
-    def inside_union(chosen):  # the rectangles whose atoms all lie in the union
-        return np.logical_and.reduceat(chosen[atom_arc], starts)
+    def inside_union(chosen):  # the rectangles all of whose boxes lie in the union
+        np.cumsum(np.cumsum(chosen.reshape(shape), axis=0), axis=1, out=table[1:, 1:])
+        return table[hi0, hi1] - table[lo0, hi1] - table[hi0, lo1] + table[lo0, lo1] == size
 
     def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
         return float(np.cumsum(m[inside_union(chosen)])[-1] / area[chosen].sum())
 
-    atoms, bounds = atom_arc.tolist(), starts.tolist() + [len(atom_arc)]
-    atoms_of = [atoms[i:j] for i, j in zip(bounds, bounds[1:])]
-    chosen = np.ones(len(area), dtype=bool)  # the union of all rectangles
+    boxes, bounds = box_arc.tolist(), [0] + ends.tolist()
+    boxes_of = [boxes[i:j] for i, j in zip(bounds, bounds[1:])]
+    chosen = np.bincount(box_arc, minlength=area.size) > 0  # the union of all rectangles
     value, n_cuts = ratio(chosen), 0
     while True:
         lam = value * (1.0 + 1e-12)
         keep = np.flatnonzero(inside_union(chosen))
         candidate = np.array(_closure_source_side(m[keep].tolist(), (lam * area).tolist(),
-                                                  [atoms_of[k] for k in keep]))
+                                                  [boxes_of[k] for k in keep]))
         n_cuts += 1
         better = ratio(candidate) if candidate.any() else 0.0
         if better <= value:
             break  # no union beats value (1 + 1e-12): the certificate
         chosen, value = candidate, better
-    boxes = np.zeros(flat.shape[0], dtype=bool)
-    boxes[covered] = chosen[atom_of]
-    mask = np.repeat(np.repeat(boxes.reshape(inside.shape[:2]), widths[0], axis=0),
-                     widths[1], axis=1)
+    mask = np.repeat(np.repeat(chosen.reshape(shape), widths[0], axis=0), widths[1], axis=1)
     return value, mask, n_cuts
 
 
@@ -436,7 +433,7 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
         raise ValueError("bmo_product handles d = 2")
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
-    book = _book_from_args(b, family, meyer, depth, book)
+    book = coefficient_book(b, family, meyer, depth) if book is None else book
     n = b.grid.depth if depth is None else depth
     best_val, witness, cuts = _max_union_ratio(_nonzero_masses(book), n)
     return BmoReport(np.sqrt(best_val), witness, "exact" if mode == "exact" else "lower_bound",
@@ -472,7 +469,7 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     """
     if b.grid.dim != 2:
         raise ValueError("bmo_minus1 handles d = 2")
-    book = _book_from_args(b, family, meyer, depth, book)
+    book = coefficient_book(b, family, meyer, depth) if book is None else book
     n = b.grid.depth if depth is None else depth
     nz = _nonzero_masses(book)
     best_val, best_members = 0.0, ()

@@ -91,13 +91,14 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "journe", "eps": "x"},
     {"experiment": "petermichl", "Y": -1, "n": 3, "steps": 2},
     {"experiment": "petermichl", "Y": 1e9, "n": 3, "steps": 2},
+    {"experiment": "nehari2d", "M": 33},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
         "nehari2d_M1_constant", "para_bound_trials0", "petermichl_steps1",
         "commutator_decomp_trials0", "nehari1d_trials0", "journe_n_str", "para_bound_n0",
         "petermichl_y_measure_bogus", "nehari1d_n_str_in_grid_rule", "journe_eps_str",
-        "petermichl_Y_negative", "petermichl_Y_unbounded"])
+        "petermichl_Y_negative", "petermichl_Y_unbounded", "nehari2d_M33"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))

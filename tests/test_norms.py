@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dyadiclab as dl
+from dyadiclab import journe
 from dyadiclab.dyadic import (
     DyadicInterval,
     DyadicRectangle,
@@ -547,7 +549,50 @@ def test_max_union_ratio_matches_the_dinic_solver_on_experiment_books(tmp_path, 
         books.append((dl.norms._nonzero_masses(book), depth))
         signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in book if book_rng.random() < 0.3}
         books.append((dl.norms._nonzero_masses(signs), depth))
+    # books whose boxes are not their atoms: sparse +-1 books at depths 6 and 7,
+    # the Carleson chain, and one coarse rectangle cut into boxes by fine ones
+    for depth in (6, 6, 7, 7):
+        signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in _sparse_book(depth, 12, book_rng)}
+        books.append((dl.norms._nonzero_masses(signs), depth))
+    for n in (5, 6):
+        _, chain = journe.carleson_family(n, Grid(n + 3, 2))
+        books.append((dl.norms._nonzero_masses(chain), n + 3))
+    mixed = {DyadicRectangle((DyadicInterval(0, 0), DyadicInterval(-1, 1))): 1.0}
+    mixed.update(_sparse_book(4, 5, book_rng))
+    books.append((dl.norms._nonzero_masses(mixed), 4))
     for masses, depth in books:
         value, mask, cuts = solve(masses, depth)
         want = _dinic_max_union_ratio(masses, depth)
         assert value == want[0] and np.array_equal(mask, want[1]) and cuts == want[2]
+
+
+def test_max_union_ratio_rejects_a_rectangle_finer_than_its_depth():
+    fine = DyadicRectangle((DyadicInterval(-3, 0), DyadicInterval(-1, 0)))
+    with pytest.raises(dl.ResolutionError):
+        dl.norms.bmo_product_of_book({fine: 1.0}, 2)
+
+
+@pytest.mark.parametrize("position", [-1, 5], ids=["left_of_0", "right_of_1"])
+def test_book_rectangles_outside_the_unit_square_are_rejected(position):
+    book = {DyadicRectangle((DyadicInterval(-1, position), DyadicInterval(-1, 0))): 1.0}
+    b = dl.zeros(Grid(2, 2))
+    for evaluate in (lambda: dl.norms.bmo_product_of_book(book, 2),
+                     lambda: bmo_product(b, book=book),
+                     lambda: bmo_rect(b, book=book),
+                     lambda: bmo_minus1(b, book=book)):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\)\^2"):
+            evaluate()
+
+
+def test_max_union_ratio_allocates_nothing_of_size_boxes_by_rectangles():
+    # 3969 rectangles on 1024 boxes: dense box-by-rectangle arrays peaked above 12 MiB
+    b = dl.hankel.random_symbol(16, np.random.default_rng(16), dim=2).to_signal(Grid(6, 2))
+    masses = dl.norms._nonzero_masses(dl.norms.coefficient_book(b, depth=5))
+    tracemalloc.start()
+    try:
+        cuts = dl.norms._max_union_ratio(masses, 5)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cuts == 7
+    assert peak < 9 * 2 ** 20
