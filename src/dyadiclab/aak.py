@@ -9,9 +9,12 @@ that value.  The achieved value is measured on the assembled matrix and
 compared in the tests against that closed form.
 
 A finitely supported Hankel sequence defines a semi-infinite operator whose
-norm equals the norm of the full window of side len(sequence); prepending an
-antidiagonal at that window keeps the companion blocks inside the window, so
-one extension step preserves that operator norm exactly.
+norm equals the norm of the full window of side len(sequence).  Prepending an
+antidiagonal at that window is a completion problem whose companion blocks
+are this window bordered by zeros, so its optimum gamma is the sequence norm,
+one values-only SVD; the completed window is the extended sequence's full
+window with a zero row under it, so each step preserves the norm exactly and
+its measured norm, the extended sequence norm, is the next step's gamma.
 """
 
 from __future__ import annotations
@@ -66,12 +69,9 @@ def parrott_closed_form(p: BlockProblem) -> float:
     return max(operator_norm(row), operator_norm(col))
 
 
-def parrott_min(p: BlockProblem) -> dict:
-    """Complete U(X) = [[X, C], [A, B]] with the least possible norm.
-
-    With B = W diag(s) V* (thin SVD) and gamma = parrott_closed_form(p), the
-    central completion is X = -C V diag(s / g) W* A, that is
-    -C (gamma^2 - B*B)^+ B* A, with g_i = gamma^2 - s_i^2.
+def _central_completion(A, B, C, gamma: float) -> np.ndarray:
+    """X = -C (gamma^2 - B*B)^+ B* A, from one thin SVD B = W diag(s) V*:
+    X = -C V diag(s / g) W* A with g_i = gamma^2 - s_i^2 + 1e-13 gamma^2.
 
     gamma and s come from separate SVDs, so gamma^2 - s_i^2 carries an
     absolute error of a few eps gamma^2.  On a nearly tight direction (g_i
@@ -81,53 +81,62 @@ def parrott_min(p: BlockProblem) -> dict:
     at gamma^2 + 1e-13 gamma^2, the standard remedy of taking gamma just above
     the optimum, leaves room for that error on every direction and costs at
     most about 5e-14 gamma in the norm.  gamma = 0 gives X = 0.
-
-    Returns X and achieved_norm, the norm of the assembled matrix; raises
-    ArithmeticError if that exceeds gamma by more than 1e-10 relative.
     """
-    gamma = parrott_closed_form(p)
-    W, s, Vh = np.linalg.svd(p.B, full_matrices=False)
+    W, s, Vh = np.linalg.svd(B, full_matrices=False)
     gap = np.maximum(gamma ** 2 - s ** 2, 0.0) + 1e-13 * gamma ** 2
     weight = np.divide(s, gap, out=np.zeros_like(s), where=gap > 0)
-    X = -(p.C @ Vh.conj().T) @ (weight[:, None] * (W.conj().T @ p.A))
-    achieved = operator_norm(p.assemble(X))
+    return -(C @ Vh.conj().T) @ (weight[:, None] * (W.conj().T @ A))
+
+
+def _checked(achieved: float, gamma: float) -> float:
+    """achieved, unless it exceeds the optimum gamma by more than 1e-10 relative."""
     if achieved > gamma * (1 + 1e-10):
         raise ArithmeticError(
             f"completion norm {achieved!r} exceeds the optimum {gamma!r}")
-    return {"X": X, "achieved_norm": achieved}
+    return achieved
 
 
-def _prepend_antidiagonal(seq: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Choose a_{-1} for the sequence (a_0, ..., a_L) at the full window.
+def parrott_min(p: BlockProblem) -> dict:
+    """Complete U(X) = [[X, C], [A, B]] with the least possible norm, by the
+    central completion at gamma = parrott_closed_form(p).  Returns X and
+    achieved_norm, the norm of U(X); raises ArithmeticError if that exceeds
+    gamma by more than 1e-10 relative."""
+    gamma = parrott_closed_form(p)
+    X = _central_completion(p.A, p.B, p.C, gamma)
+    return {"X": X, "achieved_norm": _checked(operator_norm(p.assemble(X)), gamma)}
 
-    The window is (L+2) x (L+1) with the unknown in the top-left corner; its
-    row block is the full-window Hankel of the sequence and its column block
-    is that window minus the last column, so the optimal completion preserves
-    the sequence norm exactly.
+
+def _extend_sequence(seq: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """One norm-preserving step: (new_seq, achieved) for new_seq = (a_{-1},
+    a_0, ..., a_{L-1}), given seq = (a_0, ..., a_{L-1}) and its sequence norm.
+
+    The window [[x, C], [A, B]] has entry (r, c) = new_seq[r + c].  Its row
+    block [A B] and its column block [C; B] are hankel_window(seq, L, L)
+    bordered by zero rows and columns, so both have the sequence norm, which
+    is Parrott's optimum gamma.  The completed window is hankel_window(new_seq,
+    L+1, L+1) and a zero row, so the achieved norm is the extended sequence
+    norm.  ArithmeticError if it exceeds gamma by more than 1e-10 relative.
     """
     seq = np.asarray(seq, dtype=complex)
     L = len(seq)
-    A = hankel_window(seq, L + 1, 1)
-    B = hankel_window(seq[1:], L + 1, L)
-    C = hankel_window(seq, 1, L)
-    res = parrott_min(BlockProblem(A, B, C))
-    new_seq = np.concatenate([[complex(res["X"][0, 0])], seq])
-    return complex(res["X"][0, 0]), new_seq
+    X = _central_completion(hankel_window(seq, L + 1, 1), hankel_window(seq[1:], L + 1, L),
+                            hankel_window(seq, 1, L), gamma)
+    new_seq = np.concatenate([X[0], seq])
+    return new_seq, _checked(operator_norm(hankel_window(new_seq, L + 1, L + 1)), gamma)
 
 
 def extend_hankel_step(H: HankelOp) -> HankelOp:
     """One AAK extension step: prepend a new antidiagonal value a_{-1} chosen
-    by parrott_min, returning the (M+1) x (M+1) Hankel operator of the
-    extended sequence (zero-completed beyond the given data).
+    by the central completion, returning the (M+1) x (M+1) Hankel operator
+    of the extended sequence (zero-completed beyond the given data).
 
     The preserved quantity is the sequence (full-window) norm; the tests
     verify |sequence_norm(extended) - sequence_norm(H)| <= 1e-8.
     """
     if H.sequence is None:
         raise ValueError("extension needs the defining sequence")
-    M = H.matrix.shape[0]
-    _, new_seq = _prepend_antidiagonal(H.sequence)
-    out = hankel_matrix(new_seq, M + 1)
+    new_seq, _ = _extend_sequence(H.sequence, H.sequence_norm())
+    out = hankel_matrix(new_seq, H.matrix.shape[0] + 1)
     out.flavor = H.flavor
     return out
 
@@ -143,11 +152,9 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
     if H.sequence is None:
         raise ValueError("recovery needs the defining sequence")
     seq = np.asarray(H.sequence, dtype=complex)
-    base_norm = H.sequence_norm()
-    offsets = 0
-    for _ in range(steps):
-        _, seq = _prepend_antidiagonal(seq)
-        offsets += 1
+    base_norm = gamma = H.sequence_norm()
+    for _ in range(steps):  # each achieved norm is the next step's gamma
+        seq, gamma = _extend_sequence(seq, gamma)
     total_modes = len(seq)
     if grid is None:
         n = max(4, int(np.ceil(np.log2(4 * total_modes))))
@@ -155,8 +162,7 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
     N = grid.n_points
     modes = np.zeros(N, dtype=complex)
     for idx, a in enumerate(seq):
-        k = idx - offsets
-        modes[k % N] = a
+        modes[(idx - steps) % N] = a
     beta = Signal(grid, np.fft.ifft(modes) * N)
     sup = float(np.max(np.abs(beta.values)))
     return {

@@ -222,12 +222,10 @@ def _exp_aak_extend(cfg, threads):
         def one(t, m=m):
             rng = trial_rng(seed + m, t)
             seq = rng.standard_normal(2 * m - 1) + 1j * rng.standard_normal(2 * m - 1)
-            H = hankel.hankel_matrix(seq, m)
-            ext = aak.extend_hankel_step(H)
-            return {"trial": t, "M": m,
-                    "base_norm": H.sequence_norm(),
-                    "extended_norm": ext.sequence_norm(),
-                    "preservation_defect": abs(H.sequence_norm() - ext.sequence_norm())}
+            base = hankel.hankel_matrix(seq, m).sequence_norm()  # the step's gamma
+            extended = aak._extend_sequence(seq, base)[1]  # the extended sequence norm
+            return {"trial": t, "M": m, "base_norm": base, "extended_norm": extended,
+                    "preservation_defect": abs(base - extended)}
         rows.extend(_map_trials(one, trials, threads))
     # recovery ratio trend on a few symbols
     recovery = []

@@ -90,13 +90,8 @@ class HankelOp:
 
 def hankel_window(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix with entry (i, j) = seq[i + j] (zero beyond the end)."""
-    seq = np.asarray(seq, dtype=complex)
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        hi = min(cols, len(seq) - i)
-        if hi > 0:
-            out[i, :hi] = seq[i : i + hi]
-    return out
+    padded = np.concatenate([np.asarray(seq, dtype=complex), np.zeros(rows + cols, dtype=complex)])
+    return padded[np.add.outer(np.arange(rows), np.arange(cols))]
 
 
 def hankel_matrix(alpha, size: int) -> HankelOp:

@@ -218,9 +218,9 @@ def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | N
 # rectangular BMO
 
 
-def _check_unit_square(lo, hi, depth) -> None:
-    """ValueError unless each cell range [lo, hi) lies in its 2^depth cells (elementwise)."""
-    if np.any(lo < 0) or np.any(hi > np.exp2(depth)):
+def _check_unit_square(rects) -> None:
+    """ValueError unless every rectangle lies in [0,1)^2."""
+    if not all(iv.in_unit_torus() for r in rects for iv in r.coordinates):
         raise ValueError("book rectangles must lie in [0,1)^2")
 
 
@@ -235,7 +235,6 @@ def _densest_rectangle(pairs, n: int, shared: int | None = None) -> tuple[float,
     """
     sides = np.array([[(-iv.scale_exponent, iv.position) for iv in r.coordinates]
                       for r, _ in pairs], dtype=np.int64).reshape(-1, 2, 2)
-    _check_unit_square(sides[..., 1], sides[..., 1] + 1, sides[..., 0])
     mass = {}
     for ((p1, j1), (p2, j2)), (_, m) in zip(sides.tolist(), pairs):
         if (p1, p2) not in mass:
@@ -269,6 +268,7 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
     if b.grid.dim != 2:
         raise ValueError("bmo_rect handles d = 2")
     book = coefficient_book(b, family, meyer, depth) if book is None else book
+    _check_unit_square(book)
     n = b.grid.depth if depth is None else depth
     best_val, best_rect = _densest_rectangle([(r, abs(c) ** 2) for r, c in book.items()], n)
     return BmoReport(np.sqrt(best_val), best_rect, "exact", family)
@@ -279,7 +279,9 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
 
 
 def _nonzero_masses(book: dict) -> list:
-    """(rectangle, |c|^2) for every coefficient above 1e-12 of the largest."""
+    """(rectangle, |c|^2) for every coefficient above 1e-12 of the largest;
+    ValueError if any book rectangle, negligible or not, leaves [0,1)^2."""
+    _check_unit_square(book)
     tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
     return [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
 
@@ -368,14 +370,13 @@ def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
     certifies the current one.  The minimal optimal unions shrink as lam
     rises (Gallo, Grigoriadis and Tarjan 1989), so each cut after the first
     runs on the rectangles inside the last union only.  Returns (sup, cell
-    mask of U, number of cuts).
+    mask of U, number of cuts) for masses from _nonzero_masses.
     """
     N = 1 << depth
     axis_grid = Grid(depth, 1)
     if not masses:
         return 0.0, np.zeros((N, N), dtype=bool), 0
     ranges = np.array([[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses])
-    _check_unit_square(ranges[..., 0], ranges[..., 1], depth)
     cuts = [np.unique(np.append([0, N], ranges[:, axis])) for axis in (0, 1)]
     (lo0, hi0), (lo1, hi1) = (np.searchsorted(c, ranges[:, axis]).T for axis, c in enumerate(cuts))
     widths = [np.diff(c) for c in cuts]

@@ -154,9 +154,8 @@ class DecompositionError(RuntimeError):
 def commutator_gleft_matrix(b: Signal) -> np.ndarray:
     """[M_b, G_left] as a dense matrix on the cell basis, from G_left applied
     once to the identity."""
-    Mb = np.diag(b.values)
     GL = _shift_values(np.eye(b.grid.n_points, dtype=complex), b.grid.depth, 1.0, 0.0)
-    return Mb @ GL - GL @ Mb
+    return b.values[:, None] * GL - GL * b.values[None, :]
 
 
 # label -> bases (Psi, Phi) of the piece Psi C Phi^T: "h" samples h_I, "h1" samples h^1_I

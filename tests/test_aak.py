@@ -159,3 +159,57 @@ def test_recover_bounded_symbol():
     g = rep0["beta"].grid
     direct = b.to_signal(g)
     assert np.max(np.abs(rep0["beta"].values - direct.values)) < 1e-10
+
+
+def _count_svds(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_extension_step_takes_three_svds(monkeypatch):
+    seq = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    H = hk.hankel_matrix(seq, 16)
+    calls = _count_svds(monkeypatch)
+    aak.extend_hankel_step(H)
+    # gamma from the full window, the thin SVD of B, the extended full window
+    assert calls == [(31, 31), (32, 31), (32, 32)]
+
+
+@pytest.mark.parametrize("K", [0, 1, 4])
+def test_recovery_chains_each_achieved_norm_into_the_next_gamma(monkeypatch, K):
+    H = hk.hankel_operator_1d(hk.random_symbol(5, rng))
+    calls = _count_svds(monkeypatch)
+    aak.recover_bounded_symbol(H, K)
+    assert len(calls) == 1 + 2 * K
+
+
+def test_extension_step_norms_are_the_sequence_norms():
+    seq = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    H = hk.hankel_matrix(seq, 16)
+    gamma = H.sequence_norm()
+    new_seq, achieved = aak._extend_sequence(H.sequence, gamma)
+    assert np.array_equal(new_seq[1:], H.sequence)
+    ext = aak.extend_hankel_step(H)
+    assert np.array_equal(ext.sequence[:len(new_seq)], new_seq)
+    assert abs(achieved - ext.sequence_norm()) <= 1e-12 * gamma
+    # the closed form of the same window problem, with its padded blocks, agrees
+    L = len(seq)
+    p = aak.BlockProblem(hk.hankel_window(seq, L + 1, 1), hk.hankel_window(seq[1:], L + 1, L),
+                         hk.hankel_window(seq, 1, L))
+    assert abs(aak.parrott_closed_form(p) - gamma) <= 1e-12 * gamma
+
+
+def test_extension_step_raises_above_gamma():
+    # below the sequence norm no completion exists; the measured norm must say so
+    seq = np.array([1.0, 2.0, 0.5j])
+    gamma = hk.hankel_matrix(seq, 2).sequence_norm()
+    with pytest.raises(ArithmeticError):
+        aak._extend_sequence(seq, gamma * (1 - 1e-6))
+    assert aak._extend_sequence(seq, gamma)[1] <= gamma * (1 + 1e-10)

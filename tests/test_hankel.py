@@ -267,3 +267,26 @@ def test_norm_homogeneity_and_phase_invariance():
         scaled = hk.SymbolCoefficients(c * b.coeffs)
         got = operator_norm(hk.hankel_operator_1d(scaled).matrix)
         assert abs(got - abs(c) * base) < 1e-10
+
+
+def _hankel_window_rows(seq, rows, cols):
+    """hankel_window as a loop over rows: the oracle of the indexed build."""
+    seq = np.asarray(seq, dtype=complex)
+    out = np.zeros((rows, cols), dtype=complex)
+    for i in range(rows):
+        hi = min(cols, len(seq) - i)
+        if hi > 0:
+            out[i, :hi] = seq[i : i + hi]
+    return out
+
+
+def test_hankel_window_matches_the_row_loop():
+    win_rng = np.random.default_rng(91)
+    for length in range(20):
+        seq = win_rng.standard_normal(length) + 1j * win_rng.standard_normal(length)
+        for rows in range(8):
+            for cols in range(8):
+                got, want = hk.hankel_window(seq, rows, cols), _hankel_window_rows(seq, rows, cols)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+    assert np.array_equal(hk.hankel_window([1, 2, 3], 2, 3), _hankel_window_rows([1, 2, 3], 2, 3))

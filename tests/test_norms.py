@@ -572,9 +572,15 @@ def test_max_union_ratio_rejects_a_rectangle_finer_than_its_depth():
         dl.norms.bmo_product_of_book({fine: 1.0}, 2)
 
 
-@pytest.mark.parametrize("position", [-1, 5], ids=["left_of_0", "right_of_1"])
-def test_book_rectangles_outside_the_unit_square_are_rejected(position):
-    book = {DyadicRectangle((DyadicInterval(-1, position), DyadicInterval(-1, 0))): 1.0}
+def _half_square(position: int) -> DyadicRectangle:
+    return DyadicRectangle((DyadicInterval(-1, position), DyadicInterval(-1, 0)))
+
+
+# a coefficient dropped as negligible is still checked against [0,1)^2
+@pytest.mark.parametrize("book", [{_half_square(-1): 1.0}, {_half_square(5): 1.0},
+                                  {_half_square(0): 1.0, _half_square(5): 1e-15}],
+                         ids=["left_of_0", "right_of_1", "negligible_right_of_1"])
+def test_book_rectangles_outside_the_unit_square_are_rejected(book):
     b = dl.zeros(Grid(2, 2))
     for evaluate in (lambda: dl.norms.bmo_product_of_book(book, 2),
                      lambda: bmo_product(b, book=book),

@@ -116,6 +116,14 @@ def test_decomposition_reconstructs_exactly():
         assert len(pieces.labels()) == 8
 
 
+def test_commutator_gleft_matrix_matches_the_diagonal_products():
+    g = Grid(5, 1)
+    b = random_signal(g, rng) + 1j * random_signal(g, rng)
+    GL = pp._shift_values(np.eye(g.n_points, dtype=complex), g.depth, 1.0, 0.0)
+    Mb = np.diag(b.values)
+    assert np.array_equal(pp.commutator_gleft_matrix(b), Mb @ GL - GL @ Mb)
+
+
 def _rank_one_table(b: Signal) -> dict:
     """The five-case table summed term by term with sampled Haar functions."""
     g = b.grid
