@@ -155,6 +155,12 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
     base_norm = gamma = H.sequence_norm()
     for _ in range(steps):  # each achieved norm is the next step's gamma
         seq, gamma = _extend_sequence(seq, gamma)
+    return _bounded_symbol(seq, steps, base_norm, grid)
+
+
+def _bounded_symbol(seq: np.ndarray, steps: int, base_norm: float, grid: Grid | None = None) -> dict:
+    """The report of recover_bounded_symbol for a sequence extended `steps`
+    times (seq[i] is a_{i - steps}) from one whose sequence norm is base_norm."""
     total_modes = len(seq)
     if grid is None:
         n = max(4, int(np.ceil(np.log2(4 * total_modes))))

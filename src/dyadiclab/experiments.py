@@ -32,6 +32,7 @@ from .dyadic import (
     Grid,
     RectangleCollection,
     Signal,
+    haar_tensor,
 )
 from . import aak, hankel, journe, norms, paraproducts, transforms
 
@@ -169,9 +170,7 @@ def _exp_commutator_decomp(cfg, threads):
     def one(t):
         rng = trial_rng(seed, t)
         b = Signal(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        pieces = paraproducts.decompose_commutator_Gleft(b, check_tol=np.inf)
-        target = paraproducts.commutator_gleft_matrix(b)
-        residual = float(np.max(np.abs(pieces.total() - target)))
+        residual = paraproducts.decompose_commutator_Gleft(b, check_tol=np.inf).residual
         return {"trial": t, "n": n, "residual": residual}
 
     rows = _map_trials(one, trials, threads)
@@ -227,14 +226,17 @@ def _exp_aak_extend(cfg, threads):
             return {"trial": t, "M": m, "base_norm": base, "extended_norm": extended,
                     "preservation_defect": abs(base - extended)}
         rows.extend(_map_trials(one, trials, threads))
-    # recovery ratio trend on a few symbols
+    # recovery ratio trend on a few symbols: one extension chain per symbol, read after each step
     recovery = []
     for t in range(cfg.get("recovery_trials", 3)):
         rng = trial_rng(seed + 999, t)
-        b = hankel.random_symbol(cfg.get("recovery_degree", 6), rng)
-        H = hankel.hankel_operator_1d(b)
+        H = hankel.hankel_operator_1d(hankel.random_symbol(cfg.get("recovery_degree", 6), rng))
+        seq = np.asarray(H.sequence, dtype=complex)
+        base = gamma = H.sequence_norm()
         for K in range(k_steps + 1):
-            rep = aak.recover_bounded_symbol(H, K)
+            if K:  # each achieved norm is the next step's gamma, as in recover_bounded_symbol
+                seq, gamma = aak._extend_sequence(seq, gamma)
+            rep = aak._bounded_symbol(seq, K, base)
             recovery.append({"trial": t, "M": -K,  # reuse M column for -K
                              "base_norm": rep["hankel_norm"],
                              "extended_norm": rep["sup_norm"],
@@ -302,7 +304,6 @@ def _exp_journe(cfg, threads):
     for name, members in _journe_staircase_family(seed):
         f = Signal(grid, np.zeros(grid.shape, dtype=complex))
         for r in members:
-            from .dyadic import haar_tensor
             sign = float(rng.integers(0, 2) * 2 - 1)
             f = f + sign * haar_tensor(r, grid)
         rep = journe.journe_damped_check(f, U, eps=eps, V_mask=V)

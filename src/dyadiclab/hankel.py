@@ -210,15 +210,6 @@ def little_hankel(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
     return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)), "little_product")
 
 
-def little_hankel_structural(b: SymbolCoefficients) -> np.ndarray:
-    """Entries bhat(i1+j1, i2+j2) directly from the coefficient array."""
-    M = b.degree
-    c = np.zeros((2 * M, 2 * M), dtype=complex)
-    c[:M, :M] = b.coeffs
-    i1, i2 = np.divmod(np.arange(M * M), M)  # row-major bi-mode (i1, i2)
-    return c[np.add.outer(i1, i1), np.add.outer(i2, i2)]
-
-
 # ---------------------------------------------------------------------------
 # commutators [M_b, H] on the truncated mode basis
 
@@ -226,15 +217,17 @@ def little_hankel_structural(b: SymbolCoefficients) -> np.ndarray:
 def _mode_batches(grid: Grid, kvecs: list):
     """(lo, hi, values) over consecutive slices of the mode list, values[i] the
     exponential e^{2 pi i k.x} of kvecs[lo + i] as a product of per-axis
-    exponentials; no batch holds more than _BATCH_POINTS grid points."""
-    d, N, x = grid.dim, grid.n_points, grid.points()
-    kvecs = np.asarray(kvecs, dtype=float).reshape(-1, d)
+    exponentials, read from one table of N-th roots of unity (so exactly
+    N-periodic in k); no batch holds more than _BATCH_POINTS grid points."""
+    d, N = grid.dim, grid.n_points
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    kvecs = np.asarray(kvecs, dtype=np.int64).reshape(-1, d)
     step = max(1, _BATCH_POINTS // N ** d)
     for lo in range(0, len(kvecs), step):
         ks = kvecs[lo:lo + step]
         values = 1.0
         for a in range(d):
-            e = np.exp(2j * np.pi * ks[:, a, None] * x)
+            e = roots[ks[:, a, None] * np.arange(N) % N]
             values = values * e.reshape((len(ks),) + (1,) * a + (N,) + (1,) * (d - 1 - a))
         yield lo, lo + len(ks), values
 
@@ -246,27 +239,34 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int 
 
     variant 'imaginary' uses the real-for-real multiplier -i sgn(k); variant
     'signum' uses sgn(k) = P_+ - P_-, which matches printed block identities.
-    The commutator acts on batches of basis modes at once; one FFT of each
-    batch gives its columns, read off at the basis modes.
+    Each [A, H_a] multiplies entry (k, j) of A by m(j_a) - m(k_a), so the
+    entry is its Fourier closed form bhat(k - j) prod_a (m(j_a) - m(k_a)),
+    bhat from one FFT of b, gathered with one (2K+1)^2 index table per axis.
     """
-    grid, d, N = b.grid, b.grid.dim, b.grid.n_points
+    d, N = b.grid.dim, b.grid.n_points
     K = N // 4 if mode_cutoff is None else mode_cutoff
     if K > N // 2 - 1:
         raise ValueError("mode cutoff exceeds grid")
-    apply_vals = _iterated_commutator_values(b, axes, variant)
-    basis = list(itertools.product(range(-K, K + 1), repeat=d))
-    rows = (slice(None),) + tuple(np.array(basis).T % N)
-    cols = np.empty((len(basis), len(basis)), dtype=complex)
-    for lo, hi, modes in _mode_batches(grid, basis):
-        comm = apply_vals(modes)
-        cols[:, lo:hi] = np.fft.fftn(comm, axes=tuple(range(-d, 0)), out=comm)[rows].T / N ** d
-    return OperatorMatrix(cols, ("modes", tuple(basis)), ("modes", tuple(basis)))
+    modes = np.arange(-K, K + 1)
+    m = transforms.axis_multiplier("hilbert" if variant == "imaginary" else "signum", N)[modes % N]
+
+    def pair(a, table):  # a (row mode, column mode) table of grid axis a + 1
+        return table.reshape(tuple(len(modes) if i in (a, d + a) else 1 for i in range(2 * d)))
+
+    diff = (modes[:, None] - modes[None, :]) % N
+    entries = (np.fft.fftn(b.values) / N ** d)[tuple(pair(a, diff) for a in range(d))]
+    for ax in axes:
+        entries *= pair(ax - 1, m[None, :] - m[:, None])
+    basis = tuple(itertools.product(modes.tolist(), repeat=d))
+    return OperatorMatrix(entries.reshape(len(basis), len(basis)), ("modes", basis), ("modes", basis))
 
 
 def _iterated_commutator_values(b: Signal, axes, variant: str):
     """Value-level application of A_d where A_0 = M_b, A_j = [A_{j-1}, H_j]; the
-    values may carry leading batch axes before the grid axes.  The A_j work in
-    place on their argument, so the returned map copies its input once."""
+    values may carry leading batch axes before the grid axes.  The H's
+    commute, so the axes nest last-first: the innermost commutator, applied
+    2^(k-1) times, runs along the contiguous last axis.  The A_j work in place
+    on their argument, so the returned map copies its input once."""
     kinds = {ax: transforms.on_axis("hilbert" if variant == "imaginary" else "signum", ax,
                                     b.grid.dim) for ax in axes}
 
@@ -274,7 +274,7 @@ def _iterated_commutator_values(b: Signal, axes, variant: str):
         vals *= b.values
         return vals
 
-    for ax in axes:
+    for ax in axes[::-1]:
         def nxt(vals, prev=apply, ax=ax):
             out = prev(transforms.apply_multipliers(kinds[ax], vals))
             out -= transforms.apply_multipliers(kinds[ax], prev(vals), out=vals)
@@ -293,30 +293,42 @@ def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
             and P_s C P_s = 0.
 
     The factor 2^d comes from H = +-(I - 2P) on mean-free signals.  P_s
-    annihilates every mode outside octant s, so the modes of the truncated
-    basis [-K, K]^d go through C octant by octant, in batches, each projected
-    onto its octant s.  By linearity one projection P_{-s} of
-    C e - factor * b e gives the off-diagonal identity.  Returns the largest
-    defect, measured column by column (an upper bound for the scaled
-    Frobenius defect).
+    annihilates every mode outside octant s and fixes those inside, so the
+    modes e of the truncated basis [-K, K]^d in octant s are its P_s-projected
+    basis; they go through C octant by octant, in batches.  One FFT of C e and
+    one of b e give both identities: their spectra on octant -s
+    (C e - factor * b e) and on octant s (C e).  Returns the largest L2 norm
+    of a defect column (Parseval on those spectra), which bounds its largest
+    sample times the square root of the quadrature weight from above.
     """
     grid, d, N = b.grid, b.grid.dim, b.grid.n_points
     K = N // 4 if mode_cutoff is None else mode_cutoff
     if K > N // 2 - 1:
         raise ValueError("mode cutoff exceeds grid")
     apply_comm = _iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
+    half = {"+": slice(1, N // 2), "-": slice(N // 2 + 1, None)}  # the FFT-layout modes of P_+, P_-
+    grid_axes = tuple(range(-d, 0))
+
+    def spectrum(vals):  # in place, one FFT pass per grid axis: about twice as fast as fftn here
+        for axis in grid_axes[::-1]:
+            np.fft.fft(vals, axis=axis, out=vals)
+        return vals
+
+    def column_norms(spec, sigma):
+        part = spec[(Ellipsis,) + tuple(half[s] for s in sigma)]
+        return np.linalg.norm(part, axis=grid_axes) / N ** d
+
     defect = 0.0
     for sigma in itertools.product("+-", repeat=d):
         minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
         factor_b = (-1) ** sigma.count("-") * 2.0 ** d * b.values
         octant = itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma))
         for _, _, modes in _mode_batches(grid, list(octant)):
-            dom = transforms.apply_multipliers(sigma, modes, out=modes)
-            comm = apply_comm(dom)
-            off = transforms.apply_multipliers(minus_sigma, comm - factor_b * dom, out=dom)
-            diag = transforms.apply_multipliers(sigma, comm, out=comm)
-            defect = max(defect, float(np.max(np.abs(off))) * grid.weight ** 0.5,
-                         float(np.max(np.abs(diag))) * grid.weight ** 0.5)
+            comm = spectrum(apply_comm(modes))
+            comm_b = spectrum(np.multiply(modes, factor_b, out=modes))
+            diag = column_norms(comm, sigma)
+            off = column_norms(np.subtract(comm, comm_b, out=comm), minus_sigma)
+            defect = max(defect, float(np.max(off)), float(np.max(diag)))
     return defect
 
 

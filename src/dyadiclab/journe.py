@@ -223,15 +223,6 @@ def trivial_candidate(collection: RectangleCollection) -> tuple[np.ndarray, dict
     return V, emb
 
 
-def maximal_candidate(collection: RectangleCollection) -> tuple[np.ndarray, dict]:
-    """(V, Emb) from the double maximal-function construction."""
-    grid = collection.grid
-    U = collection.shadow_mask()
-    V = enlarged_set(U, grid)
-    emb = {r: embeddedness(r, U, grid, V_mask=V) for r in collection.members}
-    return V, emb
-
-
 # ---------------------------------------------------------------------------
 # the Carleson-type family
 

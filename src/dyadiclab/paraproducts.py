@@ -122,11 +122,6 @@ def dyadic_shift_G(f: Signal) -> Signal:
     return Signal(f.grid, _shift_values(f.values, f.grid.depth, -1.0, 1.0))
 
 
-def g_left(f: Signal) -> Signal:
-    """G_left f = sum_J h_{J_left} <f, h_J>, over J with resolvable halves."""
-    return Signal(f.grid, _shift_values(f.values, f.grid.depth, 1.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # commutator -> paraproduct decomposition for G_left
 
@@ -137,6 +132,7 @@ class ParaproductPieces:
 
     grid: Grid
     pieces: dict = field(default_factory=dict)  # label -> (N, N) matrix
+    residual: float = None  # max |total - [M_b, G_left]|, set by decompose_commutator_Gleft
 
     def total(self) -> np.ndarray:
         return sum(self.pieces.values())
@@ -238,8 +234,11 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
     eps1 is the sign of h_{J_left} on I.  Each labelled piece, a sum of
     such terms, is Psi C Phi^T w: C its interval x interval coefficients,
     Psi and Phi the sampled bases h or h^1, w the quadrature weight.  The
-    sum of the pieces is checked against the dense commutator; any defect
-    raises with the residual.
+    sum of the pieces is checked against the dense commutator, and its
+    largest entrywise defect kept as `residual`; a defect above check_tol
+    (relative to the largest entry, at least 1) raises with the residual
+    matrix.  The bases are real, so each piece is two real products, of
+    C.real and of C.imag.
     """
     target = commutator_gleft_matrix(b)
     n = b.grid.depth
@@ -249,14 +248,15 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
     pieces = {}
     for label, (psi, phi) in _GLEFT_BASES.items():
         C = _gleft_coefficients(label, beta, n)
-        pieces[label] = (bases[psi] @ C) @ (bases[phi].T * b.grid.weight)
+        Psi, PhiT = bases[psi], bases[phi].T * b.grid.weight
+        pieces[label] = (Psi @ C.real) @ PhiT + 1j * ((Psi @ C.imag) @ PhiT)
     result = ParaproductPieces(b.grid, pieces)
     residual = result.total() - target
-    defect = float(np.max(np.abs(residual)))
+    result.residual = float(np.max(np.abs(residual)))
     scale = max(1.0, float(np.max(np.abs(target))))
-    if defect > check_tol * scale:
+    if result.residual > check_tol * scale:
         raise DecompositionError(
-            f"decomposition defect {defect:.3e} exceeds {check_tol:.1e}", residual
+            f"decomposition defect {result.residual:.3e} exceeds {check_tol:.1e}", residual
         )
     return result
 
@@ -458,31 +458,6 @@ def petermichl_fit_on_signal(f: Signal, Y: float = 8.0, s_steps: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# adaptedness checker (test utility)
-
-
-def adapted_bump_constant(phi: Signal, interval: DyadicInterval, decay_power: int = 4) -> dict:
-    """Smallest constants C_0, C_1 with
-
-        |D^n phi(x)| <= C_n |I|^{-n-1/2} (1 + |x - c(I)|/|I|)^{-decay_power}
-
-    for n = 0, 1 on the grid (D^1 by centered differences, torus distance).
-    A function is adapted to I when these constants are O(1) across scales.
-    The default decay order matches what the C^3 frequency window actually
-    provides (tails ~ |x|^-4); steeper envelopes would need a smoother
-    window and report scale-growing constants."""
-    grid = phi.grid
-    x = grid.points()
-    dist = np.abs(x - interval.center)
-    dist = np.minimum(dist, 1.0 - dist)  # torus metric
-    envelope = (1.0 + dist / interval.length) ** (-float(decay_power))
-    c0 = np.abs(phi.values) * interval.length ** 0.5 / envelope
-    dphi = (np.roll(phi.values, -1) - np.roll(phi.values, 1)) / (2.0 * grid.cell_width)
-    c1 = np.abs(dphi) * interval.length ** 1.5 / envelope
-    return {"C0": float(np.max(c0)), "C1": float(np.max(c1))}
-
-
-# ---------------------------------------------------------------------------
 # Meyer scale-block paraproducts
 
 
@@ -519,25 +494,35 @@ def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
     kvec moves the U block toward coarser scales per axis, |kvec|_inf <= 8.
     DeltaU_(p1,p2) F = P_p1 F P_p2^T with the 1-D block projectors P_p, and
     U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere.
-    Each P_p = U_p U_p^* / N has rank 2^p and is applied through its factor
-    U_p (X P^T as (P X^T)^T); a sum over p <= q is the projector of the
-    concatenated factors."""
+
+    With F the concatenated factors U_p (P_p = U_p U_p^* / N; scale p holds
+    columns 2^p - 1 ... 2^(p+1) - 2), b and phi are analysed once, C = F^* X
+    conj(F) / N^2, and a block pair is F_rows C[rows, cols] F_cols^T (phi's
+    conjugated, from conj(F) and conj(C)); a sum over p <= q is the range of
+    columns 0 ... 2^(q+1) - 2.  The blocks go through two reused N x N
+    buffers: fresh N x N temporaries per pair took over half the time."""
     if max(abs(k) for k in kvec) > 8:
         raise ValueError("|kvec|_inf must be <= 8")
-    F = [meyer.block_factor(p) for p in meyer.scales]
+    F = np.concatenate([meyer.block_factor(p) for p in meyer.scales], axis=1)
+    N, Fbar = F.shape[0], F.conj()
+    Cb, Cphi_bar = Fbar.T @ b.values @ Fbar / N ** 2, F.T @ np.conj(phi.values) @ F / N ** 2
 
-    def U(axis, q):
-        return F[q] if axis in J else np.concatenate(F[: q + 1], axis=1)
+    def band(p, axis=None):  # the columns of P_p, or of U_{p, J} on the given axis
+        return slice(0 if axis is not None and axis not in J else (1 << p) - 1, (2 << p) - 1)
 
-    out = np.zeros(b.grid.shape, dtype=complex)
+    def synth(F, C, rows, cols, out):
+        """F_rows C[rows, cols] F_cols^T into out; its N x N product runs over the smaller rank."""
+        Fr, Fc, C = F[:, rows], F[:, cols], C[rows, cols]
+        if Fr.shape[1] <= Fc.shape[1]:
+            return np.matmul(Fr, C @ Fc.T, out=out)
+        return np.matmul(Fr @ C, Fc.T, out=out)
+
+    out, work = np.zeros(b.grid.shape, dtype=complex), np.empty((2,) + b.grid.shape, dtype=complex)
     for p1 in meyer.scales:
-        q1 = p1 - kvec[0]
-        if not 0 <= q1 <= meyer.max_scale:
-            continue
-        b1 = _block_project(F[p1], b.values).T
-        phi1 = _block_project(U(1, q1), phi.values).T
         for p2 in meyer.scales:
-            q2 = p2 - kvec[1]
-            if 0 <= q2 <= meyer.max_scale:
-                out += _block_project(F[p2], b1).T * np.conj(_block_project(U(2, q2), phi1).T)
+            q1, q2 = p1 - kvec[0], p2 - kvec[1]
+            if 0 <= q1 <= meyer.max_scale and 0 <= q2 <= meyer.max_scale:
+                block = synth(F, Cb, band(p1), band(p2), work[0])
+                block *= synth(Fbar, Cphi_bar, band(q1, 1), band(q2, 2), work[1])  # conj of phi's block
+                out += block
     return Signal(b.grid, out)

@@ -214,6 +214,20 @@ def test_commutator_decomp_experiment(tmp_path):
     assert m["summary"]["max_residual"] <= 1e-12
 
 
+def test_aak_extend_runs_one_recovery_chain_per_symbol(monkeypatch):
+    # default config: 3 recovery symbols extended K = 4 times; one chain per
+    # symbol takes its base sequence norm and two SVDs a step, 3 (1 + 2 * 4)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    cfg = ex.validate_config({"experiment": "aak-extend"})
+    ex.CATALOG["aak-extend"]["fn"](cfg, 1)
+    with_recovery = len(calls)
+    calls.clear()
+    ex.CATALOG["aak-extend"]["fn"]({**cfg, "recovery_trials": 0}, 1)
+    assert with_recovery - len(calls) == 27
+
+
 def test_cli_list_and_run(tmp_path, capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out

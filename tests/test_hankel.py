@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import dyadiclab as dl
 from dyadiclab.dyadic import Grid, Signal, constant
+from dyadiclab.experiments import trial_rng
 from dyadiclab import hankel as hk
 from dyadiclab.norms import OperatorMatrix, operator_norm
 from dyadiclab.transforms import apply_multipliers, fourier_mode
@@ -80,6 +83,15 @@ def test_sup_norm_dominates():
     assert operator_norm(hk.hankel_operator_1d(b).matrix) <= sup + 1e-10
 
 
+def _little_hankel_structural(b):
+    """Entries bhat(i1+j1, i2+j2) directly from the coefficient array."""
+    M = b.degree
+    c = np.zeros((2 * M, 2 * M), dtype=complex)
+    c[:M, :M] = b.coeffs
+    i1, i2 = np.divmod(np.arange(M * M), M)  # row-major bi-mode (i1, i2)
+    return c[np.add.outer(i1, i1), np.add.outer(i2, i2)]
+
+
 def test_little_hankel():
     u = hk.random_symbol(3, rng)
     v = hk.random_symbol(3, rng)
@@ -93,7 +105,7 @@ def test_little_hankel():
     prod = operator_norm(hk.hankel_operator_1d(u).matrix) * operator_norm(hk.hankel_operator_1d(v).matrix)
     assert abs(operator_norm(Huv.matrix) - prod) < 1e-10
     # structural reduction entrywise
-    assert np.max(np.abs(Huv.matrix.entries - hk.little_hankel_structural(buv))) < 1e-12
+    assert np.max(np.abs(Huv.matrix.entries - _little_hankel_structural(buv))) < 1e-12
     # dense SVD vs power iteration on the cross symbol
     c = np.zeros((2, 2), dtype=complex)
     c[0, 1] = c[1, 0] = 1.0
@@ -141,6 +153,59 @@ def test_commutator_matrix_matches_closed_form():
     b1 = dl.random_signal(Grid(7, 1), rng)
     M1 = hk.commutator_matrix(b1, (1,), mode_cutoff=30).entries
     assert np.max(np.abs(M1 - _commutator_closed_form(b1, 30, (1,)))) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["imaginary", "signum"])
+@pytest.mark.parametrize("depth, dim, K, axes", [(10, 1, 30, (1,)), (6, 2, 6, (1, 2)), (6, 2, 6, (2,))])
+def test_iterated_commutator_values_match_commutator_matrix(depth, dim, K, axes, variant):
+    # 61 modes in batches of 32 (d = 1), 169 in batches of 8 (d = 2): each ends in a partial batch
+    g = Grid(depth, dim)
+    b = dl.random_signal(g, rng)
+    basis = list(itertools.product(range(-K, K + 1), repeat=dim))
+    assert len(basis) % max(1, hk._BATCH_POINTS // g.n_points ** dim) != 0
+    expected = hk.commutator_matrix(b, axes, mode_cutoff=K, variant=variant).entries
+    apply = hk._iterated_commutator_values(b, axes, variant)
+    rows = (slice(None),) + tuple(np.array(basis).T % g.n_points)
+    for lo, hi, modes in hk._mode_batches(g, basis):
+        spec = np.fft.fftn(apply(modes), axes=tuple(range(-dim, 0)))[rows].T / g.n_points ** dim
+        assert np.max(np.abs(spec - expected[:, lo:hi])) < 1e-12
+
+
+def _block_defect_sup(b, K):
+    """The block identity defect measured by its largest sample: each defect
+    column projected back onto the grid by P_s or P_-s, its largest modulus
+    times the square root of the quadrature weight."""
+    d = b.grid.dim
+    comm_of = hk._iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
+    defect = 0.0
+    for sigma in itertools.product("+-", repeat=d):
+        minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
+        factor_b = (-1) ** sigma.count("-") * 2.0 ** d * b.values
+        octant = itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma))
+        for _, _, modes in hk._mode_batches(b.grid, list(octant)):
+            dom = apply_multipliers(sigma, modes)
+            comm = comm_of(dom)
+            off = apply_multipliers(minus_sigma, comm - factor_b * dom)
+            diag = apply_multipliers(sigma, comm)
+            defect = max(defect, float(np.max(np.abs(off))) * b.grid.weight ** 0.5,
+                         float(np.max(np.abs(diag))) * b.grid.weight ** 0.5)
+    return defect
+
+
+def test_block_defect_bounds_the_sup_measure(monkeypatch):
+    # criterion 5's two signals: the L2 column defect is at least the sup-based one
+    g1, g2 = Grid(6, 1), Grid(6, 2)
+    b1 = hk.random_symbol(8, trial_rng(105, 0)).to_signal(g1)
+    b1 = b1 - Signal(g1, np.full(g1.shape, b1.mean()))
+    b2 = hk.random_symbol(8, trial_rng(105, 1), dim=2).to_signal(g2)
+    for b, K in ((b1, 12), (b2, 8)):
+        new, old = hk.block_identity_check(b, mode_cutoff=K), _block_defect_sup(b, K)
+        assert old <= new <= 1e-12
+    # and on a commutator that is off by a visible amount
+    exact = hk._iterated_commutator_values
+    monkeypatch.setattr(hk, "_iterated_commutator_values",
+                        lambda *args: (lambda vals, comm=exact(*args): 1.01 * comm(vals)))
+    assert hk.block_identity_check(b2, mode_cutoff=8) >= _block_defect_sup(b2, 8) > 1e-3
 
 
 def test_block_identities():
@@ -206,7 +271,7 @@ def test_little_hankel_in_several_fft_batches():
     # degree 12 samples on a 64^2 grid, so its 144 columns go in twelve FFT batches
     b = hk.random_symbol(12, rng, dim=2)
     H = hk.little_hankel(b)
-    assert np.max(np.abs(H.matrix.entries - hk.little_hankel_structural(b))) < 1e-12
+    assert np.max(np.abs(H.matrix.entries - _little_hankel_structural(b))) < 1e-12
 
 
 def test_nehari_ratio_contracts():

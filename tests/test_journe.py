@@ -140,6 +140,13 @@ def test_journe_checks_build_each_coefficient_book_once(monkeypatch):
     assert calls == [3, 3]
 
 
+def _maximal_candidate(collection):
+    """(V, Emb) from the double maximal-function construction."""
+    U = collection.shadow_mask()
+    V = jn.enlarged_set(U, collection.grid)
+    return V, {r: jn.embeddedness(r, U, collection.grid, V_mask=V) for r in collection.members}
+
+
 def test_checker_cross_checks_damped_check():
     # with the maximal-function candidate, the damped numerator of the checker
     # agrees with journe_damped_check restricted to the collection
@@ -150,7 +157,7 @@ def test_checker_cross_checks_damped_check():
     )
     coll = RectangleCollection(members, g)
     f = haar_tensor(members[0], g) + haar_tensor(members[1], g)
-    V, emb = jn.maximal_candidate(coll)
+    V, emb = _maximal_candidate(coll)
     out = jn.journe_inequality_checker_d1(f, coll, V, emb, eta=10.0)
     assert np.isfinite(out["K_eta"])
     rep = jn.journe_damped_check(f, coll.shadow_mask(), eps=2.0 * g.dim)
