@@ -25,10 +25,10 @@ def main(argv=None) -> int:
                        help="output directory (default: $DYADICLAB_OUT or ./results)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the trials of para-bound, commutator-decomp "
+                       help="worker threads, 1..64, for the trials of para-bound, commutator-decomp "
                             "and aak-extend (nehari1d and nehari2d stack their trials instead)")
 
-    sub.add_parser("list", help="print the experiment catalog")
+    sub.add_parser("list", help="print the experiment catalog with each experiment's fields")
 
     args = parser.parse_args(argv)
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         _write_error(out_dir, "config_read", str(exc))
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
+    if args.seed is not None and isinstance(cfg, dict):  # validate_config rejects a non-object
         cfg["seed"] = args.seed
     try:
         manifest = run(cfg, out_dir, threads=args.threads)

@@ -1,13 +1,17 @@
 """Batch experiment driver: deterministic configs, per-trial RNG streams,
 CSV + JSON result files.
 
+Configs: each `CATALOG` entry lists its experiment's fields, each with its
+default, type and range; `validate_config` rejects unknown fields and values
+out of range, and fills in the defaults.
+
 Determinism contract: every trial draws from its own counter-based stream
 Philox(key=(seed, trial_index)), trials may run on any number of threads,
 and aggregation sorts by trial index, so reruns of the same config produce
 byte-identical manifest and CSV files.  Wall-clock data goes to a separate
 run_info.json that is excluded from the contract.
 
-The `threads` argument sizes the trial pool of `_map_trials`, which
+The `threads` argument, 1..64, sizes the trial pool of `_map_trials`, which
 para-bound, commutator-decomp and aak-extend use.  nehari1d and nehari2d
 stack their trials' symbols along an array axis and run them through the
 batched kernels of `hankel.nehari_ratios` instead; the other experiments
@@ -22,6 +26,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,12 +53,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _map_trials(fn, n_trials: int, threads: int):
-    if threads <= 1:
-        results = [fn(t) for t in range(n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, range(n_trials)))
-    return results
+    if threads == 1:
+        return [fn(t) for t in range(n_trials)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n_trials)))
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -82,11 +85,8 @@ def _nehari_rows(rep: dict, degree: int) -> list:
 
 
 def _exp_nehari1d(cfg, threads):
-    seed = cfg["seed"]
-    trials = cfg.get("trials", 100)
-    degree = cfg.get("M", 32)
-    m_list = cfg.get("M_list", [8, 16, 32])
-    trend_trials = cfg.get("trend_trials", 40)
+    seed, trials, degree = cfg["seed"], cfg["trials"], cfg["M"]
+    m_list, trend_trials = cfg["M_list"], cfg["trend_trials"]
 
     rows = _nehari_rows(hankel.nehari_ratios(_symbol_stack(seed, trials, degree), "dyadic"), degree)
     ratios = np.array([r["ratio"] for r in rows])
@@ -113,10 +113,7 @@ def _exp_nehari1d(cfg, threads):
 
 
 def _exp_nehari2d(cfg, threads):
-    seed = cfg["seed"]
-    trials = cfg.get("trials", 30)
-    degree = cfg.get("M", 4)
-    depth = cfg.get("n", 2)
+    seed, trials, degree, depth = cfg["seed"], cfg["trials"], cfg["M"], cfg["n"]
 
     rep = hankel.nehari_ratios(_symbol_stack(seed, trials, degree, dim=2), "product_exact",
                                product_depth=depth)
@@ -133,9 +130,7 @@ def _exp_nehari2d(cfg, threads):
 
 
 def _exp_para_bound(cfg, threads):
-    seed = cfg["seed"]
-    trials = cfg.get("trials", 5)
-    n_list = cfg.get("n_list", [4, 5, 6, 7, 8])
+    seed, trials, n_list = cfg["seed"], cfg["trials"], cfg["n_list"]
 
     rows = []
     for n in n_list:
@@ -162,9 +157,7 @@ def _exp_para_bound(cfg, threads):
 
 
 def _exp_commutator_decomp(cfg, threads):
-    seed = cfg["seed"]
-    trials = cfg.get("trials", 50)
-    n = cfg.get("n", 6)
+    seed, trials, n = cfg["seed"], cfg["trials"], cfg["n"]
     grid = Grid(n, 1)
 
     def one(t):
@@ -179,11 +172,8 @@ def _exp_commutator_decomp(cfg, threads):
 
 
 def _exp_petermichl(cfg, threads):
-    n = cfg.get("n", 10)
-    Y = cfg.get("Y", 8.0)
-    steps = cfg.get("steps", 64)
-    y_measure = cfg.get("y_measure", "uniform")
-    width = cfg.get("bump_width", 0.08)
+    n, Y, steps, y_measure = cfg["n"], cfg["Y"], cfg["steps"], cfg["y_measure"]
+    width = cfg["bump_width"]
     grid = Grid(n, 1)
     x = grid.points()
     z = (x - 0.5) / width
@@ -211,10 +201,7 @@ def _exp_petermichl(cfg, threads):
 
 
 def _exp_aak_extend(cfg, threads):
-    seed = cfg["seed"]
-    trials = cfg.get("trials", 5)
-    m_list = cfg.get("M_list", [4, 16, 64])
-    k_steps = cfg.get("K", 4)
+    seed, trials, m_list, k_steps = cfg["seed"], cfg["trials"], cfg["M_list"], cfg["K"]
 
     rows = []
     for m in m_list:
@@ -228,9 +215,9 @@ def _exp_aak_extend(cfg, threads):
         rows.extend(_map_trials(one, trials, threads))
     # recovery ratio trend on a few symbols: one extension chain per symbol, read after each step
     recovery = []
-    for t in range(cfg.get("recovery_trials", 3)):
+    for t in range(cfg["recovery_trials"]):
         rng = trial_rng(seed + 999, t)
-        H = hankel.hankel_operator_1d(hankel.random_symbol(cfg.get("recovery_degree", 6), rng))
+        H = hankel.hankel_operator_1d(hankel.random_symbol(cfg["recovery_degree"], rng))
         seq = np.asarray(H.sequence, dtype=complex)
         base = gamma = H.sequence_norm()
         for K in range(k_steps + 1):
@@ -247,8 +234,7 @@ def _exp_aak_extend(cfg, threads):
 
 
 def _exp_carleson(cfg, threads):
-    seed = cfg["seed"]
-    n_list = cfg.get("n_list", [0, 1, 2, 3, 4])
+    seed, n_list = cfg["seed"], cfg["n_list"]
     rows = []
     for n in n_list:
         grid = Grid(n + 3, 2)
@@ -278,7 +264,7 @@ def _exp_carleson(cfg, threads):
     return rows, summary, ["exact", "heuristic_lower_bound"]
 
 
-def _journe_staircase_family(seed: int):
+def _journe_staircase_family():
     """Deterministic staircase instances: interior anchored chains and their
     subchains, each damped inside the full unit square."""
     chain = journe.carleson_rectangles(2)
@@ -293,15 +279,13 @@ def _journe_staircase_family(seed: int):
 
 
 def _exp_journe(cfg, threads):
-    seed = cfg["seed"]
-    n = cfg.get("n", 2)
-    eps = cfg.get("eps", 0.5)
+    seed, n, eps = cfg["seed"], cfg["n"], cfg["eps"]
     grid = Grid(n + 3, 2)
     U = np.ones(grid.shape, dtype=bool)
     V = journe.enlarged_set(U, grid)
     rows = []
     rng = trial_rng(seed, 0)
-    for name, members in _journe_staircase_family(seed):
+    for name, members in _journe_staircase_family():
         f = Signal(grid, np.zeros(grid.shape, dtype=complex))
         for r in members:
             sign = float(rng.integers(0, 2) * 2 - 1)
@@ -333,8 +317,7 @@ def _exp_journe(cfg, threads):
 
 
 def _exp_lower_bound(cfg, threads):
-    seed = cfg["seed"]
-    depth = cfg.get("grid_depth", 6)
+    seed, depth = cfg["seed"], cfg["grid_depth"]
     grid = Grid(depth, 2)
     fam = transforms.build_meyer_family(Grid(depth, 1))
     rng = trial_rng(seed, 0)
@@ -346,8 +329,7 @@ def _exp_lower_bound(cfg, threads):
     coll = RectangleCollection(members, grid)
     b = Signal(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     rep = journe.lower_bound_experiment(b, coll, fam,
-                                        eta_J=cfg.get("eta_J", 0.01),
-                                        eta_minus1=cfg.get("eta_minus1", 0.01))
+                                        eta_J=cfg["eta_J"], eta_minus1=cfg["eta_minus1"])
     keys = ["normalization_scale", "shadow_measure", "coefficient_mass",
             "H_b_alpha", "P_plus_alpha_sq", "alpha_sq_mean_removed", "alpha_4_sq",
             "alpha_2", "symmetry_ratio", "symmetry_reference",
@@ -362,133 +344,146 @@ def _exp_lower_bound(cfg, threads):
     return rows, summary, ["exact"]
 
 
-CATALOG = {
-    "nehari1d": {
-        "fn": _exp_nehari1d,
-        "description": "Hankel operator norm vs dyadic BMO of the analytic symbol part, over random truncated symbols",
-    },
-    "nehari2d": {
-        "fn": _exp_nehari2d,
-        "description": "little Hankel norm on the bidisc vs exact product BMO of the analytic part at small depth",
-    },
-    "para-bound": {
-        "fn": _exp_para_bound,
-        "description": "operator norm of the Haar paraproduct against the dyadic BMO norm of its symbol, across grid depths",
-    },
-    "commutator-decomp": {
-        "fn": _exp_commutator_decomp,
-        "description": "exact reconstruction of [M_b, G_left] from its labeled paraproduct pieces",
-    },
-    "petermichl": {
-        "fn": _exp_petermichl,
-        "description": "translation-dilation average of the dyadic shift fitted against the Hilbert transform",
-    },
-    "aak-extend": {
-        "fn": _exp_aak_extend,
-        "description": "norm-preserving one-step Hankel extension and bounded-symbol recovery ratios",
-    },
-    "carleson": {
-        "fn": _exp_carleson,
-        "description": "product/rectangular BMO separation along the corner staircase family",
-    },
-    "journe": {
-        "fn": _exp_journe,
-        "description": "embeddedness-damped projections: damped product BMO stays comparable to rectangular BMO",
-    },
-    "lower-bound": {
-        "fn": _exp_lower_bound,
-        "description": "alpha/beta/gamma decomposition of a symbol and the Hankel lower-bound norm chain",
-    },
-}
-
-
-def list_experiments() -> dict:
-    return {name: entry["description"] for name, entry in sorted(CATALOG.items())}
-
-
-def validate_config(cfg: dict) -> dict:
-    if "experiment" not in cfg:
-        raise ConfigError("config needs an 'experiment' field")
-    name = cfg["experiment"]
-    if name not in CATALOG:
-        raise ConfigError(
-            f"unknown experiment {name!r}; catalog: {sorted(CATALOG)}")
-    out = dict(cfg)
-    out.setdefault("seed", 0)
-    if not _is_int(out["seed"]) or out["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    for key, (low, high) in _INT_FIELDS.get(name, {}).items():
-        listed = key.endswith("_list")
-        values = out.get(key, [low]) if listed else [out.get(key, low)]
-        if not (isinstance(values, list) and values and all(
-                _is_int(v) and v >= low and (high is None or v <= high) for v in values)):
-            kind = "a non-empty list of integers" if listed else "an integer"
-            bound = f">= {low}" if high is None else f"in {low}..{high}"
-            raise ConfigError(f"{key} must be {kind} {bound}, got {out[key]!r}")
-    for key, (low, closed, high) in _REAL_FIELDS.get(name, {}).items():
-        v = out.get(key)
-        if key in out and not (_is_real(v) and (v >= low if closed else v > low) and v <= high):
-            raise ConfigError(f"{key} must be a real number {'>=' if closed else '>'} {low}"
-                              f"{f' and <= {high}' if high < math.inf else ''}, got {v!r}")
-    if name == "petermichl" and out.get("y_measure", "uniform") not in ("uniform", "log"):
-        raise ConfigError(f"y_measure must be 'uniform' or 'log', got {out['y_measure']!r}")
-    n = out.get("n")
-    m = out.get("M")
-    # nehari2d's n is the product-BMO depth, not the grid depth
-    if name != "nehari2d" and n is not None and m is not None:
-        if not (_is_int(n) and _is_int(m) and n >= 0 and m >= 1):
-            raise ConfigError(f"n and M must be integers, n >= 0, M >= 1, got n={n!r}, M={m!r}")
-        if n < (4 * m - 1).bit_length():  # 2^n < 4M, without building 2^n
-            raise ConfigError(f"need 2^n >= 4*M, got n={n}, M={m}")
-    if name == "nehari2d":
-        finest = hankel.symbol_grid_depth(out.get("M", 4)) - 1
-        if out.get("n", 2) > finest:
-            raise ConfigError(f"n must be <= {finest}, the finest Haar scale of the grid of M")
-    return out
-
-
-# (lowest, highest or None) of each integer field; a key ending in _list
-# holds a list.  Lower bounds are what the code needs: a constant symbol
-# (M = 1) has zero BMO but not zero Hankel norm, petermichl also runs
-# steps // 2, journe's staircase has sides 2^-4 on its grid n + 3, and
-# lower-bound's collection needs Meyer scale 2.  Caps bound work growing as
-# N^2 or faster: an M x M SVD (nehari1d M <= 512), an M^2 x M^2 SVD and
-# M^4-point products per trial (nehari2d M <= 32: 2 trials take 1.9 s and
-# 80 MiB; M = 64 is a 4096^2 SVD per trial), a 2^n x 2^n SVD
-# (para-bound n <= 10), eight 2^n x 2^n pieces (commutator-decomp n <= 9),
-# steps^2 nodes of about s 2^n cells per window scale (petermichl
-# steps <= 128, n <= 12: 2.4 ms a node at n = 12 on one core), exact
-# product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
-# depth n (nehari2d n <= 5, and below the finest scale of M's grid).
-_INT_FIELDS = {
-    "aak-extend": {"trials": (1, None), "K": (0, None), "recovery_trials": (0, None),
-                   "recovery_degree": (1, None), "M_list": (1, None)},
-    "nehari1d": {"trials": (1, None), "M": (2, 512), "M_list": (2, 512), "trend_trials": (1, None)},
-    "nehari2d": {"trials": (1, None), "M": (2, 32), "n": (1, 5)},
-    "para-bound": {"trials": (1, None), "n_list": (1, 10)},
-    "commutator-decomp": {"trials": (1, None), "n": (1, 9)},
-    "petermichl": {"n": (3, 12), "steps": (2, 128)},
-    "carleson": {"n_list": (0, 6)},
-    "journe": {"n": (2, 5)},
-    "lower-bound": {"grid_depth": (6, None)},
-}
-
-
-# (lowest, whether the lowest itself is allowed, highest) of each real field.
-# A petermichl node costs ~ n + log2(pad ~ Y) scales: Y <= 1024 is <= 1.2x Y = 8.
-_REAL_FIELDS = {
-    "petermichl": {"Y": (0.0, False, 1024.0), "bump_width": (0.0, False, math.inf)},
-    "journe": {"eps": (0.0, True, math.inf)},
-    "lower-bound": {"eta_J": (0.0, True, math.inf), "eta_minus1": (0.0, True, math.inf)},
-}
+class Field(NamedTuple):
+    default: object
+    ok: Callable[[object], bool]
+    kind: str  # the values ok accepts, for error messages and `dyadiclab list`
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+def _int(default, low: int, high: int | None = None, listed: bool = False) -> Field:
+    """An integer in low..high (no cap when high is None); listed: a non-empty list of them."""
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def one(v):
+        return _is_int(v) and v >= low and (high is None or v <= high)
+    if listed:
+        return Field(default, lambda v: isinstance(v, list) and bool(v) and all(map(one, v)),
+                     f"a non-empty list of integers {bound}")
+    return Field(default, one, f"an integer {bound}")
+
+
+def _real(default, low: float, high: float = math.inf, open_low: bool = False) -> Field:
+    """A finite real number >= low (> low when open_low) and <= high."""
+    def ok(v):
+        return (isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+                and (v > low if open_low else v >= low) and v <= high)
+    return Field(default, ok, f"a real number {'>' if open_low else '>='} {low}"
+                              f"{f' and <= {high}' if high < math.inf else ''}")
+
+
+# Each experiment's fields besides seed, with their defaults and ranges.
+# Lower bounds are what the code needs: a constant symbol (M = 1) has zero
+# BMO but not zero Hankel norm, petermichl also runs steps // 2, journe's
+# staircase has sides 2^-4 on its grid n + 3, and lower-bound's collection
+# needs Meyer scale 2.  Trial counts cost linear time and stay uncapped.
+# Caps bound work growing as N^2 or faster (one core, one BLAS thread): an
+# M x M SVD (nehari1d M <= 512), an M^2 x M^2 SVD and M^4-point products per
+# trial (nehari2d M <= 32: 2 trials take 1.9 s and 80 MiB; M = 64 is a 4096^2
+# SVD per trial), a 2^n x 2^n SVD (para-bound n <= 10), eight 2^n x 2^n
+# pieces (commutator-decomp n <= 9), steps^2 nodes of about s 2^n cells per
+# window scale (petermichl steps <= 128, n <= 12: 2.4 ms a node at n = 12;
+# a node costs ~ n + log2(pad ~ Y) scales, so Y <= 1024 is <= 1.2x Y = 8),
+# exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
+# depth n (nehari2d n <= 5, and below the finest scale of M's grid), the
+# Meyer decomposition on a 4^depth grid, x13 a step (lower-bound grid_depth
+# <= 9: 0.05 / 0.15 / 1.4 / 19.5 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
+# (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:
+# 9.8 s and 186 MiB; K = 128 steps: 0.63 s).
+CATALOG = {
+    "nehari1d": {
+        "fn": _exp_nehari1d,
+        "description": "Hankel operator norm vs dyadic BMO of the analytic symbol part, over random truncated symbols",
+        "fields": {"trials": _int(100, 1), "M": _int(32, 2, 512),
+                   "M_list": _int([8, 16, 32], 2, 512, listed=True), "trend_trials": _int(40, 1)},
+    },
+    "nehari2d": {
+        "fn": _exp_nehari2d,
+        "description": "little Hankel norm on the bidisc vs exact product BMO of the analytic part at small depth",
+        "fields": {"trials": _int(30, 1), "M": _int(4, 2, 32), "n": _int(2, 1, 5)},
+    },
+    "para-bound": {
+        "fn": _exp_para_bound,
+        "description": "operator norm of the Haar paraproduct against the dyadic BMO norm of its symbol, across grid depths",
+        "fields": {"trials": _int(5, 1), "n_list": _int([4, 5, 6, 7, 8], 1, 10, listed=True)},
+    },
+    "commutator-decomp": {
+        "fn": _exp_commutator_decomp,
+        "description": "exact reconstruction of [M_b, G_left] from its labeled paraproduct pieces",
+        "fields": {"trials": _int(50, 1), "n": _int(6, 1, 9)},
+    },
+    "petermichl": {
+        "fn": _exp_petermichl,
+        "description": "translation-dilation average of the dyadic shift fitted against the Hilbert transform",
+        "fields": {"n": _int(10, 3, 12), "Y": _real(8.0, 0.0, 1024.0, open_low=True),
+                   "steps": _int(64, 2, 128), "bump_width": _real(0.08, 0.0, open_low=True),
+                   "y_measure": Field("uniform", lambda v: v in ("uniform", "log"), "'uniform' or 'log'")},
+    },
+    "aak-extend": {
+        "fn": _exp_aak_extend,
+        "description": "norm-preserving one-step Hankel extension and bounded-symbol recovery ratios",
+        "fields": {"trials": _int(5, 1), "M_list": _int([4, 16, 64], 1, 512, listed=True),
+                   "K": _int(4, 0, 128), "recovery_trials": _int(3, 0),
+                   "recovery_degree": _int(6, 1, 512)},
+    },
+    "carleson": {
+        "fn": _exp_carleson,
+        "description": "product/rectangular BMO separation along the corner staircase family",
+        "fields": {"n_list": _int([0, 1, 2, 3, 4], 0, 6, listed=True)},
+    },
+    "journe": {
+        "fn": _exp_journe,
+        "description": "embeddedness-damped projections: damped product BMO stays comparable to rectangular BMO",
+        "fields": {"n": _int(2, 2, 5), "eps": _real(0.5, 0.0)},
+    },
+    "lower-bound": {
+        "fn": _exp_lower_bound,
+        "description": "alpha/beta/gamma decomposition of a symbol and the Hankel lower-bound norm chain",
+        "fields": {"grid_depth": _int(6, 6, 9), "eta_J": _real(0.01, 0.0),
+                   "eta_minus1": _real(0.01, 0.0)},
+    },
+}
+
+
+def _fields(name: str) -> dict:
+    """The named experiment's fields: seed, which every experiment has (below 2^63,
+    so that each stream key seed + offset fits in 64 bits), then its own."""
+    return {"seed": _int(0, 0, 2**63 - 1), **CATALOG[name]["fields"]}
+
+
+def list_experiments() -> dict:
+    """Each experiment's description, then its fields with their defaults and ranges."""
+    return {name: entry["description"] + "; fields: " + ", ".join(
+                f"{key}={json.dumps(f.default)} ({f.kind})" for key, f in _fields(name).items())
+            for name, entry in sorted(CATALOG.items())}
+
+
+def validate_config(cfg: dict) -> dict:
+    """The config with its experiment's defaults filled in.  Raises ConfigError
+    on a field the experiment does not have, a value outside its field's type
+    and range, and a nehari2d depth n finer than the grid of its M resolves."""
+    if not isinstance(cfg, dict) or "experiment" not in cfg:
+        raise ConfigError("config needs to be a JSON object with an 'experiment' field")
+    name = cfg["experiment"]
+    if not isinstance(name, str) or name not in CATALOG:
+        raise ConfigError(f"unknown experiment {name!r}; catalog: {sorted(CATALOG)}")
+    fields = _fields(name)
+    unknown = [key for key in cfg if key != "experiment" and key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} for {name}; its fields: {list(fields)}")
+    out = {**{key: f.default for key, f in fields.items()}, **cfg}
+    for key, f in fields.items():
+        if not f.ok(out[key]):
+            raise ConfigError(f"{key} must be {f.kind}, got {out[key]!r}")
+    # nehari2d's n is the product-BMO depth, not the grid depth
+    if name == "nehari2d":
+        finest = hankel.symbol_grid_depth(out["M"]) - 1
+        if out["n"] > finest:
+            raise ConfigError(f"n must be <= {finest}, the finest Haar scale of the grid of M")
+    return out
 
 
 def _canonical_json(obj) -> str:
@@ -498,15 +493,19 @@ def _canonical_json(obj) -> str:
 def run(cfg: dict, out_dir, threads: int = 1) -> dict:
     """Execute the named experiment; writes manifest.json, rows.csv and
     run_info.json into out_dir and returns the manifest."""
-    cfg = validate_config(cfg)
-    name = cfg["experiment"]
+    full = validate_config(cfg)
+    # the pool starts up to one OS thread per trial; 64 is far above the cores a run can use
+    if not (_is_int(threads) and 1 <= threads <= 64):
+        raise ConfigError(f"threads must be an integer in 1..64, got {threads!r}")
+    name = full["experiment"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    rows, summary, flags = CATALOG[name]["fn"](cfg, threads)
+    rows, summary, flags = CATALOG[name]["fn"](full, threads)
     manifest = {
         "experiment": name,
-        "config": {k: v for k, v in sorted(cfg.items())},
+        # the fields the caller gave, and the seed; the defaults are not echoed
+        "config": {k: full[k] for k in sorted({*cfg, "seed"})},
         "code_version": __version__,
         "rows_file": "rows.csv",
         "row_count": len(rows),

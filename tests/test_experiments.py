@@ -29,10 +29,15 @@ def test_validate_config():
         ex.validate_config({})
     with pytest.raises(ex.ConfigError, match="catalog"):
         ex.validate_config({"experiment": "bogus"})
-    with pytest.raises(ex.ConfigError, match="4\\*M"):
+    # nehari1d has no n; the 2^n >= 4M rule that once caught this read no field of any experiment
+    with pytest.raises(ex.ConfigError, match="unknown field"):
         ex.validate_config({"experiment": "nehari1d", "n": 3, "M": 8})
+    for not_an_object in ([{"experiment": "nehari1d"}], "nehari1d", 5):
+        with pytest.raises(ex.ConfigError, match="JSON object"):
+            ex.validate_config(not_an_object)
     cfg = ex.validate_config({"experiment": "nehari1d"})
-    assert cfg["seed"] == 0
+    assert cfg == {"experiment": "nehari1d", "seed": 0, "trials": 100, "M": 32,
+                   "M_list": [8, 16, 32], "trend_trials": 40}
     for bad in ({"experiment": "petermichl", "bump_width": 0},
                 {"experiment": "petermichl", "Y": True},
                 {"experiment": "journe", "eps": -0.5},
@@ -40,6 +45,7 @@ def test_validate_config():
                 {"experiment": "lower-bound", "eta_J": -1},
                 {"experiment": "lower-bound", "eta_minus1": "0.01"},
                 {"experiment": "nehari1d", "n": 6, "M": 8.0},
+                {"experiment": "nehari1d", "M": 8.0},
                 {"experiment": "nehari1d", "n": True, "M": 8}):
         with pytest.raises(ex.ConfigError):
             ex.validate_config(bad)
@@ -92,13 +98,25 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "petermichl", "Y": -1, "n": 3, "steps": 2},
     {"experiment": "petermichl", "Y": 1e9, "n": 3, "steps": 2},
     {"experiment": "nehari2d", "M": 33},
+    {"experiment": "nehari1d", "trails": 5},
+    {"experiment": "petermichl", "bogus_field": 1},
+    {"experiment": "lower-bound", "grid_depth": 10},
+    {"experiment": "aak-extend", "M_list": [4, 513]},
+    {"experiment": "aak-extend", "recovery_degree": 513},
+    {"experiment": "aak-extend", "K": 129},
+    5,
+    {"experiment": ["nehari1d"]},
+    {"experiment": "commutator-decomp", "n": 3, "trials": 1, "seed": 2**64},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
         "nehari2d_M1_constant", "para_bound_trials0", "petermichl_steps1",
         "commutator_decomp_trials0", "nehari1d_trials0", "journe_n_str", "para_bound_n0",
         "petermichl_y_measure_bogus", "nehari1d_n_str_in_grid_rule", "journe_eps_str",
-        "petermichl_Y_negative", "petermichl_Y_unbounded", "nehari2d_M33"])
+        "petermichl_Y_negative", "petermichl_Y_unbounded", "nehari2d_M33",
+        "nehari1d_unknown_field", "petermichl_unknown_field", "lower_bound_grid_depth10",
+        "aak_extend_M513", "aak_extend_recovery_degree513", "aak_extend_K129",
+        "config_not_an_object", "experiment_not_a_string", "seed_beyond_64_bits"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))
@@ -115,10 +133,55 @@ def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "nehari2d", "n": 4, "M": 8, "trials": 2},
 ], ids=["default_written_out", "depth3", "depth4_on_the_grid_of_M8"])
 def test_nehari2d_accepts_its_depth(tmp_path, cfg):
-    # n is the product-BMO depth here, so the grid rule 2^n >= 4M does not apply
+    # n is the product-BMO depth, below the finest Haar scale of the grid of M
     m = ex.run(cfg, tmp_path, threads=1)
     assert m["summary"]["bmo_depth"] == cfg["n"]
     assert m["summary"]["ratio_min"] > 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "65"])
+def test_bad_thread_count_exits_1_with_error_json(tmp_path, threads):
+    # one trial: even a wrong check starts at most one worker
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "commutator-decomp", "n": 3, "trials": 1}))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res"),
+                   "--threads", threads])
+    assert rc == 1
+    err = json.loads((tmp_path / "res" / "error.json").read_text())
+    assert err["error"] == "config_invalid" and "threads" in err["message"]
+    assert not (tmp_path / "res" / "manifest.json").exists()
+    for bad in (True, 2.0):
+        with pytest.raises(ex.ConfigError, match="threads"):
+            ex.run({"experiment": "commutator-decomp", "n": 3, "trials": 1}, tmp_path / "api",
+                   threads=bad)
+
+
+class _ReadKeys(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name, small", [
+    ("nehari1d", {"trials": 1, "M": 4, "M_list": [4], "trend_trials": 1}),
+    ("nehari2d", {"trials": 1}),
+    ("para-bound", {"trials": 1, "n_list": [3]}),
+    ("commutator-decomp", {"trials": 1, "n": 3}),
+    ("petermichl", {"n": 3, "steps": 2}),
+    ("aak-extend", {"trials": 1, "M_list": [2], "K": 1, "recovery_trials": 1, "recovery_degree": 2}),
+    ("carleson", {"n_list": [0]}),
+    ("journe", {}),
+    ("lower-bound", {}),
+])
+def test_each_experiment_reads_exactly_its_fields(name, small):
+    # seed is every experiment's field; petermichl draws nothing at random
+    cfg = _ReadKeys(ex.validate_config({"experiment": name, **small}))
+    ex.CATALOG[name]["fn"](cfg, 1)
+    assert set(ex.CATALOG[name]["fields"]) <= cfg.read <= {"seed", *ex.CATALOG[name]["fields"]}
 
 
 def test_carleson_builds_each_coefficient_book_once(tmp_path, monkeypatch):
@@ -160,7 +223,9 @@ def test_carleson_runs_one_min_cut_per_depth(tmp_path, monkeypatch):
 
 def test_lower_bound_default_depth_runs(tmp_path):
     m = ex.run({"experiment": "lower-bound"}, tmp_path, threads=1)
-    assert m["config"]["seed"] == 0 and m["summary"]["cauchy_schwarz_ok"]
+    assert m["summary"]["cauchy_schwarz_ok"]
+    # the manifest echoes the fields given, and the seed, not the filled-in defaults
+    assert m["config"] == {"experiment": "lower-bound", "seed": 0}
 
 
 def test_trial_rng_streams_are_stable():
@@ -230,9 +295,13 @@ def test_aak_extend_runs_one_recovery_chain_per_symbol(monkeypatch):
 
 def test_cli_list_and_run(tmp_path, capsys):
     assert cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in EXPECTED_NAMES:
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    # what comes before the first colon is the name alone
+    assert {line.split(":")[0] for line in lines} == EXPECTED_NAMES
+    for line in lines:
+        name = line.split(":")[0]
+        for field in ["seed", *ex.CATALOG[name]["fields"]]:
+            assert f" {field}=" in line, (name, field)
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "commutator-decomp", "n": 4,
@@ -264,6 +333,12 @@ def test_cli_seed_override(tmp_path):
     assert rc == 0
     man = json.loads((tmp_path / "r1" / "manifest.json").read_text())
     assert man["config"]["seed"] == 99
+    # a config that is not a JSON object takes no seed and is an invalid config
+    cfg_path.write_text(json.dumps([{"experiment": "commutator-decomp"}]))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r2"),
+                   "--seed", "99"])
+    assert rc == 1
+    assert json.loads((tmp_path / "r2" / "error.json").read_text())["error"] == "config_invalid"
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
