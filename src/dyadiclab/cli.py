@@ -53,6 +53,10 @@ def main(argv=None) -> int:
         _write_error(out_dir, "config_invalid", str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the output directory cannot be made or written (--out names a file)
+        _write_error(out_dir, "output", str(exc))
+        print(f"error: cannot write results: {exc}", file=sys.stderr)
+        return 1
     except AssertionError as exc:
         _write_error(out_dir, "experiment_assertion", str(exc))
         print(f"experiment assertion failed: {exc}", file=sys.stderr)

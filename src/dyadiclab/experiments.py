@@ -388,7 +388,8 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # window scale (petermichl steps <= 128, n <= 12: 2.4 ms a node at n = 12;
 # a node costs ~ n + log2(pad ~ Y) scales, so Y <= 1024 is <= 1.2x Y = 8),
 # exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
-# depth n (nehari2d n <= 5, and below the finest scale of M's grid), the
+# depth n (nehari2d n <= 6, and below the finest scale of M's grid: one
+# trial at M = 32, n = 6 takes 1.6 s and 73 MiB, 0.1 s of it product BMO), the
 # Meyer decomposition on a 4^depth grid, x13 a step (lower-bound grid_depth
 # <= 9: 0.05 / 0.15 / 1.4 / 19.5 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
 # (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:
@@ -403,7 +404,7 @@ CATALOG = {
     "nehari2d": {
         "fn": _exp_nehari2d,
         "description": "little Hankel norm on the bidisc vs exact product BMO of the analytic part at small depth",
-        "fields": {"trials": _int(30, 1), "M": _int(4, 2, 32), "n": _int(2, 1, 5)},
+        "fields": {"trials": _int(30, 1), "M": _int(4, 2, 32), "n": _int(2, 1, 6)},
     },
     "para-bound": {
         "fn": _exp_para_bound,

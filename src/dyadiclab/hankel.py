@@ -343,11 +343,14 @@ class TruncationError(RuntimeError):
 def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
                  grid: Grid | None = None, product_depth: int = 2) -> dict:
     """Computes ||H_b|| and the requested BMO norm of the analytic part of b,
-    plus their ratio.  The report records both conventions in play.  In 2-D
-    a product_depth beyond the grid's finest Haar scale raises ValueError."""
+    plus their ratio.  The report records both conventions in play, and in
+    2-D the product-BMO solver's number of cuts.  In 2-D a product_depth
+    beyond the grid's finest Haar scale raises ValueError."""
     rep = nehari_ratios(b.coeffs[None], bmo_variant, grid, product_depth)
     for key in ("hankel_norm", "bmo_value", "ratio"):
         rep[key] = float(rep[key][0])
+    if "cuts" in rep:
+        rep["cuts"] = int(rep["cuts"][0])
     return rep
 
 
@@ -358,10 +361,13 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
 
     The symbols go in chunks of at most _BATCH_POINTS grid points of
     products: per chunk one inverse FFT gives the samples, `_hankel_stack` the
-    Hankel matrices, one stacked SVD their norms, and in 1-D one Haar
-    pyramid with the symbols as its trailing axis the dyadic BMO.  Product
-    BMO is one minimum-cut search per symbol.  Raises TruncationError if a
-    symbol has BMO 0 but a nonzero Hankel norm.
+    Hankel matrices, one stacked SVD their norms, and one Haar pyramid with
+    the symbols as its trailing axis the BMO masses.  In 1-D those give the
+    dyadic BMO.  In 2-D every symbol has the same Haar rectangles (a
+    negligible one gets mass 0), so the minimum-cut set-up of
+    `norms._max_union_ratio` is built once for the stack, and each symbol
+    runs only its start and its cuts; "cuts" holds their number per symbol.
+    Raises TruncationError if a symbol has BMO 0 but a nonzero Hankel norm.
     """
     from . import norms as _norms
 
@@ -375,7 +381,8 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
     if d == 2 and product_depth > g.depth - 1:
         raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
                          f"{g.depth - 1} of the depth-{g.depth} grid")
-    hankel_norm, bmo_val = np.empty(T), np.empty(T)
+    hankel_norm, bmo_val, cuts = np.empty(T), np.empty(T), np.zeros(T, dtype=int)
+    boxes = None
     step = max(1, _BATCH_POINTS // (M * g.n_points) ** d)
     for lo in range(0, T, step):
         chunk = slice(lo, lo + step)
@@ -386,13 +393,18 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
         elif bmo_variant == "dyadic_shift":
             bmo_val[chunk] = [_norms.bmo_dyadic_shift_average(Signal(g, s)) for s in samples]
         else:
-            bmo_val[chunk] = [_norms.bmo_product(Signal(g, s), mode="exact",
-                                                 depth=product_depth).value for s in samples]
+            book = _norms._haar_book(np.moveaxis(samples, 0, -1), product_depth, significant=True)
+            if boxes is None:
+                boxes = _norms._Boxes(book, product_depth)
+            for t, mass in enumerate(book.mass, lo):
+                value, _, cuts[t], _ = _norms._max_union_ratio(book._replace(mass=mass),
+                                                               product_depth, boxes)
+                bmo_val[t] = np.sqrt(value)
     bad = np.flatnonzero((bmo_val == 0.0) & (hankel_norm > 1e-12))
     if bad.size:
         raise TruncationError(f"symbol {bad[0]}: BMO value 0 with nonzero Hankel norm: "
                               "inconsistent truncation")
-    return {
+    rep = {
         "hankel_norm": hankel_norm,
         "bmo_value": bmo_val,
         "ratio": np.divide(hankel_norm, bmo_val, out=np.full(T, np.nan), where=bmo_val > 0),
@@ -400,3 +412,6 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
         "degree": M,
         "projection": "analytic (k >= 0, Hardy with DC)",
     }
+    if d == 2:
+        rep["cuts"] = cuts
+    return rep

@@ -11,22 +11,26 @@ has one exact solver: fine-to-coarse accumulation for the first two, the
 same rectangular accumulation restricted to one shared side for the d-1
 norm (a closed form), and for product BMO minimum cuts between the book's
 rectangles and the boxes their sides cut out, with Dinkelbach's ratio
-iteration, whose last cut certifies the value.  Product BMO's heuristic
-mode runs that same solver and labels its value a lower bound.  A book
-rectangle outside [0,1)^2 raises ValueError.
+iteration, whose last cut certifies the value; the iteration starts from
+the members of the densest dyadic rectangle when they beat the union of
+all rectangles.  Product BMO's heuristic mode runs that same solver and
+labels its value a lower bound.  The solvers read coefficient books as
+arrays of scales, positions and masses (`_Book`); a dict book is converted
+once, and a book rectangle outside [0,1)^2 raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import (
     DyadicInterval,
     DyadicRectangle,
-    Grid,
     RectangleCollection,
+    ResolutionError,
     Signal,
 )
 from . import transforms
@@ -177,19 +181,28 @@ def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
 # wavelet coefficient books for d = 2
 
 
+def _haar_coefficients(values: np.ndarray, depth: int | None) -> tuple:
+    """(p1, j1, p2, j2, c): every Haar rectangle I(p1, j1) x I(p2, j2) of
+    sides >= 2^-depth of the grid of `values` (axes 0 and 1; trailing axes:
+    a stack of signals), in `haar_analysis` order (scale pairs p1, then p2
+    descending, positions row-major), and its coefficients (leading axis:
+    the rectangles); no DyadicRectangle is built."""
+    ww = transforms._haar_pyramid_2d(values, values.shape[0].bit_length() - 1)[0]
+    pairs = [(p1, p2) for p1, p2 in ww if depth is None or max(p1, p2) <= depth]
+    sizes = [1 << (p1 + p2) for p1, p2 in pairs]
+    p1, p2 = (np.repeat([pair[axis] for pair in pairs], sizes) for axis in (0, 1))
+    at = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # row-major in its pair
+    coef = np.concatenate([ww[pair].reshape((-1,) + values.shape[2:]) for pair in pairs])
+    return p1, at >> p2, p2, at & ((1 << p2) - 1), coef
+
+
 def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:
     """Map DyadicRectangle -> <b, h_R> for the wavelet rectangles resolvable
     on the grid whose coefficient is not exactly zero, optionally truncated
     to sides >= 2^-depth.  A missing rectangle has coefficient 0."""
-    coeffs = transforms.haar_analysis(b)
-    book = {}
-    for (p1, p2), arr in coeffs.ww.items():
-        if depth is not None and (p1 > depth or p2 > depth):
-            continue
-        for j1, j2 in zip(*np.nonzero(arr)):
-            r = DyadicRectangle((DyadicInterval(-p1, int(j1)), DyadicInterval(-p2, int(j2))))
-            book[r] = complex(arr[j1, j2])
-    return book
+    *sides, coef = _haar_coefficients(b.values, depth)
+    keep = coef != 0
+    return {_rectangle(*k): complex(c) for *k, c in zip(*(a[keep] for a in sides), coef[keep])}
 
 
 def _meyer_coefficient_book(b: Signal, meyer, depth: int | None, kind: str = "w") -> dict:
@@ -214,52 +227,117 @@ def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | N
     raise ValueError("family must be 'haar' or 'meyer'")
 
 
+class _Book(NamedTuple):
+    """A coefficient book as parallel arrays in book order: rectangle k is
+    I(p1[k], j1[k]) x I(p2[k], j2[k]), where I(p, j) = [j 2^-p, (j+1) 2^-p),
+    and mass[..., k] is its |c|^2 (leading axes: books on the same rectangles)."""
+
+    p1: np.ndarray
+    j1: np.ndarray
+    p2: np.ndarray
+    j2: np.ndarray
+    mass: np.ndarray
+
+    def select(self, keep) -> "_Book":
+        return _Book(*(a[..., keep] for a in self))
+
+
+def _masses(coef: np.ndarray, significant: bool) -> np.ndarray:
+    """|c|^2 of each coefficient, rounded as Python's abs(c) ** 2: hypot, then
+    pow (np.abs and np.square each differ from those in the last bit on some
+    entries).  With `significant`, 0 wherever |c| is at most 1e-12 of the
+    largest |c| along the last axis, or of 1.0 if that is larger."""
+    size = np.hypot(coef.real, coef.imag)
+    if significant:
+        tol = 1e-12 * np.maximum(size.max(axis=-1, keepdims=True, initial=0.0), 1.0)
+        size = np.where(size > tol, size, 0.0)
+    return np.float_power(size, 2.0)
+
+
+def _haar_book(values: np.ndarray, depth: int | None, significant: bool = False) -> _Book:
+    """`_haar_coefficients` as a book of masses, 0 where the coefficient is 0."""
+    *sides, coef = _haar_coefficients(values, depth)
+    return _Book(*sides, _masses(np.moveaxis(coef, 0, -1), significant))
+
+
+def _array_book(book: dict, significant: bool = False) -> _Book:
+    """A dict book (DyadicRectangle -> coefficient) as arrays, keeping its
+    nonzero masses (with `significant`, those above 1e-12 of the largest).
+    ValueError unless every rectangle, kept or not, lies in [0,1)^2."""
+    if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
+        raise ValueError("book rectangles must lie in [0,1)^2")
+    sides = np.array([(-iv.scale_exponent, iv.position) for r in book for iv in r.coordinates],
+                     dtype=np.int64).reshape(-1, 2, 2)
+    mass = _masses(np.array(list(book.values()), dtype=complex), significant)
+    keep = mass > 0
+    return _Book(*sides[keep].reshape(-1, 4).T, mass[keep])
+
+
+def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None,
+             significant: bool) -> _Book:
+    """The array book of b (or of the dict `book` when given) by `_haar_book`
+    or `_array_book`, only its nonzero masses."""
+    if book is None and family == "haar":
+        full = _haar_book(b.values, depth, significant)
+        return full.select(full.mass > 0)
+    return _array_book(coefficient_book(b, family, meyer, depth) if book is None else book,
+                       significant)
+
+
+def _rectangle(q1: int, t1: int, q2: int, t2: int) -> DyadicRectangle:
+    return DyadicRectangle((DyadicInterval(-int(q1), int(t1)), DyadicInterval(-int(q2), int(t2))))
+
+
+def _inside(book: _Book, target: tuple) -> np.ndarray:
+    """Which book rectangles lie inside the rectangle (q1, t1, q2, t2)."""
+    q1, t1, q2, t2 = target
+    return ((book.p1 >= q1) & (book.p2 >= q2)
+            & (book.j1 >> np.maximum(book.p1 - q1, 0) == t1)
+            & (book.j2 >> np.maximum(book.p2 - q2, 0) == t2))
+
+
 # ---------------------------------------------------------------------------
 # rectangular BMO
 
 
-def _check_unit_square(rects) -> None:
-    """ValueError unless every rectangle lies in [0,1)^2."""
-    if not all(iv.in_unit_torus() for r in rects for iv in r.coordinates):
-        raise ValueError("book rectangles must lie in [0,1)^2")
-
-
-def _densest_rectangle(pairs, n: int, shared: int | None = None) -> tuple[float, object]:
+def _densest_rectangle(book: _Book, n: int,
+                       shared: int | None = None) -> tuple[float, tuple | None]:
     """max over dyadic rectangles T with sides >= 2^-n of |T|^-1 times the
-    mass of the (rectangle, mass) pairs inside T, and the first T attaining
-    it (None when every mass is 0).  With `shared` an axis, only rectangles
-    whose side on that axis is T's own side count.
+    mass of the book rectangles inside T, and the first T attaining it as
+    (q1, t1, q2, t2), scales then positions ascending (None when every mass
+    is 0).  With `shared` an axis, only rectangles whose side on that axis is
+    T's own side count.
 
-    Masses go on the rectangle lattice, one array per scale pair, and each
-    target scale sums the blocks of every finer scale pair under it.
+    Masses go on the rectangle lattice, each axis in heap order (the
+    intervals of scale p on rows 2^p - 1 .. 2^(p+1) - 2, so the halves of
+    row i are rows 2i + 1 and 2i + 2), and two passes accumulate them, each
+    fine to coarse: along axis 0 each scale adds the sums of the row pairs
+    of the next finer one to its own masses, then along axis 1 the same with
+    columns.  That is O(n) array operations, and the block maxima of the
+    scale pairs pick T.
     """
-    sides = np.array([[(-iv.scale_exponent, iv.position) for iv in r.coordinates]
-                      for r, _ in pairs], dtype=np.int64).reshape(-1, 2, 2)
-    mass = {}
-    for ((p1, j1), (p2, j2)), (_, m) in zip(sides.tolist(), pairs):
-        if (p1, p2) not in mass:
-            mass[p1, p2] = np.zeros((1 << p1, 1 << p2))
-        mass[p1, p2][j1, j2] += m
-    best_val, best_rect = 0.0, None
-    for q1 in range(n + 1):
-        for q2 in range(n + 1):
-            # total mass inside each rectangle of scale (q1, q2)
-            tot = np.zeros((1 << q1, 1 << q2))
-            for (p1, p2), arr in mass.items():
-                if p1 < q1 or p2 < q2:
-                    continue
-                if shared is not None and (p1, p2)[shared] != (q1, q2)[shared]:
-                    continue
-                blk = arr.reshape(1 << q1, 1 << (p1 - q1), 1 << q2, 1 << (p2 - q2))
-                tot += blk.sum(axis=(1, 3))
-            tot *= 2.0 ** (q1 + q2)  # |T|^{-1}
-            j = np.unravel_index(int(np.argmax(tot)), tot.shape)
-            if tot[j] > best_val:
-                best_val = float(tot[j])
-                best_rect = DyadicRectangle(
-                    (DyadicInterval(-q1, int(j[0])), DyadicInterval(-q2, int(j[1])))
-                )
-    return best_val, best_rect
+    top = max(int(book.p1.max(initial=0)), int(book.p2.max(initial=0)))  # the finest book scale
+    n = min(n, top)  # a T finer than every book rectangle holds none
+    H = (2 << top) - 1
+    heap1, heap2 = (1 << book.p1) - 1 + book.j1, (1 << book.p2) - 1 + book.j2
+    acc = np.bincount(heap1 * H + heap2, weights=book.mass, minlength=H * H).reshape(H, H)
+    for axis in (0, 1):
+        if shared == axis:
+            continue
+        lattice = acc if axis == 0 else acc.T
+        for p in range(top - 1, -1, -1):  # rows of scale p: lo:hi; of scale p + 1: hi:2 hi + 1
+            lo, hi = (1 << p) - 1, (2 << p) - 1
+            lattice[lo:hi] += lattice[hi:2 * hi + 1:2] + lattice[hi + 1:2 * hi + 1:2]
+    starts = (1 << np.arange(n + 2)) - 1
+    rows = np.maximum.reduceat(acc[:starts[-1], :starts[-1]], starts[:-1], axis=0)
+    mass = np.maximum.reduceat(rows, starts[:-1], axis=1)  # the largest of each scale pair
+    density = mass * 2.0 ** np.add.outer(np.arange(n + 1), np.arange(n + 1))  # times |T|^{-1}
+    q1, q2 = divmod(int(np.argmax(density)), n + 1)
+    if not density[q1, q2] > 0.0:
+        return 0.0, None
+    block = acc[starts[q1]:starts[q1 + 1], starts[q2]:starts[q2 + 1]]
+    t1, t2 = divmod(int(np.argmax(block)), 1 << q2)
+    return float(density[q1, q2]), (q1, t1, q2, t2)
 
 
 def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
@@ -267,23 +345,13 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
     """Product-BMO quadratic form with U ranging over dyadic rectangles; exact."""
     if b.grid.dim != 2:
         raise ValueError("bmo_rect handles d = 2")
-    book = coefficient_book(b, family, meyer, depth) if book is None else book
-    _check_unit_square(book)
     n = b.grid.depth if depth is None else depth
-    best_val, best_rect = _densest_rectangle([(r, abs(c) ** 2) for r, c in book.items()], n)
-    return BmoReport(np.sqrt(best_val), best_rect, "exact", family)
+    best_val, best = _densest_rectangle(_book_of(b, family, meyer, depth, book, False), n)
+    return BmoReport(np.sqrt(best_val), None if best is None else _rectangle(*best), "exact", family)
 
 
 # ---------------------------------------------------------------------------
 # product BMO
-
-
-def _nonzero_masses(book: dict) -> list:
-    """(rectangle, |c|^2) for every coefficient above 1e-12 of the largest;
-    ValueError if any book rectangle, negligible or not, leaves [0,1)^2."""
-    _check_unit_square(book)
-    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    return [(r, abs(c) ** 2) for r, c in book.items() if abs(c) > tol]
 
 
 def _closure_source_side(supply: list, demand: list, boxes_of: list) -> list:
@@ -357,97 +425,140 @@ def _closure_source_side(supply: list, demand: list, boxes_of: list) -> list:
                     del feed[a][k]
 
 
-def _max_union_ratio(masses: list, depth: int) -> tuple[float, np.ndarray, int]:
-    """Exact sup over unions U of finest cells of |U|^-1 sum_{R inside U} m_R.
+class _Boxes:
+    """The minimum-cut set-up of a set of rectangles on the 2^depth x 2^depth
+    cells, shared by every book on those rectangles.
 
     The cut points of all rectangle sides split the square into boxes, and
-    each rectangle is the block of boxes lo0:hi0 x lo1:hi1.  For a fixed lam,
-    the best U maximises sum_{R inside U} m_R - lam |U|: a maximum-weight
-    closure (taking R forces its boxes), solved by one s-t minimum cut
-    (Picard 1976) of the two-layer graph s -> rectangles -> boxes -> t.
-    Dinkelbach's iteration sets lam to the ratio of the last union and cuts
-    again at lam (1 + 1e-12); the first cut that finds no better union
-    certifies the current one.  The minimal optimal unions shrink as lam
-    rises (Gallo, Grigoriadis and Tarjan 1989), so each cut after the first
-    runs on the rectangles inside the last union only.  Returns (sup, cell
-    mask of U, number of cuts) for masses from _nonzero_masses.
+    each rectangle is the block of boxes lo0:hi0 x lo1:hi1, its ranges read
+    off (p, j).  The arcs rectangle -> box go by rectangle, each block of
+    boxes row by row.  ResolutionError for a rectangle finer than depth.
+    """
+
+    def __init__(self, book: _Book, depth: int):
+        finest = max(int(book.p1.max(initial=0)), int(book.p2.max(initial=0)))
+        if finest > depth:
+            raise ResolutionError(f"a book rectangle of side 2^-{finest} is below "
+                                  f"resolution 2^-{depth}")
+        ranges = [(j << (depth - p), (j + 1) << (depth - p))
+                  for p, j in ((book.p1, book.j1), (book.p2, book.j2))]
+        cuts = [np.unique(np.concatenate([[0, 1 << depth], lo, hi])) for lo, hi in ranges]
+        (lo0, hi0), (lo1, hi1) = ((np.searchsorted(c, lo), np.searchsorted(c, hi))
+                                  for c, (lo, hi) in zip(cuts, ranges))
+        self.widths = [np.diff(c) for c in cuts]
+        self.shape = (self.widths[0].size, self.widths[1].size)
+        self.area = np.outer(*self.widths).ravel() / 4.0 ** depth
+        self.size = (hi0 - lo0) * (hi1 - lo1)
+        ends = np.cumsum(self.size)
+        self.rect_arc = np.repeat(np.arange(len(book.p1)), self.size)
+        offset = np.arange(ends[-1]) - np.repeat(ends - self.size, self.size)
+        row, col = np.divmod(offset, (hi1 - lo1)[self.rect_arc])
+        self.box_arc = (lo0[self.rect_arc] + row) * self.shape[1] + lo1[self.rect_arc] + col
+        boxes, bounds = self.box_arc.tolist(), [0] + ends.tolist()
+        self.boxes_of = [boxes[i:j] for i, j in zip(bounds, bounds[1:])]
+        self.corners = (lo0, hi0, lo1, hi1)
+        # a padded summed-area table
+        self.table = np.zeros((self.shape[0] + 1, self.shape[1] + 1), dtype=np.int64)
+
+    def union(self, rects: np.ndarray) -> np.ndarray:
+        """The boxes of the rectangles selected by the mask `rects`."""
+        return np.bincount(self.box_arc[rects[self.rect_arc]], minlength=self.area.size) > 0
+
+    def inside_union(self, chosen: np.ndarray) -> np.ndarray:
+        """The rectangles all of whose boxes lie in the union `chosen`."""
+        lo0, hi0, lo1, hi1 = self.corners
+        table = self.table
+        np.cumsum(np.cumsum(chosen.reshape(self.shape), axis=0), axis=1, out=table[1:, 1:])
+        return table[hi0, hi1] - table[lo0, hi1] - table[hi0, lo1] + table[lo0, lo1] == self.size
+
+
+def _max_union_ratio(book: _Book, depth: int,
+                     boxes: _Boxes | None = None) -> tuple[float, np.ndarray, int, str]:
+    """Exact sup over unions U of finest cells of |U|^-1 sum_{R inside U} m_R.
+
+    For a fixed lam, the best U maximises sum_{R inside U} m_R - lam |U|: a
+    maximum-weight closure (taking R forces its boxes), solved by one s-t
+    minimum cut (Picard 1976) of the two-layer graph s -> rectangles ->
+    boxes -> t.  Dinkelbach's iteration sets lam to the ratio of the last
+    union and cuts again at lam (1 + 1e-12); the first cut that finds no
+    better union certifies the current one.  It starts from the better of
+    two unions: that of all rectangles, and that of the rectangles inside
+    the densest dyadic rectangle (`_densest_rectangle`), which is nearly
+    always optimal for Nehari symbols, so one cut certifies it.  The first
+    cut runs on every rectangle; the minimal optimal unions shrink as lam
+    rises (Gallo, Grigoriadis and Tarjan 1989), so each later cut runs on
+    the rectangles inside the last union only.  Rectangles of mass 0 take
+    no part beyond cutting boxes.  `boxes` is the set-up of the book's
+    rectangles when one is already built (a stack of books on the same
+    rectangles).  Returns (sup, cell mask of U, number of cuts, the start:
+    "rectangle" or "union").
     """
     N = 1 << depth
-    axis_grid = Grid(depth, 1)
-    if not masses:
-        return 0.0, np.zeros((N, N), dtype=bool), 0
-    ranges = np.array([[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses])
-    cuts = [np.unique(np.append([0, N], ranges[:, axis])) for axis in (0, 1)]
-    (lo0, hi0), (lo1, hi1) = (np.searchsorted(c, ranges[:, axis]).T for axis, c in enumerate(cuts))
-    widths = [np.diff(c) for c in cuts]
-    shape = (widths[0].size, widths[1].size)
-    area = np.outer(*widths).ravel() / 4.0 ** depth
-    m = np.array([mass for _, mass in masses])
-
-    # the arcs rectangle -> box, by rectangle, each block of boxes row by row
-    across, size = hi1 - lo1, (hi0 - lo0) * (hi1 - lo1)
-    ends = np.cumsum(size)
-    rect_arc = np.repeat(np.arange(len(m)), size)
-    offset = np.arange(ends[-1]) - np.repeat(ends - size, size)
-    row, col = np.divmod(offset, across[rect_arc])
-    box_arc = (lo0[rect_arc] + row) * shape[1] + lo1[rect_arc] + col
-    table = np.zeros((shape[0] + 1, shape[1] + 1), dtype=np.int64)  # a padded summed-area table
-
-    def inside_union(chosen):  # the rectangles all of whose boxes lie in the union
-        np.cumsum(np.cumsum(chosen.reshape(shape), axis=0), axis=1, out=table[1:, 1:])
-        return table[hi0, hi1] - table[lo0, hi1] - table[hi0, lo1] + table[lo0, lo1] == size
+    m = book.mass
+    live = m > 0
+    if not live.any():
+        return 0.0, np.zeros((N, N), dtype=bool), 0, "union"
+    boxes = _Boxes(book, depth) if boxes is None else boxes
 
     def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
-        return float(np.cumsum(m[inside_union(chosen)])[-1] / area[chosen].sum())
+        return float(np.cumsum(m[boxes.inside_union(chosen)])[-1] / boxes.area[chosen].sum())
 
-    boxes, bounds = box_arc.tolist(), [0] + ends.tolist()
-    boxes_of = [boxes[i:j] for i, j in zip(bounds, bounds[1:])]
-    chosen = np.bincount(box_arc, minlength=area.size) > 0  # the union of all rectangles
-    value, n_cuts = ratio(chosen), 0
+    chosen, start = boxes.union(live), "union"
+    value = ratio(chosen)
+    densest = _densest_rectangle(book, depth)[1]
+    if densest is not None:
+        inner = boxes.union(live & _inside(book, densest))
+        inner_value = ratio(inner)
+        if inner_value > value:
+            chosen, value, start = inner, inner_value, "rectangle"
+    keep, n_cuts = np.flatnonzero(live), 0
     while True:
         lam = value * (1.0 + 1e-12)
-        keep = np.flatnonzero(inside_union(chosen))
-        candidate = np.array(_closure_source_side(m[keep].tolist(), (lam * area).tolist(),
-                                                  [boxes_of[k] for k in keep]))
+        candidate = np.array(_closure_source_side(m[keep].tolist(), (lam * boxes.area).tolist(),
+                                                  [boxes.boxes_of[k] for k in keep]))
         n_cuts += 1
         better = ratio(candidate) if candidate.any() else 0.0
         if better <= value:
             break  # no union beats value (1 + 1e-12): the certificate
         chosen, value = candidate, better
-    mask = np.repeat(np.repeat(chosen.reshape(shape), widths[0], axis=0), widths[1], axis=1)
-    return value, mask, n_cuts
+        keep = np.flatnonzero(live & boxes.inside_union(chosen))
+    mask = np.repeat(np.repeat(chosen.reshape(boxes.shape), boxes.widths[0], axis=0),
+                     boxes.widths[1], axis=1)
+    return value, mask, n_cuts, start
 
 
 def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None,
                 depth: int | None = None, book: dict | None = None) -> BmoReport:
     """sup over unions of finest cells U of the product-BMO quadratic form.
 
-    Minimum cuts with Dinkelbach's iteration (`_max_union_ratio`), no size
-    limit; the witness is the optimal cell mask, whose own ratio is the
-    value, and the last cut certifies it to 1e-12 relative.  Heuristic mode
-    runs the same solver and labels the value `lower_bound`, which the exact
-    value satisfies; the mode stays because callers report that labelled
-    bound beside the exact value (the `carleson` experiment's heuristic
-    column, criterion 10).
+    Minimum cuts with Dinkelbach's iteration (`_max_union_ratio`), started
+    from the better of the union of all rectangles and the densest dyadic
+    rectangle's members, no size limit; the witness is the optimal cell
+    mask, whose own ratio is the value, and the last cut certifies it to
+    1e-12 relative.  `detail` records the cuts and the start.  Heuristic
+    mode runs the same solver and labels the value `lower_bound`, which the
+    exact value satisfies; the mode stays because callers report that
+    labelled bound beside the exact value (the `carleson` experiment's
+    heuristic column, criterion 10).
     """
     if b.grid.dim != 2:
         raise ValueError("bmo_product handles d = 2")
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
-    book = coefficient_book(b, family, meyer, depth) if book is None else book
     n = b.grid.depth if depth is None else depth
-    best_val, witness, cuts = _max_union_ratio(_nonzero_masses(book), n)
+    best_val, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book, True),
+                                                      n)
     return BmoReport(np.sqrt(best_val), witness, "exact" if mode == "exact" else "lower_bound",
-                     family, {"search": "min-cut", "depth": n, "cuts": cuts})
+                     family, {"search": "min-cut", "depth": n, "cuts": cuts, "start": start})
 
 
 def bmo_product_of_book(book: dict, depth: int) -> BmoReport:
     """Exact product BMO evaluated directly on a coefficient book (wavelet-family
     agnostic; used by the damped projections where the signal is synthetic),
     by the same minimum-cut solver as `bmo_product(mode="exact")`."""
-    best_val, witness, cuts = _max_union_ratio(_nonzero_masses(book), depth)
+    best_val, witness, cuts, start = _max_union_ratio(_array_book(book, significant=True), depth)
     return BmoReport(np.sqrt(best_val), witness, "exact", "book",
-                     {"search": "min-cut", "depth": depth, "cuts": cuts})
+                     {"search": "min-cut", "depth": depth, "cuts": cuts, "start": start})
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +581,14 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     """
     if b.grid.dim != 2:
         raise ValueError("bmo_minus1 handles d = 2")
-    book = coefficient_book(b, family, meyer, depth) if book is None else book
     n = b.grid.depth if depth is None else depth
-    nz = _nonzero_masses(book)
+    nz = _book_of(b, family, meyer, depth, book, True)
     best_val, best_members = 0.0, ()
     for axis in (0, 1):
         val, target = _densest_rectangle(nz, n, shared=axis)
         if val > best_val:
             best_val = val
-            best_members = tuple(r for r, _ in nz if target.contains(r)
-                                 and r.coordinates[axis] == target.coordinates[axis])
+            members = _inside(nz, target) & ((nz.p1, nz.p2)[axis] == target[2 * axis])
+            best_members = tuple(_rectangle(*k) for k in zip(*nz.select(members)[:4]))
     witness = RectangleCollection(best_members, b.grid) if best_members else None
     return BmoReport(np.sqrt(best_val), witness, "exact", family)

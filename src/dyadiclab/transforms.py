@@ -210,17 +210,25 @@ def haar_analysis(f: Signal) -> HaarCoefficients:
         return HaarCoefficients(f.grid, mean=complex(integral), wavelet=coeffs)
     if f.grid.dim != 2:
         raise ValueError("haar_analysis supports d in {1, 2}")
+    ww, wm, mw, total = _haar_pyramid_2d(f.values, n)
+    return HaarCoefficients(f.grid, mean=complex(total), ww=ww, wm=wm, mw=mw)
+
+
+def _haar_pyramid_2d(values: np.ndarray, depth: int):
+    """Tensor Haar coefficients along axes 0 and 1 (trailing axes: a stack of
+    signals): ww[(p1, p2)] of shape (2^p1, 2^p2, ...), p1 then p2 descending,
+    wm[p1], mw[p2] and the mean."""
     # Axis 1 first: for each scale p1 we get arrays over (position, x2-samples).
-    c1, int1 = _haar_pyramid_1d(f.values, n)  # int1: shape (N,), integral over x1
+    c1, int1 = _haar_pyramid_1d(values, depth)  # int1: integral over x1
     ww, wm = {}, {}
     for p1, arr in c1.items():
         # arr holds <f, h_I1>(x2) as cell values of x2; analyze axis 2.
-        sub, mean2 = _haar_pyramid_1d(arr.T, n)
+        sub, mean2 = _haar_pyramid_1d(arr.swapaxes(0, 1), depth)
         for p2, a2 in sub.items():
-            ww[(p1, p2)] = a2.T
+            ww[(p1, p2)] = a2.swapaxes(0, 1)
         wm[p1] = mean2
-    mw, total = _haar_pyramid_1d(int1, n)
-    return HaarCoefficients(f.grid, mean=complex(total), ww=ww, wm=wm, mw=mw)
+    mw, total = _haar_pyramid_1d(int1, depth)
+    return ww, wm, mw, total
 
 
 def _haar_synth_axis(coeffs: dict, mean, depth: int) -> np.ndarray:

@@ -107,6 +107,7 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     5,
     {"experiment": ["nehari1d"]},
     {"experiment": "commutator-decomp", "n": 3, "trials": 1, "seed": 2**64},
+    {"experiment": "nehari2d", "M": 32, "n": 7},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
@@ -116,7 +117,8 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
         "petermichl_Y_negative", "petermichl_Y_unbounded", "nehari2d_M33",
         "nehari1d_unknown_field", "petermichl_unknown_field", "lower_bound_grid_depth10",
         "aak_extend_M513", "aak_extend_recovery_degree513", "aak_extend_K129",
-        "config_not_an_object", "experiment_not_a_string", "seed_beyond_64_bits"])
+        "config_not_an_object", "experiment_not_a_string", "seed_beyond_64_bits",
+        "nehari2d_n7"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))
@@ -322,6 +324,19 @@ def test_cli_list_and_run(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "res3")])
     assert rc == 1
+
+
+def test_out_naming_a_file_exits_1_without_traceback(tmp_path, capsys):
+    # the output directory cannot be made there, nor error.json written into it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "commutator-decomp", "n": 3, "trials": 1}))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_seed_override(tmp_path):

@@ -304,6 +304,38 @@ def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim, variant):
             assert t < 5 or later[key][t - 5] == alone[key]
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_stacked_product_bmo_equals_each_symbols_bmo_product(depth, monkeypatch):
+    # one set-up for the stack, where a zero or negligible coefficient gets
+    # mass 0, gives each symbol's own bmo_product bit for bit, masks included
+    coeffs = np.stack([hk.random_symbol(4, rng, dim=2).coeffs for _ in range(3)] + [np.zeros((4, 4))])
+    for (k1, k2), c in {(0, 0): 1.0, (0, 3): -1.0, (2, 2): 1.0, (2, 3): 1.0, (3, 0): 1.0}.items():
+        coeffs[3, k1, k2] = c  # an integer symbol with exactly zero and negligible Haar coefficients
+    g = Grid(hk.symbol_grid_depth(4), 2)
+    samples = hk._symbol_samples(coeffs, g)
+    full = dl.norms._haar_book(samples[3], depth)
+    kept = dl.norms._haar_book(samples[3], depth, significant=True)
+    assert np.any(full.mass == 0) and np.any((kept.mass == 0) & (full.mass > 0))
+    masks = []
+    solve = dl.norms._max_union_ratio
+
+    def recording(book, depth, boxes=None):
+        out = solve(book, depth, boxes)
+        masks.append(out[1])
+        return out
+
+    monkeypatch.setattr(dl.norms, "_max_union_ratio", recording)
+    rep = hk.nehari_ratios(coeffs, "product_exact", product_depth=depth)
+    monkeypatch.undo()
+    assert len(masks) == 4
+    for t in range(4):
+        alone = dl.bmo_product(Signal(g, samples[t]), depth=depth)
+        assert rep["bmo_value"][t] == alone.value and np.array_equal(masks[t], alone.witness)
+        assert rep["cuts"][t] == alone.detail["cuts"]
+    assert hk.nehari_ratio(hk.SymbolCoefficients(coeffs[3]), "product_exact",
+                           product_depth=depth)["cuts"] == rep["cuts"][3]
+
+
 def test_nehari_ratios_raise_for_one_bad_symbol_in_a_stack():
     coeffs = np.stack([hk.random_symbol(8, rng).coeffs for _ in range(12)])
     coeffs[9] = 0.0

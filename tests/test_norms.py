@@ -454,37 +454,64 @@ def _dinic_atom_side(supply, demand, atoms_of) -> list:
     return _min_cut_source_side(n_rect + n_atom + 2, arcs, s, t)[n_rect:n_rect + n_atom]
 
 
-def _dinic_max_union_ratio(masses: list, depth: int):
+def _brute_force_densest_members(book, depth):
+    """The book rectangles inside the first densest dyadic rectangle T with
+    sides >= 2^-depth (scales, then positions ascending; strict >), each T's
+    mass summed straight from its members: (its value, their indices)."""
+    best, members = 0.0, None
+    for q1 in range(depth + 1):
+        for q2 in range(depth + 1):
+            fits = (book.p1 >= q1) & (book.p2 >= q2)
+            t1 = book.j1 >> np.where(fits, book.p1 - q1, 0)
+            cell = (t1 << q2) + (book.j2 >> np.where(fits, book.p2 - q2, 0))
+            mass = np.bincount(cell[fits], weights=book.mass[fits], minlength=1 << (q1 + q2))
+            tot = mass * 2.0 ** (q1 + q2)
+            t = int(np.argmax(tot))
+            if tot[t] > best:
+                best, members = float(tot[t]), np.flatnonzero(fits & (cell == t))
+    return best, members
+
+
+def _dinic_max_union_ratio(book, depth: int, rectangle_start: bool = True):
     """Product BMO's Dinkelbach iteration with one Dinic cut of the whole
     closure graph per step: the solver before the two-layer flow and its
-    nested cuts."""
+    nested cuts.  With rectangle_start it starts, as `_max_union_ratio`
+    does, from the union of the members of the densest dyadic rectangle
+    (found by brute force) when that beats the union of all rectangles;
+    without, from the union of all."""
+    book = book.select(book.mass > 0)
     N = 1 << depth
-    axis_grid = Grid(depth, 1)
-    if not masses:
+    if not book.mass.size:
         return 0.0, np.zeros((N, N), dtype=bool), 0
-    ranges = [[iv.cell_range(axis_grid) for iv in r.coordinates] for r, _ in masses]
+    ranges = [[(int(j) << (depth - int(p)), (int(j) + 1) << (depth - int(p))) for p, j in sides]
+              for sides in zip(zip(book.p1, book.j1), zip(book.p2, book.j2))]
     cuts = [np.unique([0, N] + [x for rr in ranges for x in rr[axis]]) for axis in (0, 1)]
-    inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(masses)), dtype=bool)
+    inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(ranges)), dtype=bool)
     for k, rr in enumerate(ranges):
         (a0, a1), (b0, b1) = (np.searchsorted(c, r) for c, r in zip(cuts, rr))
         inside[a0:a1, b0:b1, k] = True
     widths = [np.diff(c) for c in cuts]
-    flat = inside.reshape(-1, len(masses))
+    flat = inside.reshape(-1, len(ranges))
     covered = np.flatnonzero(flat.any(axis=1))
     _, first, atom_of = np.unique(np.packbits(flat[covered], axis=1), axis=0,
                                   return_index=True, return_inverse=True)
     atom_of = atom_of.ravel()
     member = flat[covered[first]]
     area = np.bincount(atom_of, np.outer(*widths).ravel()[covered]) / 4.0 ** depth
-    m = np.array([mass for _, mass in masses])
+    m = book.mass
 
     def ratio(chosen):
         inside_u = ~(member & ~chosen[:, None]).any(axis=0)
         return float(np.cumsum(m[inside_u])[-1] / area[chosen].sum())
 
-    atoms_of = [np.flatnonzero(member[:, k]).tolist() for k in range(len(masses))]
+    atoms_of = [np.flatnonzero(member[:, k]).tolist() for k in range(len(ranges))]
     chosen = np.ones(len(area), dtype=bool)
     value, n_cuts = ratio(chosen), 0
+    if rectangle_start:
+        _, members = _brute_force_densest_members(book, depth)
+        start = member[:, members].any(axis=1)
+        if ratio(start) > value:
+            chosen, value = start, ratio(start)
     while True:
         lam = value * (1.0 + 1e-12)
         candidate = np.array(_dinic_atom_side(m, [lam * float(a) for a in area], atoms_of))
@@ -526,44 +553,115 @@ def test_two_layer_cut_matches_dinic_on_random_graphs():
         assert got == _dinic_atom_side(supply, demand, atoms_of)
 
 
-def test_max_union_ratio_matches_the_dinic_solver_on_experiment_books(tmp_path, monkeypatch):
-    # every book of the default carleson, journe and nehari2d runs, plus dense
-    # and +-1 (tied) books of depths 2 to 5: values, witnesses and cut counts agree exactly
+def _solved_books(tmp_path, monkeypatch):
+    """Every book the default carleson, journe and nehari2d runs solve (the
+    30 nehari2d trials as one stack), plus dense and +-1 (tied) books of
+    depths 2 to 5 and books whose boxes are not their atoms: (book, depth,
+    whether its masses are all +-1)."""
     from dyadiclab import experiments
 
     books = []
     solve = dl.norms._max_union_ratio
 
-    def recording(masses, depth):
-        books.append((masses, depth))
-        return solve(masses, depth)
+    def recording(book, depth, boxes=None):
+        books.append((book, depth, False))
+        return solve(book, depth, boxes)
 
     monkeypatch.setattr(dl.norms, "_max_union_ratio", recording)
     for name in ("carleson", "journe", "nehari2d"):
         experiments.run({"experiment": name}, tmp_path / name, threads=1)
+    monkeypatch.undo()
     assert len(books) == 5 + 9 + 30
     book_rng = np.random.default_rng(12)
     for depth in (2, 3, 4, 5):
         b = random_signal(Grid(depth, 2), book_rng)
         book = dl.norms.coefficient_book(b)
-        books.append((dl.norms._nonzero_masses(book), depth))
+        books.append((dl.norms._array_book(book, significant=True), depth, False))
         signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in book if book_rng.random() < 0.3}
-        books.append((dl.norms._nonzero_masses(signs), depth))
-    # books whose boxes are not their atoms: sparse +-1 books at depths 6 and 7,
-    # the Carleson chain, and one coarse rectangle cut into boxes by fine ones
+        books.append((dl.norms._array_book(signs, significant=True), depth, True))
+    # sparse +-1 books at depths 6 and 7, the Carleson chain, and one coarse
+    # rectangle cut into boxes by fine ones
     for depth in (6, 6, 7, 7):
         signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in _sparse_book(depth, 12, book_rng)}
-        books.append((dl.norms._nonzero_masses(signs), depth))
+        books.append((dl.norms._array_book(signs, significant=True), depth, True))
     for n in (5, 6):
         _, chain = journe.carleson_family(n, Grid(n + 3, 2))
-        books.append((dl.norms._nonzero_masses(chain), n + 3))
+        books.append((dl.norms._array_book(chain, significant=True), n + 3, True))
     mixed = {DyadicRectangle((DyadicInterval(0, 0), DyadicInterval(-1, 1))): 1.0}
     mixed.update(_sparse_book(4, 5, book_rng))
-    books.append((dl.norms._nonzero_masses(mixed), 4))
-    for masses, depth in books:
-        value, mask, cuts = solve(masses, depth)
-        want = _dinic_max_union_ratio(masses, depth)
+    books.append((dl.norms._array_book(mixed, significant=True), 4, False))
+    return books
+
+
+def test_max_union_ratio_matches_the_dinic_solver_on_experiment_books(tmp_path, monkeypatch):
+    # values, witnesses and cut counts agree exactly with Dinic from the same start;
+    # from the union of all rectangles Dinic finds the same values in no fewer cuts
+    starts = []
+    for book, depth, signs in _solved_books(tmp_path, monkeypatch):
+        value, mask, cuts, start = dl.norms._max_union_ratio(book, depth)
+        want = _dinic_max_union_ratio(book, depth)
         assert value == want[0] and np.array_equal(mask, want[1]) and cuts == want[2]
+        union_value, union_mask, union_cuts = _dinic_max_union_ratio(book, depth, rectangle_start=False)
+        assert value == union_value and cuts <= union_cuts
+        if signs:  # unions of +-1 books tie: the witness may differ, its own ratio may not
+            assert np.cumsum(book.mass[_inside_mask(book, mask)])[-1] / (mask.sum() / 4.0 ** depth) == value
+        else:
+            assert np.array_equal(mask, union_mask)
+        starts.append(start)
+    assert starts.count("rectangle") >= 30
+
+
+def _block_sum_densest(book, n, shared=None):
+    """The rectangular accumulation with one block sum per (target scale,
+    book scale) pair: O(n^4) array operations, the two-pass one's reference."""
+    mass = {}
+    for p1, j1, p2, j2, m in zip(*(a.tolist() for a in book)):
+        mass.setdefault((p1, p2), np.zeros((1 << p1, 1 << p2)))[j1, j2] += m
+    best_val, best = 0.0, None
+    for q1 in range(n + 1):
+        for q2 in range(n + 1):
+            tot = np.zeros((1 << q1, 1 << q2))
+            for (p1, p2), arr in mass.items():
+                if p1 < q1 or p2 < q2 or (shared is not None and (p1, p2)[shared] != (q1, q2)[shared]):
+                    continue
+                tot += arr.reshape(1 << q1, 1 << (p1 - q1), 1 << q2, 1 << (p2 - q2)).sum(axis=(1, 3))
+            tot *= 2.0 ** (q1 + q2)
+            j = np.unravel_index(int(np.argmax(tot)), tot.shape)
+            if tot[j] > best_val:
+                best_val, best = float(tot[j]), (q1, int(j[0]), q2, int(j[1]))
+    return best_val, best
+
+
+def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatch):
+    # the passes add in another order: values agree to a few units in the
+    # last place (exactly on +-1 books), the first densest rectangle is the same
+    book_rng = np.random.default_rng(21)
+    books = [(book, depth) for book, depth, _ in _solved_books(tmp_path, monkeypatch)]
+    for depth in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            books.append((dl.norms._haar_book(random_signal(Grid(depth, 2), book_rng).values, None), depth))
+    for book, depth in books:
+        for shared in (None, 0, 1):
+            value, best = dl.norms._densest_rectangle(book, depth, shared)
+            want_value, want_best = _block_sum_densest(book, depth, shared)
+            assert best == want_best
+            assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
+    for depth in (3, 5):  # through the public functions, on dict books
+        b = random_signal(Grid(depth, 2), book_rng)
+        book = dl.norms.coefficient_book(b)
+        rect = _block_sum_densest(dl.norms._array_book(book), depth)[0]
+        assert abs(bmo_rect(b, book=book).value ** 2 - rect) <= 8 * np.finfo(float).eps * rect
+        kept = dl.norms._array_book(book, significant=True)
+        minus1 = max(_block_sum_densest(kept, depth, axis)[0] for axis in (0, 1))
+        assert abs(bmo_minus1(b, book=book).value ** 2 - minus1) <= 8 * np.finfo(float).eps * minus1
+
+
+def _inside_mask(book, mask):
+    """Which book rectangles lie inside the cell mask."""
+    depth = mask.shape[0].bit_length() - 1
+    return np.array([mask[j1 << (depth - p1):(j1 + 1) << (depth - p1),
+                          j2 << (depth - p2):(j2 + 1) << (depth - p2)].all()
+                     for p1, j1, p2, j2 in zip(book.p1, book.j1, book.p2, book.j2)], dtype=bool)
 
 
 def test_max_union_ratio_rejects_a_rectangle_finer_than_its_depth():
@@ -593,12 +691,12 @@ def test_book_rectangles_outside_the_unit_square_are_rejected(book):
 def test_max_union_ratio_allocates_nothing_of_size_boxes_by_rectangles():
     # 3969 rectangles on 1024 boxes: dense box-by-rectangle arrays peaked above 12 MiB
     b = dl.hankel.random_symbol(16, np.random.default_rng(16), dim=2).to_signal(Grid(6, 2))
-    masses = dl.norms._nonzero_masses(dl.norms.coefficient_book(b, depth=5))
+    book = dl.norms._array_book(dl.norms.coefficient_book(b, depth=5), significant=True)
     tracemalloc.start()
     try:
-        cuts = dl.norms._max_union_ratio(masses, 5)[2]
+        cuts = dl.norms._max_union_ratio(book, 5)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cuts == 7
+    assert cuts == 1
     assert peak < 9 * 2 ** 20
