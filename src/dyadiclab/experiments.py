@@ -381,15 +381,15 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # staircase has sides 2^-4 on its grid n + 3, and lower-bound's collection
 # needs Meyer scale 2.  Trial counts cost linear time and stay uncapped.
 # Caps bound work growing as N^2 or faster (one core, one BLAS thread): an
-# M x M SVD (nehari1d M <= 512), an M^2 x M^2 SVD and M^4-point products per
-# trial (nehari2d M <= 32: 2 trials take 1.9 s and 80 MiB; M = 64 is a 4096^2
+# M x M SVD (nehari1d M <= 512), an M^2 x M^2 Hankel matrix and its SVD per
+# trial (nehari2d M <= 32: 2 trials take 2.1 s and 75 MiB; M = 64 is a 4096^2
 # SVD per trial), a 2^n x 2^n SVD (para-bound n <= 10), eight 2^n x 2^n
 # pieces (commutator-decomp n <= 9), steps^2 nodes of about s 2^n cells per
 # window scale (petermichl steps <= 128, n <= 12: 2.4 ms a node at n = 12;
 # a node costs ~ n + log2(pad ~ Y) scales, so Y <= 1024 is <= 1.2x Y = 8),
 # exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
 # depth n (nehari2d n <= 6, and below the finest scale of M's grid: one
-# trial at M = 32, n = 6 takes 1.6 s and 73 MiB, 0.1 s of it product BMO), the
+# trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product BMO), the
 # Meyer decomposition on a 4^depth grid, x13 a step (lower-bound grid_depth
 # <= 9: 0.05 / 0.15 / 1.4 / 19.5 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
 # (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:

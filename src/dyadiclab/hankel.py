@@ -2,17 +2,17 @@
 commutators with the Hilbert transform, and their block identities.
 
 A Hankel operator with analytic symbol b acts by phi -> P(b * conj(phi)).
-On the truncated exponential basis the matrix entries reduce to bhat(i+j);
-matching the structural matrix is itself one of the tests.  The Hardy
-projection used here keeps the k = 0 mode (H^2 contains constants), unlike
-the strictly positive projections of the transforms module.
+On the truncated exponential basis the matrix entries reduce to bhat(i+j),
+so the matrices are gathered from the symbol's coefficients; the tests
+check them against columns computed by FFT on an alias-free grid.  The
+Hardy projection used here keeps the k = 0 mode (H^2 contains constants),
+unlike the strictly positive projections of the transforms module.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def check_intertwining(H: HankelOp) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hankel operators from symbols, via honest grid computation
+# Hankel operators from symbols, read off their coefficients
 
 
 def symbol_grid_depth(degree: int) -> int:
@@ -138,75 +138,39 @@ def symbol_grid_depth(degree: int) -> int:
     return max(3, int(np.ceil(np.log2(4 * degree))))
 
 
-def _symbol_grid(degree: int, dim: int, grid: Grid | None) -> Grid:
-    """The default sampling grid of a symbol, or `grid` once it is alias-free."""
-    if grid is None:
-        return Grid(symbol_grid_depth(degree), dim)
-    if grid.n_points < 4 * degree:
-        raise ValueError("need N >= 4*degree to avoid aliasing")
-    return grid
-
-
-@functools.lru_cache(maxsize=None)
-def _conj_exponentials(degree: int, n_points: int) -> np.ndarray:
-    """Read-only table of conj(e_j) at the n_points grid points, row j < degree,
-    built once."""
-    x = Grid(n_points.bit_length() - 1).points()
-    table = np.conj(np.exp(2j * np.pi * np.arange(degree)[:, None] * x))
-    table.flags.writeable = False
-    return table
-
-
-def _hankel_stack(samples: np.ndarray, degree: int) -> np.ndarray:
+def _hankel_stack(coeffs: np.ndarray) -> np.ndarray:
     """Matrices of phi -> P_{k_i >= 0}(b * conj(phi)) on the modes 0..M-1 per
-    axis (row-major bi-modes in 2-D), one per symbol b of a stack of samples
-    (leading axis; the others are the d grid axes, N >= 4M: alias-free).
+    axis (row-major bi-modes in 2-D), one per symbol b of a stack of analytic
+    coefficient arrays (leading axis).
 
-    Column j is the FFT of b * conj(e_j), read off at the analytic modes.  The
-    products go through the FFT in batches of (symbol, j1) rows, as many as
-    fit in _BATCH_POINTS grid points (at least one), one in-place pass per
-    axis, last axis first.
+    Entry (k, j) is bhat(k + j), 0 beyond degree M - 1 on an axis: one
+    gather from the zero-padded coefficients with one k + j table per axis,
+    the mirror image of `commutator_matrix`'s bhat(k - j).
     """
-    T, d, N, M = len(samples), samples.ndim - 1, samples.shape[-1], degree
-    conj_e = _conj_exponentials(M, N)
-    spec = np.empty((T * M,) + (M,) * (2 * d - 1), dtype=complex)
-    step = max(1, _BATCH_POINTS // (M ** (d - 1) * N ** d))
-    for lo in range(0, T * M, step):
-        rows = np.arange(lo, min(lo + step, T * M))
-        if d == 1:
-            phi = conj_e[rows % M]
-        else:  # conj(e_j1 (x) e_j2) for every j2
-            phi = conj_e[rows % M, None, :, None] * conj_e[None, :, None, :]
-        prod = np.multiply(samples[rows // M].reshape((-1,) + (1,) * (d - 1) + (N,) * d),
-                           phi, out=phi)
-        for axis in range(-1, -d - 1, -1):
-            np.fft.fft(prod, axis=axis, out=prod)
-        spec[lo:lo + len(rows)] = prod[(Ellipsis,) + (slice(0, M),) * d] / N ** d
-    return spec.reshape(T, M ** d, M ** d).transpose(0, 2, 1)
+    T, d, M = len(coeffs), coeffs.ndim - 1, coeffs.shape[1]
+    padded = np.pad(coeffs, [(0, 0)] + [(0, M - 1)] * d)
+    total = np.add.outer(np.arange(M), np.arange(M))
+    tables = tuple(total.reshape(tuple(M if i in (a, d + a) else 1 for i in range(2 * d)))
+                   for a in range(d))
+    return padded[(slice(None),) + tables].reshape(T, M ** d, M ** d)
 
 
-def hankel_operator_1d(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
+def hankel_operator_1d(b: SymbolCoefficients) -> HankelOp:
     """Matrix of phi -> P_{k>=0}(b * conj(phi)) on the exponential basis
-    e_0..e_{M-1}, computed by sampling on a grid with N >= 4M (alias-free):
-    one FFT along the rows of b * conj(e_j), j < M."""
+    e_0..e_{M-1}: the structural matrix bhat(i + j) of `hankel_matrix`."""
     if b.dim != 1:
         raise ValueError("use little_hankel for 2D symbols")
-    M = b.degree
-    grid = _symbol_grid(M, 1, grid)
-    mat = _hankel_stack(_symbol_samples(b.coeffs[None], grid), M)[0]
-    om = OperatorMatrix(mat, ("modes", tuple(range(M))), ("modes", tuple(range(M))))
-    return HankelOp(om, "operator_on_H2", sequence=np.append(b.coeffs, np.zeros(M - 1)))
+    return replace(hankel_matrix(b.coeffs, b.degree), flavor="operator_on_H2")
 
 
-def little_hankel(b: SymbolCoefficients, grid: Grid | None = None) -> HankelOp:
+def little_hankel(b: SymbolCoefficients) -> HankelOp:
     """Matrix of phi -> P_(+,+){k_i >= 0}(b * conj(phi)) on the bi-mode basis
-    {(j1, j2): 0 <= j_i < M}, row-major ordering."""
+    {(j1, j2): 0 <= j_i < M}, row-major ordering: entry bhat(i1 + j1, i2 + j2)."""
     if b.dim != 2:
         raise ValueError("little_hankel needs a 2D symbol")
     M = b.degree
-    grid = _symbol_grid(M, 2, grid)
     basis = tuple((j1, j2) for j1 in range(M) for j2 in range(M))
-    mat = _hankel_stack(_symbol_samples(b.coeffs[None], grid), M)[0]
+    mat = _hankel_stack(b.coeffs[None])[0]
     return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)), "little_product")
 
 
@@ -341,12 +305,12 @@ class TruncationError(RuntimeError):
 
 
 def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
-                 grid: Grid | None = None, product_depth: int = 2) -> dict:
+                 product_depth: int = 2) -> dict:
     """Computes ||H_b|| and the requested BMO norm of the analytic part of b,
     plus their ratio.  The report records both conventions in play, and in
     2-D the product-BMO solver's number of cuts.  In 2-D a product_depth
-    beyond the grid's finest Haar scale raises ValueError."""
-    rep = nehari_ratios(b.coeffs[None], bmo_variant, grid, product_depth)
+    beyond the finest Haar scale of the symbol's grid raises ValueError."""
+    rep = nehari_ratios(b.coeffs[None], bmo_variant, product_depth)
     for key in ("hankel_norm", "bmo_value", "ratio"):
         rep[key] = float(rep[key][0])
     if "cuts" in rep:
@@ -355,29 +319,31 @@ def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
 
 
 def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
-                  grid: Grid | None = None, product_depth: int = 2) -> dict:
+                  product_depth: int = 2) -> dict:
     """`nehari_ratio` of each symbol of a stack of analytic coefficient arrays
     (leading axis: symbols), with arrays over the stack.
 
-    The symbols go in chunks of at most _BATCH_POINTS grid points of
-    products: per chunk one inverse FFT gives the samples, `_hankel_stack` the
-    Hankel matrices, one stacked SVD their norms, and one Haar pyramid with
-    the symbols as its trailing axis the BMO masses.  In 1-D those give the
-    dyadic BMO.  In 2-D every symbol has the same Haar rectangles (a
-    negligible one gets mass 0), so the minimum-cut set-up of
-    `norms._max_union_ratio` is built once for the stack, and each symbol
-    runs only its start and its cuts; "cuts" holds their number per symbol.
+    The symbols go in chunks of _BATCH_POINTS // (M N)^d (at least one), N
+    the side of their grid `Grid(symbol_grid_depth(M), d)`: per chunk
+    `_hankel_stack` gathers the Hankel matrices from the coefficients, one
+    stacked SVD gives their norms, one inverse FFT the samples on the grid,
+    and one Haar pyramid with the symbols as its trailing axis the BMO
+    masses.  In 1-D those give the dyadic BMO.  In 2-D every symbol has the
+    same Haar rectangles (a negligible one gets mass 0), so the minimum-cut
+    set-up of `norms._max_union_ratio` is built once for the stack, and each
+    symbol runs only its start and its cuts; "cuts" holds their number per
+    symbol.
     Raises TruncationError if a symbol has BMO 0 but a nonzero Hankel norm.
     """
     from . import norms as _norms
 
     coeffs = np.asarray(coeffs, dtype=complex)
     T, d, M = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[1]
-    if d == 1 and bmo_variant not in ("dyadic", "dyadic_shift"):
-        raise ValueError("1D variants: 'dyadic', 'dyadic_shift'")
+    if d == 1 and bmo_variant != "dyadic":
+        raise ValueError("1D variant: 'dyadic'")
     if d == 2 and bmo_variant != "product_exact":
         raise ValueError("2D variant: 'product_exact'")
-    g = _symbol_grid(M, d, grid)
+    g = Grid(symbol_grid_depth(M), d)
     if d == 2 and product_depth > g.depth - 1:
         raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
                          f"{g.depth - 1} of the depth-{g.depth} grid")
@@ -386,12 +352,10 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
     step = max(1, _BATCH_POINTS // (M * g.n_points) ** d)
     for lo in range(0, T, step):
         chunk = slice(lo, lo + step)
+        hankel_norm[chunk] = operator_norms(_hankel_stack(coeffs[chunk]))
         samples = _symbol_samples(coeffs[chunk], g)
-        hankel_norm[chunk] = operator_norms(_hankel_stack(samples, M))
-        if bmo_variant == "dyadic":
+        if d == 1:
             bmo_val[chunk] = np.sqrt(_norms._dyadic_bmo_squares(samples.T, g.depth)[0])
-        elif bmo_variant == "dyadic_shift":
-            bmo_val[chunk] = [_norms.bmo_dyadic_shift_average(Signal(g, s)) for s in samples]
         else:
             book = _norms._haar_book(np.moveaxis(samples, 0, -1), product_depth, significant=True)
             if boxes is None:

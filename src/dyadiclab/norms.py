@@ -171,8 +171,11 @@ def _dyadic_bmo_squares(values: np.ndarray, depth: int):
 def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
     """Average of bmo_dyadic over circular grid shifts; a separate labeled
     output for comparing against translation-invariant BMO, never substituted
-    for the plain dyadic norm."""
+    for the plain dyadic norm.  Shift s < shifts moves the grid by
+    s * (N // shifts) points, so ValueError unless 1 <= shifts <= N."""
     N = b.grid.n_points
+    if not 1 <= shifts <= N:
+        raise ValueError(f"need 1 <= shifts <= {N}, the grid's points; got {shifts}")
     shifted = np.stack([np.roll(b.values, s * (N // shifts)) for s in range(shifts)], axis=1)
     return float(np.mean(np.sqrt(_dyadic_bmo_squares(shifted, b.grid.depth)[0])))
 
@@ -354,7 +357,7 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
 # product BMO
 
 
-def _closure_source_side(supply: list, demand: list, boxes_of: list) -> list:
+def _closure_source_side(supply: list, demand: list, boxes_of: list, order: list) -> list:
     """Maximum flow through the two-layer closure graph: s -> rectangle k
     (capacity supply[k]) -> every box of boxes_of[k] (infinite) -> t
     (capacity demand[a]).
@@ -362,16 +365,17 @@ def _closure_source_side(supply: list, demand: list, boxes_of: list) -> list:
     Returns, per box, whether it is reachable from s in the final residual
     graph: the box side of the minimal minimum s-t cut, which every maximum
     flow leaves the same.  A greedy pass first sends each rectangle's supply
-    into its boxes in turn, rectangles with the fewest boxes first.  Then
-    each breadth-first search of the residual graph (rectangles with supply
-    left, their boxes, and back along positive flow to the rectangles that
-    feed a box) augments along every path of its search tree that still
-    has room at its end.  An augmentation subtracts the path's bottleneck
+    into its boxes in turn, rectangles in `order` (fewest boxes first, from
+    the caller, who knows the box counts once per stack).  Then each
+    breadth-first search of the residual graph (rectangles with supply left,
+    their boxes, and back along positive flow to the rectangles that feed a
+    box) augments along every path of its search tree that still has room
+    at its end.  An augmentation subtracts the path's bottleneck
     from the bottleneck arc itself, which leaves it at exactly 0.
     """
     sup, dem = list(supply), list(demand)
     feed = [{} for _ in dem]  # feed[a][k] > 0: the flow on the arc k -> a
-    for k in sorted(range(len(sup)), key=lambda k: len(boxes_of[k])):
+    for k in order:
         for a in boxes_of[k]:
             if sup[k] <= 0.0:
                 break
@@ -514,8 +518,9 @@ def _max_union_ratio(book: _Book, depth: int,
     keep, n_cuts = np.flatnonzero(live), 0
     while True:
         lam = value * (1.0 + 1e-12)
+        order = np.argsort(boxes.size[keep], kind="stable").tolist()
         candidate = np.array(_closure_source_side(m[keep].tolist(), (lam * boxes.area).tolist(),
-                                                  [boxes.boxes_of[k] for k in keep]))
+                                                  [boxes.boxes_of[k] for k in keep], order))
         n_cuts += 1
         better = ratio(candidate) if candidate.any() else 0.0
         if better <= value:

@@ -126,6 +126,21 @@ def test_bmo_shift_average_labelled():
     assert not np.isclose(avg, plain) or True  # separate output, no substitution
 
 
+def test_bmo_shift_average_needs_distinct_shifts():
+    # more shifts than grid points used to repeat the unshifted grid (step
+    # N // shifts = 0): on Grid(2, 1) the default 8 gave bmo_dyadic's value
+    g = Grid(2, 1)
+    b = random_signal(g, np.random.default_rng(3))
+    for shifts in (0, -1, 5, 8):
+        with pytest.raises(ValueError, match="shifts"):
+            bmo_dyadic_shift_average(b, shifts)
+    with pytest.raises(ValueError, match="shifts"):
+        bmo_dyadic_shift_average(b)
+    assert bmo_dyadic_shift_average(b, 1) == bmo_dyadic(b).value
+    by_hand = np.mean([bmo_dyadic(dl.Signal(g, np.roll(b.values, s))).value for s in range(4)])
+    assert abs(bmo_dyadic_shift_average(b, 4) - by_hand) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # product / rectangular / minus-one BMO
 
@@ -549,7 +564,8 @@ def test_two_layer_cut_matches_dinic_on_random_graphs():
         else:
             supply = rng.choice([0.0, 0.5, 1.0], n_rect)
             demand = rng.choice([0.0, 1.0, np.inf], n_atom)
-        got = dl.norms._closure_source_side(supply.tolist(), demand.tolist(), atoms_of)
+        order = np.argsort([len(atoms) for atoms in atoms_of], kind="stable").tolist()
+        got = dl.norms._closure_source_side(supply.tolist(), demand.tolist(), atoms_of, order)
         assert got == _dinic_atom_side(supply, demand, atoms_of)
 
 
