@@ -328,8 +328,7 @@ def _exp_lower_bound(cfg, threads):
     )
     coll = RectangleCollection(members, grid)
     b = Signal(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    rep = journe.lower_bound_experiment(b, coll, fam,
-                                        eta_J=cfg["eta_J"], eta_minus1=cfg["eta_minus1"])
+    rep = journe.lower_bound_experiment(b, coll, fam)
     keys = ["normalization_scale", "shadow_measure", "coefficient_mass",
             "H_b_alpha", "P_plus_alpha_sq", "alpha_sq_mean_removed", "alpha_4_sq",
             "alpha_2", "symmetry_ratio", "symmetry_reference",
@@ -390,8 +389,9 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
 # depth n (nehari2d n <= 6, and below the finest scale of M's grid: one
 # trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product BMO), the
-# Meyer decomposition on a 4^depth grid, x13 a step (lower-bound grid_depth
-# <= 9: 0.05 / 0.15 / 1.4 / 19.5 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
+# Meyer decomposition on a 4^depth grid, x4 a step and most of it the maximal
+# function of V on the 3x-padded window (lower-bound grid_depth <= 9: 0.02 /
+# 0.07 / 0.27 / 1.2 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
 # (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:
 # 9.8 s and 186 MiB; K = 128 steps: 0.63 s).
 CATALOG = {
@@ -443,8 +443,7 @@ CATALOG = {
     "lower-bound": {
         "fn": _exp_lower_bound,
         "description": "alpha/beta/gamma decomposition of a symbol and the Hankel lower-bound norm chain",
-        "fields": {"grid_depth": _int(6, 6, 9), "eta_J": _real(0.01, 0.0),
-                   "eta_minus1": _real(0.01, 0.0)},
+        "fields": {"grid_depth": _int(6, 6, 9)},
     },
 }
 

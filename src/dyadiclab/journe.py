@@ -8,6 +8,9 @@ Embeddedness is computed from the double maximal-function enlargement
 on a 3x-padded non-periodic window (so dilation never wraps around), with
 
     Emb(R; U) = sup { mu >= 1 : mu R inside V }.
+
+The lower-bound experiment splits its symbol on the matrix of its Meyer
+coefficients: one analysis, then one synthesis for each masked part.
 """
 
 from __future__ import annotations
@@ -271,18 +274,8 @@ class SymbolDecomposition:
     slices: dict = field(default_factory=dict)  # embeddedness level -> Signal
 
 
-def _meyer_analytic_book(b: Signal, meyer: MeyerFamily) -> dict:
-    """Coefficients against the unit-normalized analytic tensor family."""
-    book = {}
-    for r in meyer.rectangles():
-        v = meyer.tensor_analytic(r, normalized=True)
-        book[r] = complex(b.inner(v))
-    return book
-
-
 def lower_bound_experiment(b: Signal, collection: RectangleCollection,
-                           meyer: MeyerFamily, eta_J: float = 0.01,
-                           eta_minus1: float = 0.01) -> dict:
+                           meyer: MeyerFamily) -> dict:
     """The alpha/beta/gamma chain for the Hankel lower bound.
 
     Normalizes b so the collection's analytic-coefficient mass equals the
@@ -292,41 +285,51 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
       * additivity b = alpha + beta + gamma (by construction),
       * ||H_beta alpha|| <= ||beta||_4 ||alpha||_4 (Cauchy-Schwarz),
       * the embeddedness slice table for H_gamma.
+    The coefficients against the unit-normalized analytic tensors v_I (x) v_J
+    come from one `MeyerFamily.analysis`; alpha, its damped form, beta and
+    each slice are one synthesis each of a masked coefficient matrix.
     """
     grid = b.grid
     if grid.dim != 2:
         raise ValueError("lower_bound_experiment is two-dimensional")
-    book = _meyer_analytic_book(b, meyer)
-    mass = sum(abs(book.get(r, 0.0)) ** 2 for r in collection.members)
+    i1, i2 = np.array([[meyer.index(iv) for iv in r.coordinates] for r in collection.members],
+                      dtype=int).reshape(-1, 2).T
+    C = meyer.analysis(b.values, "v", normalized=True)
+    mass = np.sum(np.abs(C[i1, i2]) ** 2)
     sh_measure = collection.shadow_measure()
     if mass <= 0:
         raise ValueError("collection carries no analytic coefficient mass")
     scale = np.sqrt(sh_measure / mass)
     b = scale * b
-    book = {r: c * scale for r, c in book.items()}
+    C = C * scale
 
     U = collection.shadow_mask()
     V = enlarged_set(U, grid)
-    emb = {r: embeddedness(r, U, grid, V_mask=V) for r in collection.members}
+    emb = np.array([embeddedness(r, U, grid, V_mask=V) for r in collection.members])
 
-    alpha = zeros(grid)
-    damped = zeros(grid)
-    for r in collection.members:
-        v = meyer.tensor_analytic(r, normalized=True)
-        alpha = alpha + book[r] * v
-        damped = damped + book[r] * emb[r] ** (-2.0 * grid.dim) * v
+    def synthesis(coefficients: np.ndarray) -> Signal:
+        return Signal(grid, meyer.synthesis(coefficients, "v", normalized=True))
 
-    beta = zeros(grid)
-    members = set(collection.members)
-    book_tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    for r, c in book.items():
-        if r in members or abs(c) <= book_tol:
-            continue
-        s1, s2 = r.cell_slices(grid)
-        N = grid.n_points
-        inside_V = bool(V[N + s1.start : N + s1.stop, N + s2.start : N + s2.stop].all())
-        if inside_V:
-            beta = beta + c * meyer.tensor_analytic(r, normalized=True)
+    def on_members(weights) -> np.ndarray:
+        """C times weights on the collection, 0 elsewhere."""
+        out = np.zeros_like(C)
+        out[i1, i2] = C[i1, i2] * weights
+        return out
+
+    alpha = synthesis(on_members(1.0))
+    damped = synthesis(on_members(emb ** (-2.0 * grid.dim)))
+
+    # beta: the significant rectangles outside the collection whose cells all
+    # lie in V; E[i, x] = 1 when cell x lies in interval i, so E (1 - V) E^T
+    # counts each rectangle's cells outside V
+    N = grid.n_points
+    lo, hi = np.array([iv.cell_range(grid) for iv in meyer.intervals]).T[..., None]
+    E = ((lo <= np.arange(N)) & (np.arange(N) < hi)).astype(float)
+    inside_V = E @ ~V[N:2 * N, N:2 * N] @ E.T == 0
+    size = np.abs(C)
+    keep = inside_V & (size > 1e-12 * max(size.max(), 1.0))
+    keep[i1, i2] = False
+    beta = synthesis(np.where(keep, C, 0.0))
     gamma = b - alpha - beta
 
     def hankel_apply(symbol: Signal, phi: Signal) -> Signal:
@@ -337,21 +340,14 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
     p_asq = all_analytic_projection(asq)
     mean_removed = asq - Signal(grid, np.full(grid.shape, asq.mean()))
     alpha4 = lp_norm(alpha, 4)
-    coeff_mass = np.sqrt(sum(abs(book[r]) ** 2 for r in collection.members))
+    coeff_mass = np.sqrt(np.sum(np.abs(C[i1, i2]) ** 2))
 
     h_beta_alpha = hankel_apply(beta, alpha)
     beta4 = lp_norm(beta, 4)
 
-    slices = {}
-    slice_norms = {}
-    levels = sorted(set(int(np.floor(np.log2(max(emb[r], 1.0)))) for r in collection.members))
-    for lv in levels:
-        sl = zeros(grid)
-        for r in collection.members:
-            if int(np.floor(np.log2(max(emb[r], 1.0)))) == lv:
-                sl = sl + book[r] * meyer.tensor_analytic(r, normalized=True)
-        slices[lv] = sl
-        slice_norms[lv] = hankel_apply(gamma, sl).norm2()
+    level = np.floor(np.log2(np.maximum(emb, 1.0))).astype(int)
+    slices = {int(lv): synthesis(on_members(level == lv)) for lv in np.unique(level)}
+    slice_norms = {lv: hankel_apply(gamma, sl).norm2() for lv, sl in slices.items()}
 
     decomposition = SymbolDecomposition(alpha, beta, gamma, collection, damped, slices)
     additivity = float(np.max(np.abs((alpha + beta + gamma).values - b.values)))
@@ -371,10 +367,8 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
         "beta_2": beta.norm2(),
         "gamma_2": gamma.norm2(),
         "additivity_defect": additivity,
-        "embeddedness": {str(r): emb[r] for r in collection.members},
+        "embeddedness": {str(r): float(mu) for r, mu in zip(collection.members, emb)},
         "slice_norms": slice_norms,
-        "eta_J": eta_J,
-        "eta_minus1": eta_minus1,
         "decomposition": decomposition,
     }
     if h_beta_alpha.norm2() > beta4 * alpha4 * (1 + 1e-10) + 1e-12:

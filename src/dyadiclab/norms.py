@@ -172,11 +172,12 @@ def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
     """Average of bmo_dyadic over circular grid shifts; a separate labeled
     output for comparing against translation-invariant BMO, never substituted
     for the plain dyadic norm.  Shift s < shifts moves the grid by
-    s * (N // shifts) points, so ValueError unless 1 <= shifts <= N."""
+    (s * N) // shifts points, spread evenly round the circle, so ValueError
+    unless 1 <= shifts <= N."""
     N = b.grid.n_points
     if not 1 <= shifts <= N:
         raise ValueError(f"need 1 <= shifts <= {N}, the grid's points; got {shifts}")
-    shifted = np.stack([np.roll(b.values, s * (N // shifts)) for s in range(shifts)], axis=1)
+    shifted = np.stack([np.roll(b.values, (s * N) // shifts) for s in range(shifts)], axis=1)
     return float(np.mean(np.sqrt(_dyadic_bmo_squares(shifted, b.grid.depth)[0])))
 
 
@@ -208,16 +209,13 @@ def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:
     return {_rectangle(*k): complex(c) for *k, c in zip(*(a[keep] for a in sides), coef[keep])}
 
 
-def _meyer_coefficient_book(b: Signal, meyer, depth: int | None, kind: str = "w") -> dict:
-    book = {}
-    for r in meyer.rectangles():
-        p1 = -r.coordinates[0].scale_exponent
-        p2 = -r.coordinates[1].scale_exponent
-        if depth is not None and (p1 > depth or p2 > depth):
-            continue
-        w = meyer.tensor(r, (kind, kind))
-        book[r] = complex(b.inner(w))
-    return book
+def _meyer_coefficient_book(b: Signal, meyer, depth: int | None) -> dict:
+    """Map DyadicRectangle -> <b, w_I (x) w_J> in `MeyerFamily.rectangles`
+    order, optionally truncated to sides >= 2^-depth, from one analysis."""
+    C = meyer.analysis(b.values)
+    return {r: complex(C[meyer.index(r.coordinates[0]), meyer.index(r.coordinates[1])])
+            for r in meyer.rectangles()
+            if depth is None or max(-iv.scale_exponent for iv in r.coordinates) <= depth}
 
 
 def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | None = None) -> dict:

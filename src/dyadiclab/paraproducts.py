@@ -461,31 +461,26 @@ def petermichl_fit_on_signal(f: Signal, Y: float = 8.0, s_steps: int = 64,
 # Meyer scale-block paraproducts
 
 
-def _block_project(Uf: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """P X along axis 0 for the projector P = Uf Uf^* / N of rank Uf.shape[1]."""
-    return Uf @ (Uf.conj().T @ X) / Uf.shape[0]
-
-
 def delta_U(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
     """DeltaU at interval size 2^-scale: sum over |I| = 2^-scale of u_I <f, u_I>,
-    i.e. the block projector P_scale applied to f."""
-    return Signal(f.grid, _block_project(meyer.block_factor(scale), f.values))
-
-
-def U_operator(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
-    """U at size 2^-scale: sum of DeltaU over all coarser-or-equal sizes."""
-    return sum((delta_U(meyer, p, f) for p in range(scale + 1)), zeros(f.grid))
+    i.e. the block projector P_scale = U U^* / N applied to f along axis 0."""
+    U = meyer.block_factor(scale)
+    return Signal(f.grid, U @ (U.conj().T @ f.values) / len(U))
 
 
 def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -> Signal:
-    """sum_j (DeltaU_j b) * conj(U_{j - offset} phi); offset moves the U-block
-    toward coarser scales (the proof-side variant uses a large offset)."""
-    out = zeros(b.grid)
+    """sum_j (DeltaU_j b) * conj(U_{j - offset} phi), U_q = sum_{p <= q} DeltaU_p;
+    offset moves the U-block toward coarser scales (the proof-side variant
+    uses a large offset).  b and phi are analysed once, and each block is a
+    synthesis of a band of their coefficients (see `meyer_para_multi`)."""
+    Cb, Cphi = meyer.analysis(b.values, "u"), meyer.analysis(phi.values, "u")
+    out = np.zeros(b.grid.shape, dtype=complex)
     for p in meyer.scales:
-        q = p - offset
-        if q >= 0:
-            out = out + delta_U(meyer, p, b) * U_operator(meyer, min(q, meyer.max_scale), phi).conj()
-    return out
+        if p - offset >= 0:
+            below = slice(0, meyer.band(min(p - offset, meyer.max_scale)).stop)
+            out += (meyer.synthesis(Cb, "u", bands=(meyer.band(p),))
+                    * np.conj(meyer.synthesis(Cphi, "u", bands=(below,))))
+    return Signal(b.grid, out)
 
 
 def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
@@ -495,34 +490,25 @@ def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
     DeltaU_(p1,p2) F = P_p1 F P_p2^T with the 1-D block projectors P_p, and
     U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere.
 
-    With F the concatenated factors U_p (P_p = U_p U_p^* / N; scale p holds
-    columns 2^p - 1 ... 2^(p+1) - 2), b and phi are analysed once, C = F^* X
-    conj(F) / N^2, and a block pair is F_rows C[rows, cols] F_cols^T (phi's
-    conjugated, from conj(F) and conj(C)); a sum over p <= q is the range of
-    columns 0 ... 2^(q+1) - 2.  The blocks go through two reused N x N
+    b and phi are analysed once against the u table (`MeyerFamily.analysis`),
+    and a block pair is the `MeyerFamily.synthesis` of a band of coefficients
+    (phi's conjugated in place); a sum over p <= q is the range 0 ...
+    2^(q+1) - 2 of heap indices.  The blocks go through two reused N x N
     buffers: fresh N x N temporaries per pair took over half the time."""
     if max(abs(k) for k in kvec) > 8:
         raise ValueError("|kvec|_inf must be <= 8")
-    F = np.concatenate([meyer.block_factor(p) for p in meyer.scales], axis=1)
-    N, Fbar = F.shape[0], F.conj()
-    Cb, Cphi_bar = Fbar.T @ b.values @ Fbar / N ** 2, F.T @ np.conj(phi.values) @ F / N ** 2
+    Cb, Cphi = meyer.analysis(b.values, "u"), meyer.analysis(phi.values, "u")
 
-    def band(p, axis=None):  # the columns of P_p, or of U_{p, J} on the given axis
-        return slice(0 if axis is not None and axis not in J else (1 << p) - 1, (2 << p) - 1)
-
-    def synth(F, C, rows, cols, out):
-        """F_rows C[rows, cols] F_cols^T into out; its N x N product runs over the smaller rank."""
-        Fr, Fc, C = F[:, rows], F[:, cols], C[rows, cols]
-        if Fr.shape[1] <= Fc.shape[1]:
-            return np.matmul(Fr, C @ Fc.T, out=out)
-        return np.matmul(Fr @ C, Fc.T, out=out)
+    def band(p, axis=None):  # the members of P_p, or of U_{p, J} on the given axis
+        return slice(0, meyer.band(p).stop) if axis is not None and axis not in J else meyer.band(p)
 
     out, work = np.zeros(b.grid.shape, dtype=complex), np.empty((2,) + b.grid.shape, dtype=complex)
     for p1 in meyer.scales:
         for p2 in meyer.scales:
             q1, q2 = p1 - kvec[0], p2 - kvec[1]
             if 0 <= q1 <= meyer.max_scale and 0 <= q2 <= meyer.max_scale:
-                block = synth(F, Cb, band(p1), band(p2), work[0])
-                block *= synth(Fbar, Cphi_bar, band(q1, 1), band(q2, 2), work[1])  # conj of phi's block
+                block = meyer.synthesis(Cb, "u", bands=(band(p1), band(p2)), out=work[0])
+                phi_block = meyer.synthesis(Cphi, "u", bands=(band(q1, 1), band(q2, 2)), out=work[1])
+                block *= np.conj(phi_block, out=phi_block)
                 out += block
     return Signal(b.grid, out)

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import (
     DyadicInterval,
+    DyadicRectangle,
     Grid,
     ResolutionError,
     Signal,
@@ -300,32 +302,26 @@ def strong_maximal(f: Signal) -> Signal:
 
 
 def square_function(f: Signal, family: str = "haar", meyer: "MeyerFamily" = None) -> Signal:
-    """S f = (sum_R |<f, phi_R>|^2 |R|^-1 1_R)^(1/2) for the chosen mean-zero family."""
+    """S f = (sum_R |<f, phi_R>|^2 |R|^-1 1_R)^(1/2) for the chosen mean-zero
+    family: tensor Haar wavelets (d = 1, 2) or the Meyer wavelets w_I (d = 1)."""
+    n = f.grid.depth
     if family == "haar":
         coeffs = haar_analysis(f)
-        acc = np.zeros(f.grid.shape, dtype=float)
-        n = f.grid.depth
-        if f.grid.dim == 1:
-            for p, arr in coeffs.wavelet.items():
-                width = 1 << (n - p)
-                acc += np.repeat(np.abs(arr) ** 2, width) * 2.0 ** p
-        else:
-            for (p1, p2), arr in coeffs.ww.items():
-                w1, w2 = 1 << (n - p1), 1 << (n - p2)
-                blown = np.repeat(np.repeat(np.abs(arr) ** 2, w1, axis=0), w2, axis=1)
-                acc += blown * 2.0 ** (p1 + p2)
-        return Signal(f.grid, np.sqrt(acc).astype(complex))
-    if family == "meyer":
-        if meyer is None:
-            raise ValueError("pass the MeyerFamily for family='meyer'")
-        acc = np.zeros(f.grid.shape, dtype=float)
-        for iv in meyer.intervals:
-            w = meyer.wavelet(iv)
-            c = f.inner(w)
-            a, b = iv.cell_range(f.grid)
-            acc[a:b] += abs(c) ** 2 / iv.length
-        return Signal(f.grid, np.sqrt(acc).astype(complex))
-    raise ValueError("family must be 'haar' or 'meyer'")
+        bands = coeffs.ww if f.grid.dim == 2 else {(p,): arr for p, arr in coeffs.wavelet.items()}
+    elif family == "meyer":
+        if meyer is None or f.grid.dim != 1:
+            raise ValueError("family='meyer' needs a one-dimensional signal and its MeyerFamily")
+        c = meyer.analysis(f.values)
+        bands = {(p,): c[meyer.band(p)] for p in meyer.scales}
+    else:
+        raise ValueError("family must be 'haar' or 'meyer'")
+    acc = np.zeros(f.grid.shape, dtype=float)
+    for ps, arr in bands.items():  # the coefficients of the rectangles of sides 2^-ps
+        blown = np.abs(arr) ** 2
+        for axis, p in enumerate(ps):
+            blown = np.repeat(blown, 1 << (n - p), axis=axis)
+        acc += blown * 2.0 ** sum(ps)
+    return Signal(f.grid, np.sqrt(acc).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,15 @@ def meyer_father_profile(t, levels: int = 64):
     return out
 
 
+class MeyerTable(NamedTuple):
+    """One kind of the Meyer family, every member at once in `MeyerFamily.intervals`
+    (heap) order: rows[i] is member i's FFT-layout coefficient array and
+    samples[:, i] its values on the grid.  Both are read-only."""
+
+    rows: np.ndarray
+    samples: np.ndarray
+
+
 class MeyerFamily:
     """Discrete Meyer system on a grid: wavelets w_I, parts u_I/v_I, fathers W_I.
 
@@ -381,57 +386,62 @@ class MeyerFamily:
     kept only while 2^(p+2) <= N/4, i.e. |I| >= 2^(4-n), so products of two
     family members stay alias-free.  Within that range the Gram matrix is the
     identity to machine precision.
+
+    Members are numbered in heap order: I(p, j) = [j 2^-p, (j+1) 2^-p) is
+    member 2^p - 1 + j (`index`), so scale p holds 2^p - 1 ... 2^(p+1) - 2.
+    Each kind is one `MeyerTable`, built on first use; `analysis` and
+    `synthesis` are matrix products with its samples.
     """
 
     def __init__(self, grid: Grid):
         if grid.depth < 5:
             raise ResolutionError("Meyer family needs grid depth >= 5")
-        base = Grid(grid.depth, 1)
         self.grid = grid
-        self.axis_grid = base
+        self.axis_grid = Grid(grid.depth, 1)
         self.max_scale = grid.depth - 4
         self.scales = list(range(self.max_scale + 1))
-        self.intervals = [
-            DyadicInterval(-p, j) for p in self.scales for j in range(1 << p)
-        ]
-        self._mode_cache: dict = {}
-        self._signal_cache: dict = {}
-        self._factor_cache: dict = {}
+        self.intervals = [DyadicInterval(-p, j) for p in self.scales for j in range(1 << p)]
+        self._tables: dict = {}
 
     # -- 1D builders --------------------------------------------------------
 
-    def mode_array(self, interval: DyadicInterval, kind: str = "w") -> np.ndarray:
-        """FFT-layout coefficient array of w/u/v/W on the interval."""
-        key = (interval, kind)
-        if key in self._mode_cache:
-            return self._mode_cache[key]
+    def table(self, kind: str = "w") -> MeyerTable:
+        """The rows and samples of w/u/v/W on every interval, from one vectorized
+        profile evaluation and one inverse FFT (built once per kind)."""
+        if kind not in self._tables:
+            if kind not in ("w", "u", "v", "W"):
+                raise ValueError("kind must be one of 'w', 'u', 'v', 'W'")
+            k = mode_numbers(self.axis_grid)
+            p, j = np.array([[-iv.scale_exponent, iv.position] for iv in self.intervals]).T[..., None]
+            t = k * np.ldexp(1.0, -p)
+            prof = meyer_father_profile(t) if kind == "W" else meyer_mother_profile(t)
+            if kind == "v":
+                prof = np.where(k > 0, prof, 0.0)
+            elif kind in ("u", "W"):
+                # u = P_- w; the father accumulates the same antianalytic side
+                prof = np.where(k < 0, prof, 0.0)
+            amplitude = np.array([[2.0 ** (iv.scale_exponent / 2)] for iv in self.intervals])
+            rows = amplitude * prof * np.exp(-2j * np.pi * t * j)
+            samples = np.ascontiguousarray((np.fft.ifft(rows) * self.axis_grid.n_points).T)
+            rows.flags.writeable = samples.flags.writeable = False
+            self._tables[kind] = MeyerTable(rows, samples)
+        return self._tables[kind]
+
+    def index(self, interval: DyadicInterval) -> int:
+        """The heap index 2^p - 1 + j of I(p, j): its row in every table."""
         p = -interval.scale_exponent
         if p not in self.scales:
             raise ResolutionError(f"scale 2^-{p} outside the resolvable Meyer range")
-        k = mode_numbers(self.axis_grid)
-        t = k * 2.0 ** -p
-        if kind in ("w", "u", "v"):
-            prof = meyer_mother_profile(t)
-        elif kind == "W":
-            prof = meyer_father_profile(t)
-        else:
-            raise ValueError("kind must be one of 'w', 'u', 'v', 'W'")
-        if kind == "v":
-            prof = np.where(k > 0, prof, 0.0)
-        elif kind in ("u", "W"):
-            # u = P_- w; the father accumulates the same antianalytic side
-            prof = np.where(k < 0, prof, 0.0)
-        arr = 2.0 ** (-p / 2) * prof * np.exp(-2j * np.pi * t * interval.position)
-        self._mode_cache[key] = arr
-        return arr
+        if not 0 <= interval.position < 1 << p:
+            raise ValueError(f"position {interval.position} outside 0..{(1 << p) - 1} at scale 2^-{p}")
+        return (1 << p) - 1 + interval.position
+
+    def mode_array(self, interval: DyadicInterval, kind: str = "w") -> np.ndarray:
+        """FFT-layout coefficient array of w/u/v/W on the interval (read-only)."""
+        return self.table(kind).rows[self.index(interval)]
 
     def signal(self, interval: DyadicInterval, kind: str = "w") -> Signal:
-        key = (interval, kind)
-        if key not in self._signal_cache:
-            arr = self.mode_array(interval, kind)
-            vals = np.fft.ifft(arr) * self.axis_grid.n_points
-            self._signal_cache[key] = Signal(self.axis_grid, vals)
-        return self._signal_cache[key].copy()
+        return Signal(self.axis_grid, self.table(kind).samples[:, self.index(interval)].copy())
 
     def wavelet(self, interval) -> Signal:
         return self.signal(interval, "w")
@@ -445,12 +455,14 @@ class MeyerFamily:
     def father(self, interval) -> Signal:
         return self.signal(interval, "W")
 
+    def band(self, scale: int) -> slice:
+        """The heap indices 2^p - 1 ... 2^(p+1) - 2 of the members with |I| = 2^-p."""
+        first = self.index(DyadicInterval(-scale, 0))
+        return slice(first, 2 * first + 1)
+
     def block_factor(self, scale: int) -> np.ndarray:
-        """U_p, the N x 2^p matrix of the sampled u_I over |I| = 2^-p (cached)."""
-        if scale not in self._factor_cache:
-            cols = [self.signal(DyadicInterval(-scale, j), "u").values for j in range(1 << scale)]
-            self._factor_cache[scale] = np.stack(cols, axis=1)
-        return self._factor_cache[scale]
+        """U_p, the N x 2^p matrix of the sampled u_I over |I| = 2^-p (read-only)."""
+        return self.table("u").samples[:, self.band(scale)]
 
     def block_projector(self, scale: int) -> np.ndarray:
         """P_p f = sum_{|I| = 2^-p} u_I <f, u_I> as the N x N matrix U_p U_p^* / N."""
@@ -459,35 +471,51 @@ class MeyerFamily:
 
     def gram_defect(self) -> float:
         """max |<w_I, w_J> - delta_IJ| over all resolvable pairs."""
-        mats = np.stack([self.mode_array(iv, "w") for iv in self.intervals])
+        mats = self.table("w").rows
         gram = mats @ mats.conj().T
         return float(np.max(np.abs(gram - np.eye(len(self.intervals)))))
+
+    # -- analysis and synthesis ----------------------------------------------
+
+    def _columns(self, kind: str, normalized: bool) -> np.ndarray:
+        """S, the kind's samples as columns, each scaled to unit L2 norm if normalized."""
+        S = self.table(kind).samples
+        return S / np.sqrt(np.sum(np.abs(S) ** 2, axis=0) / len(S)) if normalized else S
+
+    def analysis(self, values: np.ndarray, kind: str = "w", normalized: bool = False) -> np.ndarray:
+        """Inner products with every member in heap order: S^* f / N, the <f, s_I>
+        of samples f of length N, or S^* X conj(S) / N^2, the matrix of
+        <X, s_I (x) s_J> of samples X of shape N x N (see `_columns`)."""
+        Sbar = self._columns(kind, normalized).conj()
+        N = len(Sbar)
+        if values.ndim == 1:
+            return Sbar.T @ values / N
+        return Sbar.T @ values @ Sbar / N ** 2
+
+    def synthesis(self, coefficients: np.ndarray, kind: str = "w", normalized: bool = False,
+                  bands: tuple = (slice(None), slice(None)), out=None) -> np.ndarray:
+        """sum_I c_I s_I = S c for a vector c, sum_{I,J} C[I, J] s_I (x) s_J =
+        S C S^T for a matrix C (heap order; see `_columns`); for the orthonormal
+        w it inverts `analysis` on the span.  bands (heap-index slices, one per
+        axis of the coefficients) keeps c[bands] and the members they select;
+        the N x N product runs over the smaller rank, into out if given."""
+        S = self._columns(kind, normalized)
+        if coefficients.ndim == 1:
+            return S[:, bands[0]] @ coefficients[bands[0]]
+        Sr, Sc, C = S[:, bands[0]], S[:, bands[1]], coefficients[bands]
+        if Sr.shape[1] <= Sc.shape[1]:
+            return np.matmul(Sr, C @ Sc.T, out=out)
+        return np.matmul(Sr @ C, Sc.T, out=out)
 
     # -- 2D tensors ----------------------------------------------------------
 
     def tensor(self, rect, kinds: tuple[str, str], normalized: bool = False) -> Signal:
-        """Product of per-axis family members on a dyadic rectangle (d = 2).
-
-        With normalized=True each factor is scaled to unit L2 norm (the
-        analytic/antianalytic halves carry norm 1/sqrt(2) per axis)."""
-        f1 = self.signal(rect.coordinates[0], kinds[0]).values
-        f2 = self.signal(rect.coordinates[1], kinds[1]).values
-        grid2 = Grid(self.axis_grid.depth, 2)
-        out = Signal(grid2, np.multiply.outer(f1, f2))
-        if normalized:
-            nrm = out.norm2()
-            if nrm > 0:
-                out = (1.0 / nrm) * out
-        return out
-
-    def tensor_wavelet(self, rect) -> Signal:
-        return self.tensor(rect, ("w", "w"))
-
-    def tensor_analytic(self, rect, normalized: bool = False) -> Signal:
-        return self.tensor(rect, ("v", "v"), normalized)
-
-    def tensor_antianalytic(self, rect, normalized: bool = False) -> Signal:
-        return self.tensor(rect, ("u", "u"), normalized)
+        """Product of per-axis family members on a dyadic rectangle (d = 2),
+        each factor scaled to unit L2 norm when normalized (the analytic and
+        antianalytic halves carry norm 1/sqrt(2) per axis)."""
+        f1, f2 = (self._columns(kind, normalized)[:, self.index(iv)]
+                  for kind, iv in zip(kinds, rect.coordinates))
+        return Signal(Grid(self.axis_grid.depth, 2), np.multiply.outer(f1, f2))
 
     def mixed_father(self, rect, J: tuple[int, ...]) -> Signal:
         """W_{R,J}: antianalytic wavelet factor u on axes in J, father W elsewhere."""
@@ -495,15 +523,8 @@ class MeyerFamily:
         return self.tensor(rect, kinds)
 
     def rectangles(self) -> list:
-        from .dyadic import DyadicRectangle
-
-        out = [
-            DyadicRectangle((i1, i2))
-            for i1 in self.intervals
-            for i2 in self.intervals
-        ]
-        out.sort(key=lambda r: r.sort_key())
-        return out
+        return sorted((DyadicRectangle((i1, i2)) for i1 in self.intervals for i2 in self.intervals),
+                      key=DyadicRectangle.sort_key)
 
 
 def build_meyer_family(grid: Grid) -> MeyerFamily:

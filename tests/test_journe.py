@@ -7,6 +7,7 @@ from dyadiclab.dyadic import (
     DyadicRectangle,
     Grid,
     RectangleCollection,
+    ResolutionError,
     Signal,
     haar_tensor,
 )
@@ -179,7 +180,7 @@ def test_lower_bound_experiment_single_wavelet():
     g = Grid(6, 2)
     fam = build_meyer_family(Grid(6, 1))
     R = _rect(DyadicInterval(-1, 1), DyadicInterval(-1, 0))
-    v = fam.tensor_analytic(R, normalized=True)
+    v = fam.tensor(R, ("v", "v"), normalized=True)
     coll = RectangleCollection((R,), g)
     rep = jn.lower_bound_experiment(v, coll, fam)
     # alpha equals the normalized symbol: the Hankel image is exactly P|alpha|^2
@@ -207,6 +208,16 @@ def test_lower_bound_experiment_general():
     assert 0.0 <= rep["symmetry_ratio"]
     assert rep["symmetry_reference"] == 0.5
     assert len(rep["slice_norms"]) >= 1
+
+
+def test_lower_bound_experiment_rejects_members_outside_the_family():
+    g = Grid(6, 2)
+    fam = build_meyer_family(Grid(6, 1))
+    fine = DyadicInterval(-(fam.max_scale + 1), 0)
+    coarse = DyadicInterval(-1, 0)
+    coll = RectangleCollection((_rect(coarse, coarse), _rect(fine, coarse)), g)
+    with pytest.raises(ResolutionError):
+        jn.lower_bound_experiment(dl.random_signal(g, rng), coll, fam)
 
 
 def test_positive_function_symmetry_exact_in_1d():

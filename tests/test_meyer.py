@@ -92,6 +92,8 @@ def test_meyer_square_function_energy():
     s = dl.square_function(f, family="meyer", meyer=fam)
     total = sum(abs(f.inner(fam.wavelet(iv))) ** 2 for iv in fam.intervals)
     assert abs(s.norm2() ** 2 - total) < 1e-10
+    with pytest.raises(ValueError, match="one-dimensional"):
+        dl.square_function(dl.random_signal(Grid(7, 2), rng), family="meyer", meyer=fam)
 
 
 def test_tensor_norms():
@@ -99,11 +101,11 @@ def test_tensor_norms():
     from dyadiclab.dyadic import DyadicRectangle
 
     r = DyadicRectangle((DyadicInterval(-1, 0), DyadicInterval(-2, 3)))
-    w = fam.tensor_wavelet(r)
+    w = fam.tensor(r, ("w", "w"))
     assert abs(w.norm2() - 1.0) < 1e-12
-    v = fam.tensor_analytic(r)
+    v = fam.tensor(r, ("v", "v"))
     assert abs(v.norm2() - 0.5) < 1e-12  # quarter energy in the (+,+) octant
-    vn = fam.tensor_analytic(r, normalized=True)
+    vn = fam.tensor(r, ("v", "v"), normalized=True)
     assert abs(vn.norm2() - 1.0) < 1e-12
 
 
@@ -121,3 +123,84 @@ def test_mixed_father_tensor():
     # both factors live on the antianalytic side: all-analytic content is zero
     spec = np.fft.fft2(mixed.values)
     assert np.max(np.abs(spec[1 : 32, 1 : 32])) < 1e-10
+
+
+def _per_interval_build(fam, kind):
+    """Rows and samples of one kind built one interval at a time."""
+    k = mode_numbers(fam.axis_grid)
+    rows, samples = [], []
+    for iv in fam.intervals:
+        p = -iv.scale_exponent
+        t = k * 2.0 ** -p
+        prof = meyer_father_profile(t) if kind == "W" else meyer_mother_profile(t)
+        if kind == "v":
+            prof = np.where(k > 0, prof, 0.0)
+        elif kind in ("u", "W"):
+            prof = np.where(k < 0, prof, 0.0)
+        arr = 2.0 ** (-p / 2) * prof * np.exp(-2j * np.pi * t * iv.position)
+        rows.append(arr)
+        samples.append(np.fft.ifft(arr) * fam.axis_grid.n_points)
+    return np.array(rows), np.array(samples).T
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_tables_match_a_per_interval_build_bit_for_bit(depth):
+    fam = build_meyer_family(Grid(depth, 1))
+    for kind in "wuvW":
+        rows, samples = _per_interval_build(fam, kind)
+        assert np.array_equal(fam.table(kind).rows, rows), kind
+        assert np.array_equal(fam.table(kind).samples, samples), kind
+        assert np.array_equal(fam.signal(fam.intervals[-2], kind).values, samples[:, -2])
+    samples = _per_interval_build(fam, "u")[1]
+    for p in fam.scales:
+        assert np.array_equal(fam.block_factor(p), samples[:, (1 << p) - 1:(2 << p) - 1])
+
+
+@pytest.mark.parametrize("kind, normalized", [("w", False), ("v", True)])
+def test_analysis_matches_inner_products_over_rectangles(kind, normalized):
+    fam = build_meyer_family(Grid(6, 1))
+    b = dl.random_signal(Grid(6, 2), rng)
+    C = fam.analysis(b.values, kind, normalized)
+    for r in fam.rectangles():
+        i1, i2 = (fam.index(iv) for iv in r.coordinates)
+        t = fam.tensor(r, (kind, kind))
+        ref = b.inner((1.0 / t.norm2()) * t if normalized else t)
+        assert abs(C[i1, i2] - ref) < 1e-13, r
+    # 1-D: one inner product per interval
+    f = dl.random_signal(fam.axis_grid, rng)
+    c = fam.analysis(f.values, kind, normalized)
+    for i, iv in enumerate(fam.intervals):
+        s = fam.signal(iv, kind)
+        ref = f.inner((1.0 / s.norm2()) * s if normalized else s)
+        assert abs(c[i] - ref) < 1e-13, iv
+
+
+def test_synthesis_sums_the_tensors_and_inverts_the_orthonormal_analysis():
+    fam = build_meyer_family(Grid(6, 1))
+    n = len(fam.intervals)
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = fam.synthesis(C, "v", normalized=True)
+    ref = sum(C[fam.index(r.coordinates[0]), fam.index(r.coordinates[1])]
+              * fam.tensor(r, ("v", "v")).values / fam.tensor(r, ("v", "v")).norm2()
+              for r in fam.rectangles())
+    assert np.max(np.abs(X - ref)) < 1e-12
+    assert np.max(np.abs(fam.analysis(fam.synthesis(C), "w") - C)) < 1e-12
+    # a band keeps C[rows, cols] and the members it selects
+    rows, cols = slice(1, 3), slice(3, 7)
+    masked = np.zeros_like(C)
+    masked[rows, cols] = C[rows, cols]
+    assert np.max(np.abs(fam.synthesis(C, bands=(rows, cols)) - fam.synthesis(masked))) < 1e-12
+
+
+def test_index_is_the_heap_order_and_rejects_what_the_family_lacks():
+    fam = build_meyer_family(Grid(7, 1))
+    assert [fam.index(iv) for iv in fam.intervals] == list(range(len(fam.intervals)))
+    for bad in (DyadicInterval(-2, 4), DyadicInterval(-2, -1), DyadicInterval(0, 1)):
+        with pytest.raises(ValueError, match="position"):
+            fam.mode_array(bad)
+    with pytest.raises(ResolutionError):
+        fam.signal(DyadicInterval(-(fam.max_scale + 1), 0))
+    with pytest.raises(ResolutionError):
+        fam.block_factor(fam.max_scale + 1)
+    with pytest.raises(ValueError, match="kind"):
+        fam.table("x")

@@ -141,6 +141,19 @@ def test_bmo_shift_average_needs_distinct_shifts():
     assert abs(bmo_dyadic_shift_average(b, 4) - by_hand) < 1e-15
 
 
+def test_bmo_shift_average_spreads_shifts_round_the_circle(monkeypatch):
+    # shift s of 5 moves the 8 points of Grid(3, 1) by (s * 8) // 5 = 0, 1, 3, 4, 6,
+    # not by s * (8 // 5) = 0..4, which bunch at the start of the circle
+    g = Grid(3, 1)
+    b = random_signal(g, np.random.default_rng(4))
+    offsets, roll = [], np.roll
+    monkeypatch.setattr(np, "roll", lambda a, s: offsets.append(s) or roll(a, s))
+    avg = bmo_dyadic_shift_average(b, 5)
+    assert offsets == [0, 1, 3, 4, 6]
+    by_hand = np.mean([bmo_dyadic(dl.Signal(g, roll(b.values, s))).value for s in offsets])
+    assert abs(avg - by_hand) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # product / rectangular / minus-one BMO
 
@@ -393,7 +406,7 @@ def test_bmo_with_meyer_family():
     g = Grid(6, 2)
     fam = build_meyer_family(Grid(6, 1))
     r = DyadicRectangle((DyadicInterval(-1, 1), DyadicInterval(-2, 2)))
-    w = fam.tensor_wavelet(r)
+    w = fam.tensor(r, ("w", "w"))
     rep_rect = bmo_rect(w, family="meyer", meyer=fam)
     assert abs(rep_rect.value - r.area ** -0.5) < 1e-8
     rep_prod = bmo_product(w, mode="exact", family="meyer", meyer=fam)

@@ -269,7 +269,7 @@ def test_meyer_block_projectors_match_rank_one_sums():
         for j1 in range(1 << p1):
             for j2 in range(1 << p2):
                 r = DyadicRectangle((DyadicInterval(-p1, j1), DyadicInterval(-p2, j2)))
-                u = fam.tensor_antianalytic(r)
+                u = fam.tensor(r, ("u", "u"))
                 ref = ref + F.inner(u) * u
         got = fam.block_projector(p1) @ F.values @ fam.block_projector(p2).T
         assert np.max(np.abs(got - ref.values)) <= 1e-13
@@ -344,7 +344,7 @@ def test_meyer_para_multi_separation_decay():
                 for j in (0, 1):
                     c = rngt.standard_normal() + 1j * rngt.standard_normal()
                     r = DyadicRectangle((DyadicInterval(-p, i), DyadicInterval(-p, j)))
-                    b = b + c * fam.tensor_antianalytic(r)
+                    b = b + c * fam.tensor(r, ("u", "u"))
             shift = A * cells
             phi = Signal(g2, np.roll(np.roll(b.values, shift, axis=0), shift, axis=1))
             out = pp.meyer_para_multi(b, phi, fam, J=(1, 2), kvec=(0, 0))
