@@ -51,9 +51,9 @@ print("d=2 block identity defect:", hk.block_identity_check(b2, mode_cutoff=6))
 ratios = []
 for t in range(25):
     bb = hk.random_symbol(32, np.random.default_rng(100 + t))
-    ratios.append(hk.nehari_ratio(bb, "dyadic")["ratio"])
+    ratios.append(hk.nehari_ratio(bb)["ratio"])
 ratios = np.array(ratios)
 print(f"1D ratio band over 25 symbols: [{ratios.min():.3f}, {ratios.max():.3f}]")
 
-r2 = hk.nehari_ratio(hk.random_symbol(4, rng, dim=2), "product_exact", product_depth=2)
+r2 = hk.nehari_ratio(hk.random_symbol(4, rng, dim=2), product_depth=2)
 print("2D little-Hankel ratio:", round(r2["ratio"], 4))

@@ -88,7 +88,7 @@ def _exp_nehari1d(cfg, threads):
     seed, trials, degree = cfg["seed"], cfg["trials"], cfg["M"]
     m_list, trend_trials = cfg["M_list"], cfg["trend_trials"]
 
-    rows = _nehari_rows(hankel.nehari_ratios(_symbol_stack(seed, trials, degree), "dyadic"), degree)
+    rows = _nehari_rows(hankel.nehari_ratios(_symbol_stack(seed, trials, degree)), degree)
     ratios = np.array([r["ratio"] for r in rows])
     summary = {
         "ratio_min": float(ratios.min()),
@@ -101,7 +101,7 @@ def _exp_nehari1d(cfg, threads):
     # trend across degrees
     trend_rows = []
     for m in m_list:
-        vals = hankel.nehari_ratios(_symbol_stack(seed + 1000 * m, trend_trials, m), "dyadic")["ratio"]
+        vals = hankel.nehari_ratios(_symbol_stack(seed + 1000 * m, trend_trials, m))["ratio"]
         mean_log = float(np.mean(np.log(vals)))
         trend_rows.append({"trial": -1, "M": m, "hankel_norm": np.nan,
                            "bmo_value": np.nan, "ratio": float(np.exp(mean_log))})
@@ -115,8 +115,7 @@ def _exp_nehari1d(cfg, threads):
 def _exp_nehari2d(cfg, threads):
     seed, trials, degree, depth = cfg["seed"], cfg["trials"], cfg["M"], cfg["n"]
 
-    rep = hankel.nehari_ratios(_symbol_stack(seed, trials, degree, dim=2), "product_exact",
-                               product_depth=depth)
+    rep = hankel.nehari_ratios(_symbol_stack(seed, trials, degree, dim=2), product_depth=depth)
     rows = _nehari_rows(rep, degree)
     ratios = np.array([r["ratio"] for r in rows])
     summary = {
@@ -386,12 +385,12 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # pieces (commutator-decomp n <= 9), steps^2 nodes of about s 2^n cells per
 # window scale (petermichl steps <= 128, n <= 12: 2.4 ms a node at n = 12;
 # a node costs ~ n + log2(pad ~ Y) scales, so Y <= 1024 is <= 1.2x Y = 8),
-# exact product BMO on 4^(n+3) cells (journe n <= 5, carleson n <= 6) or to
-# depth n (nehari2d n <= 6, and below the finest scale of M's grid: one
-# trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product BMO), the
-# Meyer decomposition on a 4^depth grid, x4 a step and most of it the maximal
-# function of V on the 3x-padded window (lower-bound grid_depth <= 9: 0.02 /
-# 0.07 / 0.27 / 1.2 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
+# exact product BMO on 4^(n+3) cells (journe n <= 5: 0.14 s, carleson n <= 6:
+# 0.04 s) or to depth n (nehari2d n <= 6, and below the finest scale of M's
+# grid: one trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product
+# BMO), the Meyer decomposition on a 4^depth grid, x4 a step and most of it the
+# maximal function of V on the 3x-padded window (lower-bound grid_depth <= 9:
+# 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
 # (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:
 # 9.8 s and 186 MiB; K = 128 steps: 0.63 s).
 CATALOG = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import Grid, Signal
 from .norms import OperatorMatrix, operator_norm, operator_norms
-from . import transforms
+from . import norms, transforms
 
 # grid points per batch of stacked work: 8 modes of a 64^2 grid, whose arrays stay in cache
 _BATCH_POINTS = 1 << 15
@@ -304,66 +304,59 @@ class TruncationError(RuntimeError):
     pass
 
 
-def nehari_ratio(b: SymbolCoefficients, bmo_variant: str = "dyadic",
-                 product_depth: int = 2) -> dict:
-    """Computes ||H_b|| and the requested BMO norm of the analytic part of b,
-    plus their ratio.  The report records both conventions in play, and in
-    2-D the product-BMO solver's number of cuts.  In 2-D a product_depth
-    beyond the finest Haar scale of the symbol's grid raises ValueError."""
-    rep = nehari_ratios(b.coeffs[None], bmo_variant, product_depth)
-    for key in ("hankel_norm", "bmo_value", "ratio"):
-        rep[key] = float(rep[key][0])
-    if "cuts" in rep:
-        rep["cuts"] = int(rep["cuts"][0])
-    return rep
+def nehari_ratio(b: SymbolCoefficients, product_depth: int = 2) -> dict:
+    """Computes ||H_b|| and the BMO norm of the analytic part of b, dyadic
+    BMO in 1-D and exact product BMO to depth product_depth in 2-D, plus
+    their ratio.  The report records both conventions in play, and in 2-D
+    the product-BMO solver's number of cuts.  In 2-D a product_depth beyond
+    the finest Haar scale of the symbol's grid raises ValueError."""
+    rep = nehari_ratios(b.coeffs[None], product_depth)
+    return {key: v[0].item() if isinstance(v, np.ndarray) else v for key, v in rep.items()}
 
 
-def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
-                  product_depth: int = 2) -> dict:
+def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
     """`nehari_ratio` of each symbol of a stack of analytic coefficient arrays
-    (leading axis: symbols), with arrays over the stack.
+    (leading axis: symbols), with arrays over the stack; ValueError unless
+    the symbols are 1-D or 2-D.
 
-    The symbols go in chunks of _BATCH_POINTS // (M N)^d (at least one), N
-    the side of their grid `Grid(symbol_grid_depth(M), d)`: per chunk
-    `_hankel_stack` gathers the Hankel matrices from the coefficients, one
-    stacked SVD gives their norms, one inverse FFT the samples on the grid,
-    and one Haar pyramid with the symbols as its trailing axis the BMO
-    masses.  In 1-D those give the dyadic BMO.  In 2-D every symbol has the
-    same Haar rectangles (a negligible one gets mass 0), so the minimum-cut
-    set-up of `norms._max_union_ratio` is built once for the stack, and each
-    symbol runs only its start and its cuts; "cuts" holds their number per
-    symbol.
-    Raises TruncationError if a symbol has BMO 0 but a nonzero Hankel norm.
+    With N the side of the symbols' grid `Grid(symbol_grid_depth(M), d)`,
+    `_hankel_stack` gathers the Hankel matrices of _BATCH_POINTS // (M N)^d
+    symbols at a time (at least one), whose norms one stacked SVD gives; one
+    inverse FFT and one Haar pyramid give the books of _BATCH_POINTS // N^d
+    symbols at a time, the symbols on the books' stack axis.  In 1-D one
+    densest-box accumulation of those gives their dyadic BMO.  In 2-D every
+    symbol has the same Haar rectangles (a negligible one gets mass 0), so
+    the minimum-cut set-up of `norms._max_union_ratio` is built once for the
+    stack, and each symbol runs only its start and its cuts; "cuts" holds
+    their number per symbol.  TruncationError if a symbol has BMO 0 but a
+    nonzero Hankel norm.
     """
-    from . import norms as _norms
-
     coeffs = np.asarray(coeffs, dtype=complex)
     T, d, M = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[1]
-    if d == 1 and bmo_variant != "dyadic":
-        raise ValueError("1D variant: 'dyadic'")
-    if d == 2 and bmo_variant != "product_exact":
-        raise ValueError("2D variant: 'product_exact'")
+    if d not in (1, 2):
+        raise ValueError(f"symbols must be 1-D or 2-D coefficient arrays, got {d}-D")
     g = Grid(symbol_grid_depth(M), d)
     if d == 2 and product_depth > g.depth - 1:
         raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
                          f"{g.depth - 1} of the depth-{g.depth} grid")
     hankel_norm, bmo_val, cuts = np.empty(T), np.empty(T), np.zeros(T, dtype=int)
-    boxes = None
     step = max(1, _BATCH_POINTS // (M * g.n_points) ** d)
     for lo in range(0, T, step):
-        chunk = slice(lo, lo + step)
-        hankel_norm[chunk] = operator_norms(_hankel_stack(coeffs[chunk]))
-        samples = _symbol_samples(coeffs[chunk], g)
+        hankel_norm[lo:lo + step] = operator_norms(_hankel_stack(coeffs[lo:lo + step]))
+    boxes = None
+    step = max(1, _BATCH_POINTS // g.n_points ** d)
+    for lo in range(0, T, step):
+        samples = np.moveaxis(_symbol_samples(coeffs[lo:lo + step], g), 0, -1)
         if d == 1:
-            bmo_val[chunk] = np.sqrt(_norms._dyadic_bmo_squares(samples.T, g.depth)[0])
-        else:
-            book = _norms._haar_book(np.moveaxis(samples, 0, -1), product_depth, significant=True)
-            if boxes is None:
-                boxes = _norms._Boxes(book, product_depth)
-            for t, mass in enumerate(book.mass, lo):
-                value, _, cuts[t], _ = _norms._max_union_ratio(book._replace(mass=mass),
-                                                               product_depth, boxes)
-                bmo_val[t] = np.sqrt(value)
+            book = norms._haar_book(samples, 1, None)
+            bmo_val[lo:lo + step] = np.sqrt(norms._densest_box(book, g.depth)[0])
+            continue
+        book = norms._haar_book(samples, 2, product_depth, significant=True)
+        boxes = norms._Boxes(book, product_depth) if boxes is None else boxes
+        for t, mass in enumerate(book.mass, lo):
+            value, _, cuts[t], _ = norms._max_union_ratio(book._replace(mass=mass), product_depth,
+                                                          boxes)
+            bmo_val[t] = np.sqrt(value)
     bad = np.flatnonzero((bmo_val == 0.0) & (hankel_norm > 1e-12))
     if bad.size:
         raise TruncationError(f"symbol {bad[0]}: BMO value 0 with nonzero Hankel norm: "
@@ -372,7 +365,7 @@ def nehari_ratios(coeffs: np.ndarray, bmo_variant: str = "dyadic",
         "hankel_norm": hankel_norm,
         "bmo_value": bmo_val,
         "ratio": np.divide(hankel_norm, bmo_val, out=np.full(T, np.nan), where=bmo_val > 0),
-        "bmo_variant": bmo_variant,
+        "bmo_variant": "dyadic" if d == 1 else "product_exact",
         "degree": M,
         "projection": "analytic (k >= 0, Hardy with DC)",
     }

@@ -42,31 +42,39 @@ from .transforms import MeyerFamily, all_analytic_projection
 # padded-window double maximal function and embeddedness
 
 
+def _largest_mean(a: np.ndarray, depth: int, axis: int, inner=lambda means: means) -> np.ndarray:
+    """For each cell along `axis` the largest of the means of a over the
+    blocks of [-1, 2) holding it, each mapped by `inner`: sides 2^(k - depth),
+    k = 0..depth (each tiles the window, as -1 is a multiple of it), and
+    [0, 2), the one block of side 2 that fits.  Coarse to fine, each side's
+    maxima go in place onto both halves of its blocks in the next side's."""
+    def part(x, cells):
+        return x[(slice(None),) * axis + (cells,)]
+
+    sums = [a]
+    for _ in range(depth):
+        sums.append(part(sums[-1], slice(0, None, 2)) + part(sums[-1], slice(1, None, 2)))
+    best = inner(sums[depth] / (1 << depth))
+    for k in range(depth - 1, -1, -1):
+        finer = inner(sums[k] / (1 << k))
+        halves = finer.reshape(finer.shape[:axis] + (-1, 2) + finer.shape[axis + 1:])
+        np.maximum(halves, np.expand_dims(best, axis + 1), out=halves)
+        best = finer
+    pair = inner(part(sums[depth], slice(1, 3)).sum(axis=axis, keepdims=True) / (2 << depth))
+    inside = part(best, slice(1 << depth, None))
+    np.maximum(inside, pair, out=inside)
+    return best
+
+
 def _padded_strong_maximal(mask: np.ndarray, depth: int) -> np.ndarray:
     """Strong maximal function of an indicator on the 3x-padded window, using
     the dyadic rectangles of the integer-dyadic grid contained in [-1, 2)^2.
 
     Block sums of an indicator are exact integers, so summing blocks of
-    blocks, scale by scale, gives each average exactly."""
-    N = 1 << depth
-    best = np.zeros((3 * N, 3 * N), dtype=float)
-
-    def block_sums(a):
-        """(first cell, block size, sums) over the aligned blocks of [-1, 2)
-        along axis 0 at each scale 2^k: each 2^k <= 1 tiles the whole window
-        (-1 is a multiple of it), and 2^1 fits only [0, 2)."""
-        levels = [(0, 1, a)]
-        for k in range(depth):
-            a = a[0::2] + a[1::2]
-            levels.append((0, 2 << k, a))
-        return levels + [(N, 2 * N, a[1:2] + a[2:3])]
-
-    for r0, s1, rows in block_sums(mask.astype(float)):
-        for c0, s2, sums in block_sums(rows.T):
-            shape = (sums.shape[1], s1, sums.shape[0], s2)
-            view = best[r0:r0 + shape[0] * s1, c0:c0 + shape[2] * s2].reshape(shape)  # a view
-            np.maximum(view, (sums.T / (s1 * s2))[:, None, :, None], out=view)
-    return best
+    blocks, scale by scale, gives each mean exactly, and the maxima may be
+    taken in any order: for each side of the row blocks over the column
+    blocks, then over the row blocks, each on its grid of blocks."""
+    return _largest_mean(mask.astype(float), depth, 0, lambda rows: _largest_mean(rows, depth, 1))
 
 
 def enlarged_set(U_mask: np.ndarray, grid: Grid) -> np.ndarray:

@@ -6,21 +6,25 @@ The BMO functionals are quadratic forms on wavelet coefficients:
 
 with U ranging over dyadic intervals (dyadic BMO), dyadic rectangles
 (rectangular BMO), arbitrary unions of finest cells (product BMO), or
-shadows of one-parameter rectangle collections (the d-1 norm).  Each sup
-has one exact solver: fine-to-coarse accumulation for the first two, the
-same rectangular accumulation restricted to one shared side for the d-1
-norm (a closed form), and for product BMO minimum cuts between the book's
-rectangles and the boxes their sides cut out, with Dinkelbach's ratio
-iteration, whose last cut certifies the value; the iteration starts from
-the members of the densest dyadic rectangle when they beat the union of
-all rectangles.  Product BMO's heuristic mode runs that same solver and
-labels its value a lower bound.  The solvers read coefficient books as
-arrays of scales, positions and masses (`_Book`); a dict book is converted
-once, and a book rectangle outside [0,1)^2 raises ValueError.
+shadows of one-parameter rectangle collections (the d-1 norm).  The first
+two sups are one problem, the densest dyadic box of a coefficient book, and
+the d-1 norm is its closed form that counts only the boxes sharing the
+target's side on one axis: one fine-to-coarse accumulation (`_densest_box`)
+solves all three, a stack of books at once.  Product BMO takes minimum cuts
+between the book's boxes and the boxes their sides cut out, with
+Dinkelbach's ratio iteration, whose last cut certifies the value; it starts
+from the members of the densest dyadic box when they beat the union of all
+boxes, and its heuristic mode runs that same solver and labels its value a
+lower bound.  Coefficient books are d-axis arrays of scales, positions and
+masses (`_Book`); a dict book is converted once, and a book rectangle
+outside [0,1)^d raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -136,77 +140,34 @@ class BmoReport:
 
 
 # ---------------------------------------------------------------------------
-# dyadic BMO (d = 1)
+# coefficient books and the densest dyadic box
 
 
-def bmo_dyadic(b: Signal) -> BmoReport:
-    """sup over dyadic I of (|I|^-1 sum_{J subset I} |<b,h_J>|^2)^(1/2); exact."""
-    if b.grid.dim != 1:
-        raise ValueError("bmo_dyadic handles d = 1")
-    best, p, j = _dyadic_bmo_squares(b.values[:, None], b.grid.depth)
-    return BmoReport(np.sqrt(best[0]), DyadicInterval(-int(p[0]), int(j[0])), "exact", "haar")
-
-
-def _dyadic_bmo_squares(values: np.ndarray, depth: int):
-    """Squared dyadic BMO of each column of `values` (axis 0: the 2^depth
-    samples of one signal), with the scale p and position j of the first
-    interval attaining it, scales coarse to fine."""
-    coeffs, _ = transforms._haar_pyramid_1d(values, depth)
-    # mass[p][j] = sum of |c_J|^2 over J inside I(p, j), accumulated fine-to-coarse
-    mass = {p: np.abs(c) ** 2 for p, c in coeffs.items()}
-    for p in range(depth - 2, -1, -1):
-        mass[p] = mass[p] + mass[p + 1].reshape(1 << p, 2, -1).sum(axis=1)
-    cols = np.arange(values.shape[1])
-    best = np.zeros(len(cols))
-    at_p, at_j = np.zeros(len(cols), dtype=int), np.zeros(len(cols), dtype=int)
-    for p in range(depth):
-        vals = mass[p] * 2.0 ** p  # |I|^{-1} = 2^p
-        j = np.argmax(vals, axis=0)
-        top = vals[j, cols]
-        wins = top > best
-        best[wins], at_p[wins], at_j[wins] = top[wins], p, j[wins]
-    return best, at_p, at_j
-
-
-def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
-    """Average of bmo_dyadic over circular grid shifts; a separate labeled
-    output for comparing against translation-invariant BMO, never substituted
-    for the plain dyadic norm.  Shift s < shifts moves the grid by
-    (s * N) // shifts points, spread evenly round the circle, so ValueError
-    unless 1 <= shifts <= N."""
-    N = b.grid.n_points
-    if not 1 <= shifts <= N:
-        raise ValueError(f"need 1 <= shifts <= {N}, the grid's points; got {shifts}")
-    shifted = np.stack([np.roll(b.values, (s * N) // shifts) for s in range(shifts)], axis=1)
-    return float(np.mean(np.sqrt(_dyadic_bmo_squares(shifted, b.grid.depth)[0])))
-
-
-# ---------------------------------------------------------------------------
-# wavelet coefficient books for d = 2
-
-
-def _haar_coefficients(values: np.ndarray, depth: int | None) -> tuple:
-    """(p1, j1, p2, j2, c): every Haar rectangle I(p1, j1) x I(p2, j2) of
-    sides >= 2^-depth of the grid of `values` (axes 0 and 1; trailing axes:
-    a stack of signals), in `haar_analysis` order (scale pairs p1, then p2
-    descending, positions row-major), and its coefficients (leading axis:
-    the rectangles); no DyadicRectangle is built."""
-    ww = transforms._haar_pyramid_2d(values, values.shape[0].bit_length() - 1)[0]
-    pairs = [(p1, p2) for p1, p2 in ww if depth is None or max(p1, p2) <= depth]
-    sizes = [1 << (p1 + p2) for p1, p2 in pairs]
-    p1, p2 = (np.repeat([pair[axis] for pair in pairs], sizes) for axis in (0, 1))
-    at = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # row-major in its pair
-    coef = np.concatenate([ww[pair].reshape((-1,) + values.shape[2:]) for pair in pairs])
-    return p1, at >> p2, p2, at & ((1 << p2) - 1), coef
+def _haar_coefficients(values: np.ndarray, d: int, depth: int | None) -> tuple:
+    """(scales, positions, c): every Haar box I(p_1, j_1) x ... x I(p_d, j_d)
+    of sides >= 2^-depth of the grid of `values` (axes 0..d-1, d = 1 or 2;
+    trailing axes: a stack of signals) as (d, K) arrays, in the Haar
+    pyramids' order (scale tuples descending, axis 0 slowest, positions
+    row-major), and its coefficients (leading axis: the boxes); no
+    DyadicRectangle is built."""
+    pyramid = transforms._haar_pyramid_1d if d == 1 else transforms._haar_pyramid_2d
+    blocks = {q: c for q, c in pyramid(values, values.shape[0].bit_length() - 1)[0].items()
+              if depth is None or np.max(q) <= depth}
+    sides = np.array(list(blocks), dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
+    finest = np.indices((values.shape[0] >> 1,) * d)  # the positions of the finest scale tuple
+    positions = [finest[(slice(None),) + tuple(slice(0, 1 << p) for p in q)].reshape(d, -1)
+                 for q in sides.T]
+    coef = np.concatenate([c.reshape((-1,) + values.shape[d:]) for c in blocks.values()])
+    return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), np.concatenate(positions, axis=1), coef
 
 
 def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:
     """Map DyadicRectangle -> <b, h_R> for the wavelet rectangles resolvable
     on the grid whose coefficient is not exactly zero, optionally truncated
     to sides >= 2^-depth.  A missing rectangle has coefficient 0."""
-    *sides, coef = _haar_coefficients(b.values, depth)
-    keep = coef != 0
-    return {_rectangle(*k): complex(c) for *k, c in zip(*(a[keep] for a in sides), coef[keep])}
+    scales, positions, coef = _haar_coefficients(b.values, b.grid.dim, depth)
+    keep = np.flatnonzero(coef)
+    return dict(zip(_rectangles(scales[:, keep], positions[:, keep]), coef[keep].tolist()))
 
 
 def _meyer_coefficient_book(b: Signal, meyer, depth: int | None) -> dict:
@@ -229,14 +190,13 @@ def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | N
 
 
 class _Book(NamedTuple):
-    """A coefficient book as parallel arrays in book order: rectangle k is
-    I(p1[k], j1[k]) x I(p2[k], j2[k]), where I(p, j) = [j 2^-p, (j+1) 2^-p),
-    and mass[..., k] is its |c|^2 (leading axes: books on the same rectangles)."""
+    """A coefficient book as arrays in book order: box k is the product over
+    the axes a of I(scales[a, k], positions[a, k]), where
+    I(p, j) = [j 2^-p, (j+1) 2^-p), and mass[..., k] is its |c|^2 (leading
+    axes: books on the same boxes)."""
 
-    p1: np.ndarray
-    j1: np.ndarray
-    p2: np.ndarray
-    j2: np.ndarray
+    scales: np.ndarray  # (d, K)
+    positions: np.ndarray  # (d, K)
     mass: np.ndarray
 
     def select(self, keep) -> "_Book":
@@ -255,23 +215,25 @@ def _masses(coef: np.ndarray, significant: bool) -> np.ndarray:
     return np.float_power(size, 2.0)
 
 
-def _haar_book(values: np.ndarray, depth: int | None, significant: bool = False) -> _Book:
+def _haar_book(values: np.ndarray, d: int, depth: int | None, significant: bool = False) -> _Book:
     """`_haar_coefficients` as a book of masses, 0 where the coefficient is 0."""
-    *sides, coef = _haar_coefficients(values, depth)
-    return _Book(*sides, _masses(np.moveaxis(coef, 0, -1), significant))
+    scales, positions, coef = _haar_coefficients(values, d, depth)
+    return _Book(scales, positions, _masses(np.moveaxis(coef, 0, -1), significant))
 
 
 def _array_book(book: dict, significant: bool = False) -> _Book:
     """A dict book (DyadicRectangle -> coefficient) as arrays, keeping its
-    nonzero masses (with `significant`, those above 1e-12 of the largest).
-    ValueError unless every rectangle, kept or not, lies in [0,1)^2."""
+    nonzero masses (with `significant`, those above 1e-12 of the largest); d
+    is read off the rectangles, 2 for an empty book.  ValueError unless every
+    rectangle, kept or not, lies in [0,1)^d."""
+    d = len(next(iter(book)).coordinates) if book else 2
     if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
-        raise ValueError("book rectangles must lie in [0,1)^2")
+        raise ValueError(f"book rectangles must lie in [0,1)^{d}")
     sides = np.array([(-iv.scale_exponent, iv.position) for r in book for iv in r.coordinates],
-                     dtype=np.int64).reshape(-1, 2, 2)
+                     dtype=np.int64).reshape(-1, d, 2)
     mass = _masses(np.array(list(book.values()), dtype=complex), significant)
     keep = mass > 0
-    return _Book(*sides[keep].reshape(-1, 4).T, mass[keep])
+    return _Book(sides[keep, :, 0].T, sides[keep, :, 1].T, mass[keep])
 
 
 def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None,
@@ -279,66 +241,96 @@ def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None
     """The array book of b (or of the dict `book` when given) by `_haar_book`
     or `_array_book`, only its nonzero masses."""
     if book is None and family == "haar":
-        full = _haar_book(b.values, depth, significant)
+        full = _haar_book(b.values, b.grid.dim, depth, significant)
         return full.select(full.mass > 0)
     return _array_book(coefficient_book(b, family, meyer, depth) if book is None else book,
                        significant)
 
 
-def _rectangle(q1: int, t1: int, q2: int, t2: int) -> DyadicRectangle:
-    return DyadicRectangle((DyadicInterval(-int(q1), int(t1)), DyadicInterval(-int(q2), int(t2))))
+def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
+    """The DyadicRectangles of the boxes of (d, K) arrays of scales and positions."""
+    return [DyadicRectangle(tuple(map(DyadicInterval, q, t)))
+            for q, t in zip((-scales).T.tolist(), positions.T.tolist())]
 
 
-def _inside(book: _Book, target: tuple) -> np.ndarray:
-    """Which book rectangles lie inside the rectangle (q1, t1, q2, t2)."""
-    q1, t1, q2, t2 = target
-    return ((book.p1 >= q1) & (book.p2 >= q2)
-            & (book.j1 >> np.maximum(book.p1 - q1, 0) == t1)
-            & (book.j2 >> np.maximum(book.p2 - q2, 0) == t2))
+def _inside(book: _Book, scales: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Which book boxes lie inside the box of the given scales and positions."""
+    q, t = scales[:, None], positions[:, None]
+    return np.all((book.scales >= q) & (book.positions >> np.maximum(book.scales - q, 0) == t),
+                  axis=0)
+
+
+def _densest_box(book: _Book, n: int, shared: int | None = None) -> tuple:
+    """max over dyadic boxes T with sides >= 2^-n of |T|^-1 times the mass of
+    the book boxes inside T, and the first T attaining it, scales then
+    positions ascending: (value, T's scales, T's positions as (d,) arrays,
+    all 0 when every mass is 0), for each book of a stack (leading axes of
+    the mass) at once.  With `shared` an axis, only book boxes whose side on
+    that axis is T's own side count.
+
+    Masses go on the box lattice, each axis in heap order (scale p at
+    2^p - 1 .. 2^(p+1) - 2, so the halves of i are 2i + 1 and 2i + 2), the
+    stack's axes trailing.  One pass per axis that is not shared adds to
+    each scale, fine to coarse, the pair sums of the next finer one: O(d n)
+    array operations.  The block maxima of the scale tuples pick T.
+    """
+    d, stack = book.scales.shape[0], book.mass.shape[:-1]
+    top = int(book.scales.max(initial=0))  # the finest book scale
+    n = min(n, top)  # a T finer than every book box holds none
+    H, S = (2 << top) - 1, math.prod(stack)
+    at = np.ravel_multi_index((1 << book.scales) - 1 + book.positions, (H,) * d) * S
+    acc = np.bincount((at + np.arange(S)[:, None]).ravel(), weights=book.mass.ravel(),
+                      minlength=H ** d * S).reshape((H,) * d + stack)
+    for axis in (a for a in range(d) if a != shared):
+        lattice = acc.swapaxes(0, axis)
+        for p in range(top - 1, -1, -1):  # scale p: lo:hi; scale p + 1: hi:2 hi + 1
+            lo, hi = (1 << p) - 1, (2 << p) - 1
+            lattice[lo:hi] += lattice[hi:2 * hi + 1:2] + lattice[hi + 1:2 * hi + 1:2]
+    starts = (1 << np.arange(n + 2)) - 1
+    block_max = acc[(slice(0, starts[-1]),) * d]
+    for axis in range(d):
+        block_max = np.maximum.reduceat(block_max, starts[:-1], axis=axis)
+    tuples = np.indices((n + 1,) * d).reshape(d, -1)  # the scale tuple of each block, row-major
+    density = block_max.reshape(-1, S) * 2.0 ** tuples.sum(axis=0)[:, None]  # times |T|^-1
+    first = np.argmax(density, axis=0)
+    scales, positions = tuples[:, first].T, np.zeros((S, d), dtype=np.int64)
+    acc = acc.reshape((H,) * d + (S,))
+    for t in set(first.tolist()):  # the stack members whose T has the scales of block t
+        won = first == t
+        block = acc[tuple(slice(starts[p], starts[p + 1]) for p in tuples[:, t])][..., won]
+        at = np.argmax(block.reshape(-1, block.shape[-1]), axis=0)
+        positions[won] = np.array(np.unravel_index(at, block.shape[:-1])).T
+    value = density[first, np.arange(S)].reshape(stack)
+    return value, scales.reshape(stack + (d,)), positions.reshape(stack + (d,))
+
+
+# ---------------------------------------------------------------------------
+# dyadic BMO (d = 1)
+
+
+def bmo_dyadic(b: Signal) -> BmoReport:
+    """sup over dyadic I of (|I|^-1 sum_{J subset I} |<b,h_J>|^2)^(1/2); exact."""
+    if b.grid.dim != 1:
+        raise ValueError("bmo_dyadic handles d = 1")
+    value, (p,), (j,) = _densest_box(_haar_book(b.values, 1, None), b.grid.depth)
+    return BmoReport(np.sqrt(float(value)), DyadicInterval(-int(p), int(j)), "exact", "haar")
+
+
+def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
+    """Average of bmo_dyadic over circular grid shifts; a separate labeled
+    output for comparing against translation-invariant BMO, never substituted
+    for the plain dyadic norm.  Shift s < shifts moves the grid by
+    (s * N) // shifts points, spread evenly round the circle, so ValueError
+    unless 1 <= shifts <= N."""
+    N = b.grid.n_points
+    if not 1 <= shifts <= N:
+        raise ValueError(f"need 1 <= shifts <= {N}, the grid's points; got {shifts}")
+    shifted = np.stack([np.roll(b.values, (s * N) // shifts) for s in range(shifts)], axis=1)
+    return float(np.mean(np.sqrt(_densest_box(_haar_book(shifted, 1, None), b.grid.depth)[0])))
 
 
 # ---------------------------------------------------------------------------
 # rectangular BMO
-
-
-def _densest_rectangle(book: _Book, n: int,
-                       shared: int | None = None) -> tuple[float, tuple | None]:
-    """max over dyadic rectangles T with sides >= 2^-n of |T|^-1 times the
-    mass of the book rectangles inside T, and the first T attaining it as
-    (q1, t1, q2, t2), scales then positions ascending (None when every mass
-    is 0).  With `shared` an axis, only rectangles whose side on that axis is
-    T's own side count.
-
-    Masses go on the rectangle lattice, each axis in heap order (the
-    intervals of scale p on rows 2^p - 1 .. 2^(p+1) - 2, so the halves of
-    row i are rows 2i + 1 and 2i + 2), and two passes accumulate them, each
-    fine to coarse: along axis 0 each scale adds the sums of the row pairs
-    of the next finer one to its own masses, then along axis 1 the same with
-    columns.  That is O(n) array operations, and the block maxima of the
-    scale pairs pick T.
-    """
-    top = max(int(book.p1.max(initial=0)), int(book.p2.max(initial=0)))  # the finest book scale
-    n = min(n, top)  # a T finer than every book rectangle holds none
-    H = (2 << top) - 1
-    heap1, heap2 = (1 << book.p1) - 1 + book.j1, (1 << book.p2) - 1 + book.j2
-    acc = np.bincount(heap1 * H + heap2, weights=book.mass, minlength=H * H).reshape(H, H)
-    for axis in (0, 1):
-        if shared == axis:
-            continue
-        lattice = acc if axis == 0 else acc.T
-        for p in range(top - 1, -1, -1):  # rows of scale p: lo:hi; of scale p + 1: hi:2 hi + 1
-            lo, hi = (1 << p) - 1, (2 << p) - 1
-            lattice[lo:hi] += lattice[hi:2 * hi + 1:2] + lattice[hi + 1:2 * hi + 1:2]
-    starts = (1 << np.arange(n + 2)) - 1
-    rows = np.maximum.reduceat(acc[:starts[-1], :starts[-1]], starts[:-1], axis=0)
-    mass = np.maximum.reduceat(rows, starts[:-1], axis=1)  # the largest of each scale pair
-    density = mass * 2.0 ** np.add.outer(np.arange(n + 1), np.arange(n + 1))  # times |T|^{-1}
-    q1, q2 = divmod(int(np.argmax(density)), n + 1)
-    if not density[q1, q2] > 0.0:
-        return 0.0, None
-    block = acc[starts[q1]:starts[q1 + 1], starts[q2]:starts[q2 + 1]]
-    t1, t2 = divmod(int(np.argmax(block)), 1 << q2)
-    return float(density[q1, q2]), (q1, t1, q2, t2)
 
 
 def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
@@ -347,8 +339,9 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
     if b.grid.dim != 2:
         raise ValueError("bmo_rect handles d = 2")
     n = b.grid.depth if depth is None else depth
-    best_val, best = _densest_rectangle(_book_of(b, family, meyer, depth, book, False), n)
-    return BmoReport(np.sqrt(best_val), None if best is None else _rectangle(*best), "exact", family)
+    value, scales, positions = _densest_box(_book_of(b, family, meyer, depth, book, False), n)
+    witness = _rectangles(scales[:, None], positions[:, None])[0] if value > 0.0 else None
+    return BmoReport(np.sqrt(float(value)), witness, "exact", family)
 
 
 # ---------------------------------------------------------------------------
@@ -428,50 +421,59 @@ def _closure_source_side(supply: list, demand: list, boxes_of: list, order: list
 
 
 class _Boxes:
-    """The minimum-cut set-up of a set of rectangles on the 2^depth x 2^depth
-    cells, shared by every book on those rectangles.
+    """The minimum-cut set-up of a set of boxes on the 2^depth x ... x 2^depth
+    cells, shared by every book on those boxes.
 
-    The cut points of all rectangle sides split the square into boxes, and
-    each rectangle is the block of boxes lo0:hi0 x lo1:hi1, its ranges read
-    off (p, j).  The arcs rectangle -> box go by rectangle, each block of
-    boxes row by row.  ResolutionError for a rectangle finer than depth.
+    The cut points of all book box sides split each axis into ranges, and
+    the cells into the product grid of those ranges, the cut boxes; each
+    book box is the block lo[a]:hi[a] on axis a, its ranges read off (p, j).
+    The arcs book box -> cut box go by book box, each block row-major.
+    ResolutionError for a book box finer than depth.
     """
 
     def __init__(self, book: _Book, depth: int):
-        finest = max(int(book.p1.max(initial=0)), int(book.p2.max(initial=0)))
+        finest = int(book.scales.max(initial=0))
         if finest > depth:
             raise ResolutionError(f"a book rectangle of side 2^-{finest} is below "
                                   f"resolution 2^-{depth}")
-        ranges = [(j << (depth - p), (j + 1) << (depth - p))
-                  for p, j in ((book.p1, book.j1), (book.p2, book.j2))]
-        cuts = [np.unique(np.concatenate([[0, 1 << depth], lo, hi])) for lo, hi in ranges]
-        (lo0, hi0), (lo1, hi1) = ((np.searchsorted(c, lo), np.searchsorted(c, hi))
-                                  for c, (lo, hi) in zip(cuts, ranges))
+        d, shift = book.scales.shape[0], depth - book.scales
+        lo, hi = book.positions << shift, (book.positions + 1) << shift
+        cuts = [np.unique(np.concatenate([[0, 1 << depth], *ends])) for ends in zip(lo, hi)]
+        span = np.array([[np.searchsorted(c, x) for c, x in zip(cuts, e)] for e in (lo, hi)])
+        lo, hi = span  # each block's first and past-the-end cut box on each axis
         self.widths = [np.diff(c) for c in cuts]
-        self.shape = (self.widths[0].size, self.widths[1].size)
-        self.area = np.outer(*self.widths).ravel() / 4.0 ** depth
-        self.size = (hi0 - lo0) * (hi1 - lo1)
+        self.shape = tuple(w.size for w in self.widths)
+        self.area = functools.reduce(np.multiply.outer, self.widths).ravel() / 2.0 ** (d * depth)
+        extent = hi - lo
+        self.size = math.prod(extent)
         ends = np.cumsum(self.size)
-        self.rect_arc = np.repeat(np.arange(len(book.p1)), self.size)
-        offset = np.arange(ends[-1]) - np.repeat(ends - self.size, self.size)
-        row, col = np.divmod(offset, (hi1 - lo1)[self.rect_arc])
-        self.box_arc = (lo0[self.rect_arc] + row) * self.shape[1] + lo1[self.rect_arc] + col
+        self.rect_arc = np.repeat(np.arange(self.size.size), self.size)
+        rest = np.arange(ends[-1]) - np.repeat(ends - self.size, self.size)  # row-major per block
+        index = []
+        for axis in range(d - 1, 0, -1):  # mixed radix, the last axis fastest
+            rest, within = np.divmod(rest, extent[axis, self.rect_arc])
+            index.insert(0, lo[axis, self.rect_arc] + within)
+        self.box_arc = np.ravel_multi_index([lo[0, self.rect_arc] + rest] + index, self.shape)
         boxes, bounds = self.box_arc.tolist(), [0] + ends.tolist()
         self.boxes_of = [boxes[i:j] for i, j in zip(bounds, bounds[1:])]
-        self.corners = (lo0, hi0, lo1, hi1)
-        # a padded summed-area table
-        self.table = np.zeros((self.shape[0] + 1, self.shape[1] + 1), dtype=np.int64)
+        # a padded summed-volume table, and the 2^d corners of each block with their signs
+        self.table = np.zeros(tuple(s + 1 for s in self.shape), dtype=np.int64)
+        self.corners = [((-1) ** c.count(0), tuple(span[end, a] for a, end in enumerate(c)))
+                        for c in itertools.product((0, 1), repeat=d)]
 
     def union(self, rects: np.ndarray) -> np.ndarray:
-        """The boxes of the rectangles selected by the mask `rects`."""
+        """The cut boxes of the book boxes selected by the mask `rects`."""
         return np.bincount(self.box_arc[rects[self.rect_arc]], minlength=self.area.size) > 0
 
     def inside_union(self, chosen: np.ndarray) -> np.ndarray:
-        """The rectangles all of whose boxes lie in the union `chosen`."""
-        lo0, hi0, lo1, hi1 = self.corners
-        table = self.table
-        np.cumsum(np.cumsum(chosen.reshape(self.shape), axis=0), axis=1, out=table[1:, 1:])
-        return table[hi0, hi1] - table[lo0, hi1] - table[hi0, lo1] + table[lo0, lo1] == self.size
+        """The book boxes all of whose cut boxes lie in the union `chosen`:
+        the count of chosen cut boxes in each block, read off the summed-volume
+        table at the block's 2^d corners by inclusion and exclusion."""
+        volume = chosen.reshape(self.shape)
+        for axis in range(volume.ndim):
+            volume = np.cumsum(volume, axis=axis)
+        self.table[(slice(1, None),) * volume.ndim] = volume
+        return sum(sign * self.table[corner] for sign, corner in self.corners) == self.size
 
 
 def _max_union_ratio(book: _Book, depth: int,
@@ -485,7 +487,7 @@ def _max_union_ratio(book: _Book, depth: int,
     union and cuts again at lam (1 + 1e-12); the first cut that finds no
     better union certifies the current one.  It starts from the better of
     two unions: that of all rectangles, and that of the rectangles inside
-    the densest dyadic rectangle (`_densest_rectangle`), which is nearly
+    the densest dyadic rectangle (`_densest_box`), which is nearly
     always optimal for Nehari symbols, so one cut certifies it.  The first
     cut runs on every rectangle; the minimal optimal unions shrink as lam
     rises (Gallo, Grigoriadis and Tarjan 1989), so each later cut runs on
@@ -495,11 +497,10 @@ def _max_union_ratio(book: _Book, depth: int,
     rectangles).  Returns (sup, cell mask of U, number of cuts, the start:
     "rectangle" or "union").
     """
-    N = 1 << depth
     m = book.mass
     live = m > 0
     if not live.any():
-        return 0.0, np.zeros((N, N), dtype=bool), 0, "union"
+        return 0.0, np.zeros((1 << depth,) * book.scales.shape[0], dtype=bool), 0, "union"
     boxes = _Boxes(book, depth) if boxes is None else boxes
 
     def ratio(chosen):  # cumsum: a plain running sum in book order, not np.sum's pairing
@@ -507,12 +508,10 @@ def _max_union_ratio(book: _Book, depth: int,
 
     chosen, start = boxes.union(live), "union"
     value = ratio(chosen)
-    densest = _densest_rectangle(book, depth)[1]
-    if densest is not None:
-        inner = boxes.union(live & _inside(book, densest))
-        inner_value = ratio(inner)
-        if inner_value > value:
-            chosen, value, start = inner, inner_value, "rectangle"
+    inner = boxes.union(live & _inside(book, *_densest_box(book, depth)[1:]))
+    inner_value = ratio(inner)
+    if inner_value > value:
+        chosen, value, start = inner, inner_value, "rectangle"
     keep, n_cuts = np.flatnonzero(live), 0
     while True:
         lam = value * (1.0 + 1e-12)
@@ -525,8 +524,9 @@ def _max_union_ratio(book: _Book, depth: int,
             break  # no union beats value (1 + 1e-12): the certificate
         chosen, value = candidate, better
         keep = np.flatnonzero(live & boxes.inside_union(chosen))
-    mask = np.repeat(np.repeat(chosen.reshape(boxes.shape), boxes.widths[0], axis=0),
-                     boxes.widths[1], axis=1)
+    mask = chosen.reshape(boxes.shape)
+    for axis, widths in enumerate(boxes.widths):
+        mask = np.repeat(mask, widths, axis=axis)
     return value, mask, n_cuts, start
 
 
@@ -549,9 +549,8 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
     n = b.grid.depth if depth is None else depth
-    best_val, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book, True),
-                                                      n)
-    return BmoReport(np.sqrt(best_val), witness, "exact" if mode == "exact" else "lower_bound",
+    value, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book, True), n)
+    return BmoReport(np.sqrt(value), witness, "exact" if mode == "exact" else "lower_bound",
                      family, {"search": "min-cut", "depth": n, "cuts": cuts, "start": start})
 
 
@@ -588,10 +587,10 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     nz = _book_of(b, family, meyer, depth, book, True)
     best_val, best_members = 0.0, ()
     for axis in (0, 1):
-        val, target = _densest_rectangle(nz, n, shared=axis)
+        val, scales, positions = _densest_box(nz, n, shared=axis)
         if val > best_val:
-            best_val = val
-            members = _inside(nz, target) & ((nz.p1, nz.p2)[axis] == target[2 * axis])
-            best_members = tuple(_rectangle(*k) for k in zip(*nz.select(members)[:4]))
+            best_val = float(val)
+            kept = nz.select(_inside(nz, scales, positions) & (nz.scales[axis] == scales[axis]))
+            best_members = tuple(_rectangles(kept.scales, kept.positions))
     witness = RectangleCollection(best_members, b.grid) if best_members else None
     return BmoReport(np.sqrt(best_val), witness, "exact", family)

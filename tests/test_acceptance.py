@@ -156,21 +156,21 @@ def test_criterion_07_nehari_equivalence_desk_scale():
     ratios = []
     for t in range(100):
         b = hk.random_symbol(32, ex.trial_rng(107, t))
-        ratios.append(hk.nehari_ratio(b, "dyadic")["ratio"])
+        ratios.append(hk.nehari_ratio(b)["ratio"])
     ratios = np.array(ratios)
     spread = ratios.max() / ratios.min()
 
     means = []
     for m in (8, 16, 32):
-        vals = [hk.nehari_ratio(hk.random_symbol(m, ex.trial_rng(107, 10_000 * m + t)),
-                                "dyadic")["ratio"] for t in range(40)]
+        vals = [hk.nehari_ratio(hk.random_symbol(m, ex.trial_rng(107, 10_000 * m + t)))["ratio"]
+                for t in range(40)]
         means.append(np.mean(np.log(vals)))
     slope = float(np.polyfit(np.log2([8, 16, 32]), means, 1)[0])
 
     ratios2 = []
     for t in range(30):
         b = hk.random_symbol(4, ex.trial_rng(107, 20_000 + t), dim=2)
-        ratios2.append(hk.nehari_ratio(b, "product_exact", product_depth=2)["ratio"])
+        ratios2.append(hk.nehari_ratio(b, product_depth=2)["ratio"])
     ratios2 = np.array(ratios2)
     spread2 = ratios2.max() / ratios2.min()
 

@@ -293,29 +293,33 @@ def test_block_identity_check_sees_the_last_mode_of_each_octant(monkeypatch):
 
 def test_nehari_ratio_contracts():
     b = hk.random_symbol(8, rng)
-    rep = hk.nehari_ratio(b, "dyadic")
+    rep = hk.nehari_ratio(b)
     assert rep["ratio"] > 0
     # scale invariance
-    rep2 = hk.nehari_ratio(hk.SymbolCoefficients(3.0 * b.coeffs), "dyadic")
+    rep2 = hk.nehari_ratio(hk.SymbolCoefficients(3.0 * b.coeffs))
     assert abs(rep["ratio"] - rep2["ratio"]) < 1e-9
     with pytest.raises(hk.TruncationError):
-        hk.nehari_ratio(hk.SymbolCoefficients([1.0]), "dyadic")  # constant: BMO 0, Hankel 1
+        hk.nehari_ratio(hk.SymbolCoefficients([1.0]))  # constant: BMO 0, Hankel 1
     # degree 4 is sampled on a depth-4 grid, whose finest Haar scale is 3
     b2 = hk.random_symbol(4, rng, dim=2)
-    assert hk.nehari_ratio(b2, "product_exact", product_depth=3)["ratio"] > 0
+    assert hk.nehari_ratio(b2, product_depth=3)["ratio"] > 0
     with pytest.raises(ValueError, match="finest Haar scale"):
-        hk.nehari_ratio(b2, "product_exact", product_depth=4)
+        hk.nehari_ratio(b2, product_depth=4)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        hk.nehari_ratios(np.ones((1, 2, 2, 2)))
 
 
-@pytest.mark.parametrize("degree, dim, variant", [(32, 1, "dyadic"), (4, 2, "product_exact")])
-def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim, variant):
-    # (M N)^d = 4096 grid points a symbol in both cases: 8 symbols fill a
-    # chunk, so 19 make three chunks, and dropping the first 5 moves every boundary
+@pytest.mark.parametrize("degree, dim", [(32, 1), (4, 2), (16, 2)],
+                         ids=["32-1-dyadic", "4-2-product_exact", "16-2-product_exact"])
+def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim):
+    # the Hankel norms go in chunks of 2^15 // (M N)^d symbols: 8 in the first
+    # two cases; the books in chunks of 2^15 // N^d: 8 in the last; so 19
+    # symbols make three chunks, and dropping the first 5 moves every boundary
     coeffs = np.stack([hk.random_symbol(degree, rng, dim=dim).coeffs for _ in range(19)])
-    whole = hk.nehari_ratios(coeffs, variant)
-    later = hk.nehari_ratios(coeffs[5:], variant)
+    whole = hk.nehari_ratios(coeffs)
+    later = hk.nehari_ratios(coeffs[5:])
     for t in range(19):
-        alone = hk.nehari_ratio(hk.SymbolCoefficients(coeffs[t]), variant)
+        alone = hk.nehari_ratio(hk.SymbolCoefficients(coeffs[t]))
         for key in ("hankel_norm", "bmo_value", "ratio"):
             assert whole[key][t] == alone[key]
             assert t < 5 or later[key][t - 5] == alone[key]
@@ -330,8 +334,8 @@ def test_stacked_product_bmo_equals_each_symbols_bmo_product(depth, monkeypatch)
         coeffs[3, k1, k2] = c  # an integer symbol with exactly zero and negligible Haar coefficients
     g = Grid(hk.symbol_grid_depth(4), 2)
     samples = hk._symbol_samples(coeffs, g)
-    full = dl.norms._haar_book(samples[3], depth)
-    kept = dl.norms._haar_book(samples[3], depth, significant=True)
+    full = dl.norms._haar_book(samples[3], 2, depth)
+    kept = dl.norms._haar_book(samples[3], 2, depth, significant=True)
     assert np.any(full.mass == 0) and np.any((kept.mass == 0) & (full.mass > 0))
     masks = []
     solve = dl.norms._max_union_ratio
@@ -342,15 +346,14 @@ def test_stacked_product_bmo_equals_each_symbols_bmo_product(depth, monkeypatch)
         return out
 
     monkeypatch.setattr(dl.norms, "_max_union_ratio", recording)
-    rep = hk.nehari_ratios(coeffs, "product_exact", product_depth=depth)
+    rep = hk.nehari_ratios(coeffs, product_depth=depth)
     monkeypatch.undo()
     assert len(masks) == 4
     for t in range(4):
         alone = dl.bmo_product(Signal(g, samples[t]), depth=depth)
         assert rep["bmo_value"][t] == alone.value and np.array_equal(masks[t], alone.witness)
         assert rep["cuts"][t] == alone.detail["cuts"]
-    assert hk.nehari_ratio(hk.SymbolCoefficients(coeffs[3]), "product_exact",
-                           product_depth=depth)["cuts"] == rep["cuts"][3]
+    assert hk.nehari_ratio(hk.SymbolCoefficients(coeffs[3]), product_depth=depth)["cuts"] == rep["cuts"][3]
 
 
 def test_nehari_ratios_raise_for_one_bad_symbol_in_a_stack():
@@ -358,15 +361,15 @@ def test_nehari_ratios_raise_for_one_bad_symbol_in_a_stack():
     coeffs[9] = 0.0
     coeffs[9, 0] = 1.0  # constant: BMO 0, Hankel norm 1
     with pytest.raises(hk.TruncationError, match="symbol 9"):
-        hk.nehari_ratios(coeffs, "dyadic")
-    assert np.all(hk.nehari_ratios(np.delete(coeffs, 9, axis=0), "dyadic")["ratio"] > 0)
+        hk.nehari_ratios(coeffs)
+    assert np.all(hk.nehari_ratios(np.delete(coeffs, 9, axis=0))["ratio"] > 0)
 
 
 def test_nehari_ratio_calibration_point():
     # the single analytic mode: Hankel norm 1, ratio = 1 / bmo(e^{2 pi i x}),
     # a fixed grid-dependent constant
     b = hk.SymbolCoefficients([0.0, 1.0])
-    rep = hk.nehari_ratio(b, "dyadic")
+    rep = hk.nehari_ratio(b)
     assert abs(rep["hankel_norm"] - 1.0) < 1e-12
     g = Grid(3, 1)
     mode1 = dl.fourier_mode(g, 1)

@@ -99,7 +99,8 @@ def test_bmo_dyadic_examples():
     r = bmo_dyadic(haar_function(0, DyadicInterval(-1, 0), g))
     assert abs(r.value - np.sqrt(2)) < 1e-12
     assert r.witness == DyadicInterval(-1, 0)
-    assert bmo_dyadic(constant(g)).value == 0.0
+    r = bmo_dyadic(constant(g))
+    assert r.value == 0.0 and r.witness == DyadicInterval(0, 0)
 
 
 def test_bmo_dyadic_witness_reproduces_value():
@@ -162,6 +163,17 @@ def _corner_pair(grid):
     r1 = DyadicRectangle((DyadicInterval(0, 0), DyadicInterval(-1, 0)))
     r2 = DyadicRectangle((DyadicInterval(-1, 0), DyadicInterval(0, 0)))
     return haar_tensor(r1, grid) + haar_tensor(r2, grid)
+
+
+def test_bmo_sups_of_an_empty_book_are_zero():
+    # no mass at all: the zero signal's Haar book and the empty dict book
+    g = Grid(3, 2)
+    b = dl.zeros(g)
+    for book in (None, {}):
+        assert bmo_rect(b, book=book).value == 0.0 and bmo_rect(b, book=book).witness is None
+        assert bmo_minus1(b, book=book).value == 0.0 and bmo_minus1(b, book=book).witness is None
+        rep = bmo_product(b, book=book)
+        assert rep.value == 0.0 and not rep.witness.any() and rep.detail["cuts"] == 0
 
 
 def test_single_wavelet_values():
@@ -489,9 +501,9 @@ def _brute_force_densest_members(book, depth):
     best, members = 0.0, None
     for q1 in range(depth + 1):
         for q2 in range(depth + 1):
-            fits = (book.p1 >= q1) & (book.p2 >= q2)
-            t1 = book.j1 >> np.where(fits, book.p1 - q1, 0)
-            cell = (t1 << q2) + (book.j2 >> np.where(fits, book.p2 - q2, 0))
+            fits = (book.scales[0] >= q1) & (book.scales[1] >= q2)
+            t1 = book.positions[0] >> np.where(fits, book.scales[0] - q1, 0)
+            cell = (t1 << q2) + (book.positions[1] >> np.where(fits, book.scales[1] - q2, 0))
             mass = np.bincount(cell[fits], weights=book.mass[fits], minlength=1 << (q1 + q2))
             tot = mass * 2.0 ** (q1 + q2)
             t = int(np.argmax(tot))
@@ -512,7 +524,8 @@ def _dinic_max_union_ratio(book, depth: int, rectangle_start: bool = True):
     if not book.mass.size:
         return 0.0, np.zeros((N, N), dtype=bool), 0
     ranges = [[(int(j) << (depth - int(p)), (int(j) + 1) << (depth - int(p))) for p, j in sides]
-              for sides in zip(zip(book.p1, book.j1), zip(book.p2, book.j2))]
+              for sides in zip(zip(book.scales[0], book.positions[0]),
+                               zip(book.scales[1], book.positions[1]))]
     cuts = [np.unique([0, N] + [x for rr in ranges for x in rr[axis]]) for axis in (0, 1)]
     inside = np.zeros((cuts[0].size - 1, cuts[1].size - 1, len(ranges)), dtype=bool)
     for k, rr in enumerate(ranges):
@@ -644,7 +657,8 @@ def _block_sum_densest(book, n, shared=None):
     """The rectangular accumulation with one block sum per (target scale,
     book scale) pair: O(n^4) array operations, the two-pass one's reference."""
     mass = {}
-    for p1, j1, p2, j2, m in zip(*(a.tolist() for a in book)):
+    (p1s, p2s), (j1s, j2s) = book.scales.tolist(), book.positions.tolist()
+    for p1, j1, p2, j2, m in zip(p1s, j1s, p2s, j2s, book.mass.tolist()):
         mass.setdefault((p1, p2), np.zeros((1 << p1, 1 << p2)))[j1, j2] += m
     best_val, best = 0.0, None
     for q1 in range(n + 1):
@@ -661,19 +675,35 @@ def _block_sum_densest(book, n, shared=None):
     return best_val, best
 
 
+def _interval_sum_densest(book, n):
+    """The densest dyadic interval with |I| >= 2^-n of a 1-D book, each
+    interval's mass summed straight from its members: (value, (q, t)), the
+    first interval attaining it, scales then positions ascending."""
+    best_val, best = 0.0, (0, 0)
+    (p,), (j,) = book.scales, book.positions
+    for q in range(n + 1):
+        for t in range(1 << q):
+            inside = (p >= q) & (j >> np.maximum(p - q, 0) == t)
+            total = float(np.sum(book.mass[inside])) * 2.0 ** q
+            if total > best_val:
+                best_val, best = total, (q, t)
+    return best_val, best
+
+
 def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatch):
     # the passes add in another order: values agree to a few units in the
-    # last place (exactly on +-1 books), the first densest rectangle is the same
+    # last place (exactly on +-1 books), the first densest box is the same
     book_rng = np.random.default_rng(21)
     books = [(book, depth) for book, depth, _ in _solved_books(tmp_path, monkeypatch)]
     for depth in (2, 3, 4, 5, 6):
         for _ in range(3):
-            books.append((dl.norms._haar_book(random_signal(Grid(depth, 2), book_rng).values, None), depth))
+            books.append((dl.norms._haar_book(random_signal(Grid(depth, 2), book_rng).values, 2, None),
+                          depth))
     for book, depth in books:
         for shared in (None, 0, 1):
-            value, best = dl.norms._densest_rectangle(book, depth, shared)
+            value, scales, positions = dl.norms._densest_box(book, depth, shared)
             want_value, want_best = _block_sum_densest(book, depth, shared)
-            assert best == want_best
+            assert (scales[0], positions[0], scales[1], positions[1]) == want_best
             assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
     for depth in (3, 5):  # through the public functions, on dict books
         b = random_signal(Grid(depth, 2), book_rng)
@@ -683,6 +713,45 @@ def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatc
         kept = dl.norms._array_book(book, significant=True)
         minus1 = max(_block_sum_densest(kept, depth, axis)[0] for axis in (0, 1))
         assert abs(bmo_minus1(b, book=book).value ** 2 - minus1) <= 8 * np.finfo(float).eps * minus1
+    # 1-D: the Haar book of a random signal, and books on the same intervals
+    # with masses 0, 1 or 2 (exact, so intervals tie), against a direct sum
+    # over dyadic intervals
+    for depth in range(1, 9):
+        b = random_signal(Grid(depth, 1), book_rng)
+        haar = dl.norms._haar_book(b.values, 1, None)
+        for book in [haar] + [haar._replace(mass=book_rng.choice([0.0, 0.0, 1.0, 2.0], haar.mass.size))
+                              for _ in range(3)]:
+            value, (q,), (t,) = dl.norms._densest_box(book, depth)
+            want_value, want_best = _interval_sum_densest(book, depth)
+            assert (q, t) == want_best
+            assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
+        rep = bmo_dyadic(b)
+        want_value, (q, t) = _interval_sum_densest(haar, depth)
+        assert rep.witness == DyadicInterval(-q, t)
+        assert abs(rep.value ** 2 - want_value) <= 8 * np.finfo(float).eps * want_value
+
+
+def test_a_stack_of_books_is_solved_as_each_book_alone():
+    # Haar books of random, +-1 and zero signals and a sparse 0/1 book on the
+    # same boxes, in 1-D and 2-D: values, scales and positions bit for bit
+    book_rng = np.random.default_rng(22)
+    for d, depth in ((1, 3), (1, 7), (2, 2), (2, 4)):
+        shape = (1 << depth,) * d
+        signals = [random_signal(Grid(depth, d), book_rng).values for _ in range(4)]
+        signals += [book_rng.choice([-1.0, 1.0], shape), np.zeros(shape)]
+        stack = dl.norms._haar_book(np.stack(signals, axis=-1), d, None)
+        sparse = (book_rng.random((1, stack.mass.shape[1])) < 0.2).astype(float)
+        stack = stack._replace(mass=np.concatenate([stack.mass, sparse]))
+        for shared in (None, 0, 1) if d == 2 else (None,):
+            together = dl.norms._densest_box(stack, depth, shared)
+            for s, mass in enumerate(stack.mass):
+                alone = dl.norms._densest_box(stack._replace(mass=mass), depth, shared)
+                for got, want in zip(together, alone):
+                    assert np.array_equal(got[s], want)
+    # the shift average solves its shifted signals as one stack
+    b = random_signal(Grid(5, 1), book_rng)
+    by_hand = np.mean([bmo_dyadic(dl.Signal(b.grid, np.roll(b.values, 8 * s))).value for s in range(4)])
+    assert bmo_dyadic_shift_average(b, 4) == by_hand
 
 
 def _inside_mask(book, mask):
@@ -690,7 +759,7 @@ def _inside_mask(book, mask):
     depth = mask.shape[0].bit_length() - 1
     return np.array([mask[j1 << (depth - p1):(j1 + 1) << (depth - p1),
                           j2 << (depth - p2):(j2 + 1) << (depth - p2)].all()
-                     for p1, j1, p2, j2 in zip(book.p1, book.j1, book.p2, book.j2)], dtype=bool)
+                     for (p1, p2), (j1, j2) in zip(book.scales.T, book.positions.T)], dtype=bool)
 
 
 def test_max_union_ratio_rejects_a_rectangle_finer_than_its_depth():
