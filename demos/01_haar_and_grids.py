@@ -35,6 +35,18 @@ back = dl.haar_synthesis(coeffs)
 print("round trip error:", np.max(np.abs(back.values - f.values)))
 print("Parseval defect :", abs(coeffs.total_energy() - f.norm2() ** 2))
 
+# the coefficients are one array in heap order: index 0 is the integral,
+# index 2^p + j the interval I(p, j), so the halves of index i are 2i and 2i + 1
+print("index 0 vs the mean       :", abs(coeffs.values[0] - f.mean()))
+quarter = dl.haar_function(0, DyadicInterval(-2, 2), grid)  # h on [1/2, 3/4)
+print("index 2^2 + 2 vs <f, h_I> :", abs(coeffs.values[6] - f.inner(quarter)))
+print("band(2) is indices 4..7   :", np.array_equal(coeffs.band(2), coeffs.values[4:8]))
+
+# the same transform runs along every axis of a grid of any dimension
+f3 = dl.random_signal(Grid(2, 3), rng)
+c3 = dl.haar_analysis(f3)
+print("3-D round trip error     :", np.max(np.abs(dl.haar_synthesis(c3).values - f3.values)))
+
 # the odd companion g_I = -h_left + h_right used by the dyadic shift
 g = dl.shifted_haar_g(DyadicInterval(0, 0), grid)
 print("<g, g> =", g.inner(g).real, " <g, h> =", abs(g.inner(dl.haar_function(0, DyadicInterval(0, 0), grid))))

@@ -42,7 +42,7 @@ print("M 1_[0,1/4) plateaus:", sorted({float(v) for v in np.round(m.values.real,
 # the square function repackages the Haar coefficients: L2 mass matches
 s = square_function(f)
 coeffs = dl.haar_analysis(f)
-mass = sum(float(np.sum(np.abs(coeffs.wavelet[p]) ** 2)) for p in coeffs.wavelet)
+mass = float(np.sum(np.abs(coeffs.values[1:]) ** 2))  # every coefficient but the mean (index 0)
 print("||Sf||_2^2 vs coefficient mass:", abs(s.norm2() ** 2 - mass))
 
 # strong maximal function in two parameters

@@ -322,8 +322,9 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
     With N the side of the symbols' grid `Grid(symbol_grid_depth(M), d)`,
     `_hankel_stack` gathers the Hankel matrices of _BATCH_POINTS // (M N)^d
     symbols at a time (at least one), whose norms one stacked SVD gives; one
-    inverse FFT and one Haar pyramid give the books of _BATCH_POINTS // N^d
-    symbols at a time, the symbols on the books' stack axis.  In 1-D one
+    inverse FFT and one separable Haar transform give the books
+    (`norms._haar_book`) of _BATCH_POINTS // N^d symbols at a time, the
+    symbols on the books' stack axis.  In 1-D one
     densest-box accumulation of those gives their dyadic BMO.  In 2-D every
     symbol has the same Haar rectangles (a negligible one gets mass 0), so
     the minimum-cut set-up of `norms._max_union_ratio` is built once for the

@@ -145,20 +145,20 @@ class BmoReport:
 
 def _haar_coefficients(values: np.ndarray, d: int, depth: int | None) -> tuple:
     """(scales, positions, c): every Haar box I(p_1, j_1) x ... x I(p_d, j_d)
-    of sides >= 2^-depth of the grid of `values` (axes 0..d-1, d = 1 or 2;
-    trailing axes: a stack of signals) as (d, K) arrays, in the Haar
-    pyramids' order (scale tuples descending, axis 0 slowest, positions
-    row-major), and its coefficients (leading axis: the boxes); no
-    DyadicRectangle is built."""
-    pyramid = transforms._haar_pyramid_1d if d == 1 else transforms._haar_pyramid_2d
-    blocks = {q: c for q, c in pyramid(values, values.shape[0].bit_length() - 1)[0].items()
-              if depth is None or np.max(q) <= depth}
-    sides = np.array(list(blocks), dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
-    finest = np.indices((values.shape[0] >> 1,) * d)  # the positions of the finest scale tuple
-    positions = [finest[(slice(None),) + tuple(slice(0, 1 << p) for p in q)].reshape(d, -1)
-                 for q in sides.T]
-    coef = np.concatenate([c.reshape((-1,) + values.shape[d:]) for c in blocks.values()])
-    return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), np.concatenate(positions, axis=1), coef
+    of sides >= 2^-depth of the grid of `values` (axes 0..d-1; trailing
+    axes: a stack of signals) as (d, K) arrays, in book order (scale tuples
+    descending, axis 0 slowest, positions row-major), and its coefficients
+    (leading axis: the boxes), sliced off `transforms.haar_analysis`'s heap
+    array band by band; no DyadicRectangle is built."""
+    heap = transforms._haar_transform(values, d)
+    finest = values.shape[0].bit_length() - 2
+    top = finest if depth is None else min(depth, finest)
+    sides = np.array(list(itertools.product(range(top, -1, -1), repeat=d)),
+                     dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
+    blocks = [heap[transforms._heap_band(q)] for q in sides.T]
+    positions = np.concatenate([np.indices(c.shape[:d]).reshape(d, -1) for c in blocks], axis=1)
+    coef = np.concatenate([c.reshape((-1,) + values.shape[d:]) for c in blocks])
+    return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), positions, coef
 
 
 def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:

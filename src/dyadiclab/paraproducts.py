@@ -24,8 +24,8 @@ from .dyadic import (
 from .norms import OperatorMatrix
 from .transforms import (
     MeyerFamily,
-    _haar_pyramid_1d,
-    _haar_synth_axis,
+    _haar_analysis_axis,
+    _haar_synthesis_axis,
     haar_analysis,
 )
 
@@ -34,25 +34,18 @@ from .transforms import (
 # block averages and the Haar paraproduct
 
 
-def _block_average_pyramid(values: np.ndarray, depth: int) -> dict:
-    """avg[p][j] = average of f over I(p, j)."""
-    out = {}
-    w = values.copy()
-    for p in range(depth, -1, -1):
-        if p < depth:
-            w = 0.5 * (w[0::2] + w[1::2])
-        out[p] = w.copy()
-    return out
-
-
 def _para_haar_values(b: Signal, values: np.ndarray) -> np.ndarray:
-    """Para(b, .) along axis 0 of values; trailing axes are a batch."""
+    """Para(b, .) along axis 0 of values; trailing axes are a batch.  Its
+    Haar coefficients in heap order are <b, h_I> times the average of the
+    values over I, the averages taken fine to coarse."""
     n = b.grid.depth
-    bc = haar_analysis(b)
-    avg = _block_average_pyramid(values, n)
-    batch = (1,) * (values.ndim - 1)
-    new_coeffs = {p: bc.wavelet[p].reshape((-1,) + batch) * avg[p] for p in range(n)}
-    return _haar_synth_axis(new_coeffs, np.zeros(values.shape[1:]), n)
+    beta = haar_analysis(b).values.reshape((-1,) + (1,) * (values.ndim - 1))
+    new = np.zeros(values.shape, dtype=complex)
+    avg = values
+    for p in range(n - 1, -1, -1):
+        avg = 0.5 * (avg[0::2] + avg[1::2])
+        new[1 << p:2 << p] = beta[1 << p:2 << p] * avg
+    return _haar_synthesis_axis(new, n)
 
 
 def para_haar(b: Signal, f: Signal) -> Signal:
@@ -64,7 +57,7 @@ def para_haar(b: Signal, f: Signal) -> Signal:
 
 
 def para_haar_matrix(b: Signal) -> OperatorMatrix:
-    """Matrix of f -> para_haar(b, f) on the grid-cell basis: the pyramid
+    """Matrix of f -> para_haar(b, f) on the grid-cell basis: the transform
     applied once to the identity, whose columns are the cell indicators."""
     if b.grid.dim != 1:
         raise ValueError("para_haar_matrix needs a 1D symbol")
@@ -79,8 +72,8 @@ def para_double_sum(b: Signal, f: Signal) -> Signal:
     torus plus the constant ambient term (the torus itself contains every I)."""
     n = b.grid.depth
     out = zeros(b.grid)
-    bc = haar_analysis(b)
-    fc = haar_analysis(f)
+    bc = haar_analysis(b).values
+    fc = haar_analysis(f).values
     intervals = [(p, j) for p in range(n) for j in range(1 << p)]
     hs = {}
     for p, j in intervals:
@@ -93,11 +86,11 @@ def para_double_sum(b: Signal, f: Signal) -> Signal:
             if not inside:
                 continue
             out.values += (
-                bc.wavelet[pi][ji] * fc.wavelet[pj][jj] * hs[(pi, ji)] * hs[(pj, jj)]
+                bc[(1 << pi) + ji] * fc[(1 << pj) + jj] * hs[(pi, ji)] * hs[(pj, jj)]
             )
         # ambient term: the torus as the coarsest J, factor h_J = 1, coefficient the mean
     for pi, ji in intervals:
-        out.values += bc.wavelet[pi][ji] * fc.mean * hs[(pi, ji)]
+        out.values += bc[(1 << pi) + ji] * fc[0] * hs[(pi, ji)]
     return out
 
 
@@ -109,12 +102,11 @@ def _shift_values(values: np.ndarray, depth: int, left: float, right: float) -> 
     """sum_J <f, h_J> (left h_{J_left} + right h_{J_right}) along axis 0 of
     values, trailing axes a batch; J runs over intervals whose halves are
     wavelet-resolvable, |J| >= 4 cells."""
-    coeffs, _ = _haar_pyramid_1d(values, depth)
-    new_coeffs = {p: np.zeros(coeffs[p].shape, dtype=complex) for p in range(depth)}
-    for p in range(depth - 1):
-        new_coeffs[p + 1][0::2] += left * coeffs[p]
-        new_coeffs[p + 1][1::2] += right * coeffs[p]
-    return _haar_synth_axis(new_coeffs, np.zeros(values.shape[1:]), depth)
+    c = _haar_analysis_axis(values, depth)
+    new = np.zeros(values.shape, dtype=complex)  # the halves of heap index i are 2i and 2i + 1
+    new[2::2] = left * c[1:len(c) // 2]
+    new[3::2] = right * c[1:len(c) // 2]
+    return _haar_synthesis_axis(new, depth)
 
 
 def dyadic_shift_G(f: Signal) -> Signal:
@@ -168,19 +160,12 @@ _GLEFT_BASES = {
 
 
 def _haar_basis_matrices(grid: Grid) -> dict:
-    """Columns h_I and h^1_I sampled on the cells, for the intervals of scale
-    p < depth in heap order: I(p, j) is column 2^p - 1 + j, so the halves
-    of column J are 2J + 1 and 2J + 2."""
-    N = grid.n_points
-    H = np.empty((N, N - 1))
-    H1 = np.empty((N, N - 1))
-    for p in range(grid.depth):
-        amp = (2.0 ** -p) ** -0.5  # |I|^{-1/2}, as haar_function computes it
-        width = N >> p
-        cols = slice((1 << p) - 1, (2 << p) - 1)
-        H1[:, cols] = np.kron(np.eye(1 << p), np.full((width, 1), amp))
-        H[:, cols] = H1[:, cols] * np.tile(np.repeat([-1.0, 1.0], width // 2), 1 << p)[:, None]
-    return {"h": H, "h1": H1}
+    """Columns h_I and h^1_I = |h_I| sampled on the cells, for the intervals of
+    scale p < depth in heap order without the mean: I(p, j) is column
+    2^p - 1 + j, so the halves of column J are 2J + 1 and 2J + 2.  The h_I
+    are the Haar synthesis of the identity."""
+    H = _haar_synthesis_axis(np.eye(grid.n_points), grid.depth)[:, 1:]
+    return {"h": H, "h1": np.abs(H)}
 
 
 def _heap_descendants(nodes: np.ndarray, k: int) -> np.ndarray:
@@ -242,8 +227,7 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
     """
     target = commutator_gleft_matrix(b)
     n = b.grid.depth
-    bc = haar_analysis(b)
-    beta = np.concatenate([bc.wavelet[p] for p in range(n)])
+    beta = haar_analysis(b).values[1:]
     bases = _haar_basis_matrices(b.grid)
     pieces = {}
     for label, (psi, phi) in _GLEFT_BASES.items():

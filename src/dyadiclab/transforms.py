@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,118 +147,75 @@ def fourier_mode(grid: Grid, *k: int) -> Signal:
 
 @dataclass
 class HaarCoefficients:
-    """Tensor Haar coefficients, keyed by scale arrays.
-
-    1D: mean plus per-scale arrays wavelet[p] of shape (2^p,), p = 0..depth-1,
-    holding <f, h_I> for I = [j 2^-p, (j+1) 2^-p).
-
-    2D: mean, ww[(p1,p2)] for wavelet x wavelet, wm[p1] for wavelet x constant,
-    mw[p2] for constant x wavelet.  This is the full orthonormal tensor system,
-    so Parseval holds exactly.
-    """
+    """Tensor Haar coefficients as one array in heap order along each axis:
+    index 0 is the integral (the coefficient against the constant 1) and
+    index 2^p + j is <f, h_I> for I = I(p, j) = [j 2^-p, (j+1) 2^-p), so the
+    halves of index i are 2i and 2i + 1.  values[i_1, ..., i_d] is the
+    coefficient against the tensor product of those functions; this is the
+    full orthonormal tensor system, so Parseval holds exactly."""
 
     grid: Grid
-    mean: complex
-    wavelet: dict = None  # 1D
-    ww: dict = None  # 2D wavelet x wavelet
-    wm: dict = None  # 2D wavelet x constant
-    mw: dict = None  # 2D constant x wavelet
+    values: np.ndarray
 
-    def coefficient(self, rect_or_interval, eps=None) -> complex:
-        if isinstance(rect_or_interval, DyadicInterval):
-            iv = rect_or_interval
-            return complex(self.wavelet[-iv.scale_exponent][iv.position])
-        r = rect_or_interval
-        p1, p2 = -r.coordinates[0].scale_exponent, -r.coordinates[1].scale_exponent
-        j1, j2 = r.coordinates[0].position, r.coordinates[1].position
-        if eps in (None, (0, 0)):
-            return complex(self.ww[(p1, p2)][j1, j2])
-        if eps == (0, 1):
-            return complex(self.wm[p1][j1])
-        if eps == (1, 0):
-            return complex(self.mw[p2][j2])
-        raise ValueError("eps must be a pair of 0/1 with at least one 0")
+    @property
+    def mean(self) -> complex:
+        return complex(self.values[(0,) * self.grid.dim])
+
+    def band(self, *scales: int) -> np.ndarray:
+        """The view of the coefficients of the boxes whose side on axis a is 2^-scales[a]."""
+        return self.values[_heap_band(scales)]
 
     def total_energy(self) -> float:
-        total = abs(self.mean) ** 2
-        if self.grid.dim == 1:
-            for arr in self.wavelet.values():
-                total += float(np.sum(np.abs(arr) ** 2))
-        else:
-            for group in (self.ww, self.wm, self.mw):
-                for arr in group.values():
-                    total += float(np.sum(np.abs(arr) ** 2))
-        return total
+        return float(np.sum(np.abs(self.values) ** 2))
 
 
-def _haar_pyramid_1d(values: np.ndarray, depth: int):
-    """Wavelet coefficient arrays per scale p, plus the mean, along axis 0."""
+def _heap_band(scales) -> tuple:
+    """The heap index of the boxes whose side on axis a is 2^-scales[a]."""
+    return tuple(slice(1 << p, 2 << p) for p in scales)
+
+
+def _haar_analysis_axis(values: np.ndarray, depth: int) -> np.ndarray:
+    """Haar coefficients in heap order along axis 0 (trailing axes: a stack)."""
+    out = np.empty(values.shape, dtype=np.result_type(values, float))
     w = values * 2.0 ** -depth  # start from cell integrals
-    coeffs = {}
     for p in range(depth - 1, -1, -1):
         pairs = w.reshape((1 << p, 2) + w.shape[1:])
-        sums = pairs[:, 0] + pairs[:, 1]
-        diffs = pairs[:, 1] - pairs[:, 0]
         # <f, h_I> = |I|^(-1/2) * (integral over right half - integral over left half)
-        coeffs[p] = diffs * 2.0 ** (p / 2)
-        w = sums
-    return coeffs, w[0]
+        out[1 << p:2 << p] = (pairs[:, 1] - pairs[:, 0]) * 2.0 ** (p / 2)
+        w = pairs[:, 0] + pairs[:, 1]
+    out[0] = w[0]
+    return out
 
 
-def haar_analysis(f: Signal) -> HaarCoefficients:
-    """Coefficients against the full tensor Haar system plus the mean."""
-    n = f.grid.depth
-    if f.grid.dim == 1:
-        coeffs, integral = _haar_pyramid_1d(f.values, n)
-        return HaarCoefficients(f.grid, mean=complex(integral), wavelet=coeffs)
-    if f.grid.dim != 2:
-        raise ValueError("haar_analysis supports d in {1, 2}")
-    ww, wm, mw, total = _haar_pyramid_2d(f.values, n)
-    return HaarCoefficients(f.grid, mean=complex(total), ww=ww, wm=wm, mw=mw)
-
-
-def _haar_pyramid_2d(values: np.ndarray, depth: int):
-    """Tensor Haar coefficients along axes 0 and 1 (trailing axes: a stack of
-    signals): ww[(p1, p2)] of shape (2^p1, 2^p2, ...), p1 then p2 descending,
-    wm[p1], mw[p2] and the mean."""
-    # Axis 1 first: for each scale p1 we get arrays over (position, x2-samples).
-    c1, int1 = _haar_pyramid_1d(values, depth)  # int1: integral over x1
-    ww, wm = {}, {}
-    for p1, arr in c1.items():
-        # arr holds <f, h_I1>(x2) as cell values of x2; analyze axis 2.
-        sub, mean2 = _haar_pyramid_1d(arr.swapaxes(0, 1), depth)
-        for p2, a2 in sub.items():
-            ww[(p1, p2)] = a2.swapaxes(0, 1)
-        wm[p1] = mean2
-    mw, total = _haar_pyramid_1d(int1, depth)
-    return ww, wm, mw, total
-
-
-def _haar_synth_axis(coeffs: dict, mean, depth: int) -> np.ndarray:
-    """Inverse of _haar_pyramid_1d along axis 0."""
-    w = np.asarray(mean)[None, ...] if np.ndim(mean) else np.array([mean])
-    for p in range(0, depth):
-        c = coeffs[p] * 2.0 ** (-p / 2)
-        halves = np.empty((w.shape[0], 2) + w.shape[1:], dtype=complex)
+def _haar_synthesis_axis(coeffs: np.ndarray, depth: int) -> np.ndarray:
+    """Inverse of `_haar_analysis_axis`: cell values along axis 0."""
+    w = coeffs[:1]
+    for p in range(depth):
+        c = coeffs[1 << p:2 << p] * 2.0 ** (-p / 2)
+        halves = np.empty((1 << p, 2) + w.shape[1:], dtype=np.result_type(coeffs, float))
         halves[:, 0] = (w - c) / 2.0
         halves[:, 1] = (w + c) / 2.0
-        w = halves.reshape((w.shape[0] * 2,) + w.shape[1:])
+        w = halves.reshape((2 << p,) + w.shape[1:])
     return w * 2.0 ** depth  # integrals -> cell values
 
 
+def _haar_transform(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
+    """Haar analysis along axes 0, ..., d-1 of values (trailing axes: a
+    stack), or with `inverse` its synthesis along axes d-1, ..., 0."""
+    depth = values.shape[0].bit_length() - 1
+    step = _haar_synthesis_axis if inverse else _haar_analysis_axis
+    for a in reversed(range(d)) if inverse else range(d):
+        values = np.moveaxis(step(np.moveaxis(values, a, 0), depth), 0, a)
+    return values
+
+
+def haar_analysis(f: Signal) -> HaarCoefficients:
+    """Coefficients against the full tensor Haar system, the mean included."""
+    return HaarCoefficients(f.grid, _haar_transform(f.values, f.grid.dim))
+
+
 def haar_synthesis(coeffs: HaarCoefficients) -> Signal:
-    n = coeffs.grid.depth
-    if coeffs.grid.dim == 1:
-        vals = _haar_synth_axis(coeffs.wavelet, coeffs.mean, n)
-        return Signal(coeffs.grid, vals)
-    # Rebuild axis-2 data for every axis-1 band, then invert axis 1.
-    c1 = {}
-    for p1 in range(n):
-        sub = {p2: coeffs.ww[(p1, p2)].T for p2 in range(n)}
-        c1[p1] = _haar_synth_axis(sub, coeffs.wm[p1], n).T
-    int1 = _haar_synth_axis({p: coeffs.mw[p] for p in range(n)}, coeffs.mean, n)
-    vals = _haar_synth_axis(c1, int1, n)
-    return Signal(coeffs.grid, vals)
+    return Signal(coeffs.grid, _haar_transform(coeffs.values, coeffs.grid.dim, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +261,12 @@ def strong_maximal(f: Signal) -> Signal:
 
 def square_function(f: Signal, family: str = "haar", meyer: "MeyerFamily" = None) -> Signal:
     """S f = (sum_R |<f, phi_R>|^2 |R|^-1 1_R)^(1/2) for the chosen mean-zero
-    family: tensor Haar wavelets (d = 1, 2) or the Meyer wavelets w_I (d = 1)."""
+    family: tensor Haar wavelets (any d) or the Meyer wavelets w_I (d = 1)."""
     n = f.grid.depth
     if family == "haar":
         coeffs = haar_analysis(f)
-        bands = coeffs.ww if f.grid.dim == 2 else {(p,): arr for p, arr in coeffs.wavelet.items()}
+        bands = {ps: coeffs.band(*ps) for ps in itertools.product(range(n - 1, -1, -1),
+                                                                   repeat=f.grid.dim)}
     elif family == "meyer":
         if meyer is None or f.grid.dim != 1:
             raise ValueError("family='meyer' needs a one-dimensional signal and its MeyerFamily")

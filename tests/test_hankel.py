@@ -130,9 +130,8 @@ def test_little_hankel():
     assert abs(operator_norm(Hc.matrix) - operator_norm(Hc.matrix.entries, method="power")) < 1e-8
 
 
-def test_little_hankel_in_several_fft_batches():
+def test_little_hankel_gather_at_degree_12():
     # degree 12: the gather agrees with the structural reduction on a 144^2 matrix
-    # (the size at which the former grid-FFT build split its columns into batches)
     b = hk.random_symbol(12, rng, dim=2)
     assert np.max(np.abs(hk.little_hankel(b).matrix.entries - _little_hankel_structural(b))) < 1e-12
 

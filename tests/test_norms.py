@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_bmo_dyadic_witness_reproduces_value():
         for j in range(1 << p):
             J = DyadicInterval(-p, j)
             if iv.contains(J):
-                total += abs(coeffs.wavelet[p][j]) ** 2
+                total += abs(coeffs.band(p)[j]) ** 2
     assert abs(np.sqrt(total / iv.length) - rep.value) < 1e-10
 
 
@@ -392,11 +393,11 @@ def test_minus1_exact_and_witness_at_depth_5():
 def test_haar_book_holds_exactly_the_nonzero_coefficients():
     b, _ = dl.carleson_family(6, Grid(9, 2), seed=0)
     book = dl.norms.coefficient_book(b)
-    ww = dl.haar_analysis(b).ww
-    assert len(book) == sum(np.count_nonzero(arr) for arr in ww.values())
+    coeffs = dl.haar_analysis(b)
+    assert len(book) == np.count_nonzero(coeffs.values[1:, 1:])
     for r, c in book.items():
         p1, p2 = (-iv.scale_exponent for iv in r.coordinates)
-        assert c != 0 and c == ww[p1, p2][r.coordinates[0].position, r.coordinates[1].position]
+        assert c != 0 and c == coeffs.band(p1, p2)[r.coordinates[0].position, r.coordinates[1].position]
 
 
 def test_product_witness_reproduces_value():
@@ -675,24 +676,31 @@ def _block_sum_densest(book, n, shared=None):
     return best_val, best
 
 
-def _interval_sum_densest(book, n):
-    """The densest dyadic interval with |I| >= 2^-n of a 1-D book, each
-    interval's mass summed straight from its members: (value, (q, t)), the
-    first interval attaining it, scales then positions ascending."""
-    best_val, best = 0.0, (0, 0)
-    (p,), (j,) = book.scales, book.positions
-    for q in range(n + 1):
-        for t in range(1 << q):
-            inside = (p >= q) & (j >> np.maximum(p - q, 0) == t)
-            total = float(np.sum(book.mass[inside])) * 2.0 ** q
-            if total > best_val:
-                best_val, best = total, (q, t)
+def _box_sum_densest(book, n, shared=None):
+    """The densest dyadic box with sides >= 2^-n of a d-axis book, each box's
+    mass summed straight from its members (with `shared` an axis, only those
+    whose side on it is the box's own): (value, (scales, positions)), the
+    first box attaining it, scale tuples then positions ascending."""
+    d = book.scales.shape[0]
+    best_val, best = 0.0, ((0,) * d, (0,) * d)
+    for q in itertools.product(range(n + 1), repeat=d):
+        side = np.array(q)[:, None]
+        inside = np.all(book.scales >= side, axis=0)
+        if shared is not None:
+            inside &= book.scales[shared] == q[shared]
+        shape = tuple(1 << qa for qa in q)
+        box = np.ravel_multi_index(book.positions[:, inside] >> (book.scales[:, inside] - side), shape)
+        totals = np.bincount(box, book.mass[inside], math.prod(shape)) * 2.0 ** sum(q)
+        k = int(np.argmax(totals))
+        if totals[k] > best_val:
+            best_val, best = float(totals[k]), (q, tuple(int(t) for t in np.unravel_index(k, shape)))
     return best_val, best
 
 
 def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatch):
     # the passes add in another order: values agree to a few units in the
-    # last place (exactly on +-1 books), the first densest box is the same
+    # last place (exactly on +-1 and integer books), the first densest box is
+    # the same, in 1-D, 2-D and 3-D
     book_rng = np.random.default_rng(21)
     books = [(book, depth) for book, depth, _ in _solved_books(tmp_path, monkeypatch)]
     for depth in (2, 3, 4, 5, 6):
@@ -722,13 +730,22 @@ def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatc
         for book in [haar] + [haar._replace(mass=book_rng.choice([0.0, 0.0, 1.0, 2.0], haar.mass.size))
                               for _ in range(3)]:
             value, (q,), (t,) = dl.norms._densest_box(book, depth)
-            want_value, want_best = _interval_sum_densest(book, depth)
-            assert (q, t) == want_best
+            want_value, want_best = _box_sum_densest(book, depth)
+            assert ((q,), (t,)) == want_best
             assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
         rep = bmo_dyadic(b)
-        want_value, (q, t) = _interval_sum_densest(haar, depth)
+        want_value, ((q,), (t,)) = _box_sum_densest(haar, depth)
         assert rep.witness == DyadicInterval(-q, t)
         assert abs(rep.value ** 2 - want_value) <= 8 * np.finfo(float).eps * want_value
+    # 3-D: the same for Haar books on the polydisc, and for every shared axis
+    for depth in range(1, 5):
+        haar = dl.norms._haar_book(random_signal(Grid(depth, 3), book_rng).values, 3, None)
+        for book in (haar, haar._replace(mass=book_rng.choice([0.0, 0.0, 1.0, 2.0], haar.mass.size))):
+            for shared in (None, 0, 1, 2):
+                value, scales, positions = dl.norms._densest_box(book, depth, shared)
+                want_value, want_best = _box_sum_densest(book, depth, shared)
+                assert (tuple(scales.tolist()), tuple(positions.tolist())) == want_best
+                assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
 
 
 def test_a_stack_of_books_is_solved_as_each_book_alone():

@@ -98,10 +98,10 @@ def test_g_left_relation():
     fc = dl.haar_analysis(f)
     right = zeros(g)
     n = g.depth
-    new_coeffs = {p: np.zeros(1 << p, dtype=complex) for p in range(n)}
+    new_coeffs = np.zeros(1 << n, dtype=complex)
     for p in range(n - 1):
-        new_coeffs[p + 1][1::2] += fc.wavelet[p]
-    right = dl.haar_synthesis(type(fc)(grid=g, mean=0.0, wavelet=new_coeffs))
+        new_coeffs[(2 << p) + 1:4 << p:2] += fc.band(p)
+    right = dl.haar_synthesis(dl.HaarCoefficients(g, new_coeffs))
     lhs = pp.dyadic_shift_G(f)
     rhs = right - _g_left(f)
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
@@ -144,7 +144,7 @@ def _rank_one_table(b: Signal) -> dict:
         for j in range(1 << p):
             hJ, h1J = h(0, p, j), h(1, p, j)
             hL, hR, h1L = h(0, p + 1, 2 * j), h(0, p + 1, 2 * j + 1), h(1, p + 1, 2 * j)
-            bL, bR, bJ = bc.wavelet[p + 1][2 * j], bc.wavelet[p + 1][2 * j + 1], bc.wavelet[p][j]
+            bL, bR, bJ = bc.band(p + 1)[2 * j], bc.band(p + 1)[2 * j + 1], bc.band(p)[j]
             out["I=J_left:dual_para"] += bL * s * np.sqrt(2) * rank_one(h1L, hJ)
             out["I=J_left:regular"] += bL * s * rank_one(hL, hL)
             out["I=J_right"] += -bR * s * rank_one(hL, hR)
@@ -153,12 +153,12 @@ def _rank_one_table(b: Signal) -> dict:
             for pi in range(p + 2, n):
                 shift = pi - (p + 1)
                 for ji in range(2 * j << shift, (2 * j + 1) << shift):
-                    hI, bI = h(0, pi, ji), bc.wavelet[pi][ji]
+                    hI, bI = h(0, pi, ji), bc.band(pi)[ji]
                     eps1 = np.sign(hL[((ji * 2 + 1) << (n - pi - 1))])
                     out["I<J_left:analytic"] += bI * s * np.sqrt(2) * eps1 * rank_one(hI, hJ)
                     out["I<J_left:dual"] += bI * s * rank_one(hL, hI)
                 for ji in range((2 * j + 1) << shift, (2 * j + 2) << shift):
-                    out["I<J_right"] += -bc.wavelet[pi][ji] * s * rank_one(hL, h(0, pi, ji))
+                    out["I<J_right"] += -bc.band(pi)[ji] * s * rank_one(hL, h(0, pi, ji))
     return out
 
 
@@ -220,7 +220,7 @@ def test_decomposition_gstar_composed_form():
                     J = DyadicInterval(-q, m)
                     hL = haar_function(0, J.left_half(), g)
                     gstar = gstar + complex(hL.inner(h1I)) * haar_function(0, J, g)
-            coef = bc.wavelet[p][j] * 2.0 ** (p / 2)  # <b,h_I>/sqrt|I|
+            coef = bc.band(p)[j] * 2.0 ** (p / 2)  # <b,h_I>/sqrt|I|
             hI = haar_function(0, I, g)
             alt += coef * np.outer(hI.values, np.conj(gstar.values)) * w
     assert np.max(np.abs(pieces.pieces["I<J_left:analytic"] - alt)) < 1e-12

@@ -159,7 +159,7 @@ def test_window_shift_G_matches_torus_on_interior_scales():
     # scales, hence smooth at fine scales; check fine-scale agreement through
     # Haar coefficients
     dc = dl.haar_analysis(diff)
-    fine = max(np.max(np.abs(dc.wavelet[p])) for p in range(3, 6))
+    fine = max(np.max(np.abs(dc.band(p))) for p in range(3, 6))
     assert fine < 1e-10
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dyadiclab as dl
-from dyadiclab.dyadic import DyadicInterval, Grid, Signal, constant, random_signal
+from dyadiclab.dyadic import DyadicInterval, DyadicRectangle, Grid, Signal, constant, random_signal
 from dyadiclab.transforms import (
     all_analytic_projection,
     analytic_projection,
@@ -146,19 +146,40 @@ def test_haar_roundtrip_and_parseval():
     assert np.max(np.abs(back2.values - f2.values)) < 1e-12
     assert abs(c2.total_energy() - f2.norm2() ** 2) < 1e-12
 
+    f3 = random_signal(Grid(3, 3), np.random.default_rng(3))
+    c3 = haar_analysis(f3)
+    assert np.max(np.abs(haar_synthesis(c3).values - f3.values)) < 1e-12
+    assert abs(c3.total_energy() - f3.norm2() ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("depth, dim", [(3, 1), (3, 2), (2, 3)])
+def test_haar_coefficients_in_heap_order(depth, dim):
+    # index 0 of an axis is the torus with eps = 1, index 2^p + j is I(p, j) with eps = 0
+    g = Grid(depth, dim)
+    f = random_signal(g, np.random.default_rng(4))
+    values = haar_analysis(f).values
+    assert values.shape == g.shape
+    torus = DyadicInterval(0, 0)
+    for index in itertools.product(range(g.n_points), repeat=dim):
+        sides = [DyadicInterval(-(i.bit_length() - 1), i - (1 << (i.bit_length() - 1))) if i else torus
+                 for i in index]
+        eps = tuple(int(i == 0) for i in index)
+        want = f.inner(dl.haar_tensor(DyadicRectangle(tuple(sides)), g, eps))
+        assert abs(values[index] - want) < 1e-12
+
 
 def test_haar_single_wavelet_and_constant():
     g = Grid(4, 1)
     h = dl.haar_function(0, DyadicInterval(0, 0), g)
     c = haar_analysis(h)
-    assert abs(c.wavelet[0][0] - 1.0) < 1e-13
+    assert abs(c.band(0)[0] - 1.0) < 1e-13
     assert abs(c.mean) < 1e-14
-    others = sum(np.sum(np.abs(c.wavelet[p]) ** 2) for p in range(1, 4))
+    others = sum(np.sum(np.abs(c.band(p)) ** 2) for p in range(1, 4))
     assert others < 1e-26
 
     ones = haar_analysis(constant(g))
     assert abs(ones.mean - 1.0) < 1e-14
-    assert all(np.max(np.abs(ones.wavelet[p])) < 1e-14 for p in range(4))
+    assert all(np.max(np.abs(ones.band(p))) < 1e-14 for p in range(4))
 
 
 def test_dyadic_maximal():
@@ -203,7 +224,7 @@ def test_square_function():
     assert square_function(constant(g)).norm2() < 1e-14
     f = random_signal(g, rng)
     coeffs = haar_analysis(f)
-    total = sum(float(np.sum(np.abs(coeffs.wavelet[p]) ** 2)) for p in range(5))
+    total = sum(float(np.sum(np.abs(coeffs.band(p)) ** 2)) for p in range(5))
     assert abs(square_function(f).norm2() ** 2 - total) < 1e-12
 
 
