@@ -136,9 +136,7 @@ def extend_hankel_step(H: HankelOp) -> HankelOp:
     if H.sequence is None:
         raise ValueError("extension needs the defining sequence")
     new_seq, _ = _extend_sequence(H.sequence, H.sequence_norm())
-    out = hankel_matrix(new_seq, H.matrix.shape[0] + 1)
-    out.flavor = H.flavor
-    return out
+    return hankel_matrix(new_seq, H.matrix.shape[0] + 1)
 
 
 def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) -> dict:

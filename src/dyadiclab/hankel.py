@@ -12,7 +12,7 @@ unlike the strictly positive projections of the transforms module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class HankelOp:
     (entry (i, j) = sequence[i + j], zero beyond the end)."""
 
     matrix: OperatorMatrix
-    flavor: str  # "matrix_on_l2" | "operator_on_H2" | "little_product"
     sequence: np.ndarray = None
 
     def norm(self) -> float:
@@ -101,7 +100,7 @@ def hankel_matrix(alpha, size: int) -> HankelOp:
         alpha = np.concatenate([alpha, np.zeros(2 * size - 1 - len(alpha), dtype=complex)])
     mat = hankel_window(alpha, size, size)
     om = OperatorMatrix(mat, ("modes", tuple(range(size))), ("modes", tuple(range(size))))
-    return HankelOp(om, "matrix_on_l2", sequence=alpha[: 2 * size - 1])
+    return HankelOp(om, sequence=alpha[: 2 * size - 1])
 
 
 def toeplitz_matrix(alpha_centered, size: int) -> OperatorMatrix:
@@ -160,7 +159,7 @@ def hankel_operator_1d(b: SymbolCoefficients) -> HankelOp:
     e_0..e_{M-1}: the structural matrix bhat(i + j) of `hankel_matrix`."""
     if b.dim != 1:
         raise ValueError("use little_hankel for 2D symbols")
-    return replace(hankel_matrix(b.coeffs, b.degree), flavor="operator_on_H2")
+    return hankel_matrix(b.coeffs, b.degree)
 
 
 def little_hankel(b: SymbolCoefficients) -> HankelOp:
@@ -171,7 +170,7 @@ def little_hankel(b: SymbolCoefficients) -> HankelOp:
     M = b.degree
     basis = tuple((j1, j2) for j1 in range(M) for j2 in range(M))
     mat = _hankel_stack(b.coeffs[None])[0]
-    return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)), "little_product")
+    return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ Embeddedness is computed from the double maximal-function enlargement
 
     V = { MM 1_{ {MM 1_U > 1/2} } > 1/2 }
 
-on a 3x-padded non-periodic window (so dilation never wraps around), with
+on the 3x-padded non-periodic window [-1, 2)^d (so dilation never wraps
+around), for any d, with
 
-    Emb(R; U) = sup { mu >= 1 : mu R inside V }.
+    Emb(R; U) = sup { mu >= 1 : mu R inside V },
+
+in closed form (`_embeddedness`): the least weighted Chebyshev distance
+max_a 2 t_a / |I_a| from R's centre to a cell outside V, t_a the distance
+along axis a.  It is a multiple of 2^-depth, so the bisection this replaced
+(refined far below 2^-depth) landed on it exactly, and its 1e-12 rounding
+guard let the sup itself test as inside: the two agreed bit for bit.
 
 The lower-bound experiment splits its symbol on the matrix of its Meyer
 coefficients: one analysis, then one synthesis for each masked part.
@@ -15,6 +22,7 @@ coefficients: one analysis, then one synthesis for each masked part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +37,7 @@ from .dyadic import (
     zeros,
 )
 from .norms import (
+    _box_arrays,
     bmo_minus1,
     bmo_product_of_book,
     bmo_rect,
@@ -68,66 +77,80 @@ def _largest_mean(a: np.ndarray, depth: int, axis: int, inner=lambda means: mean
 
 def _padded_strong_maximal(mask: np.ndarray, depth: int) -> np.ndarray:
     """Strong maximal function of an indicator on the 3x-padded window, using
-    the dyadic rectangles of the integer-dyadic grid contained in [-1, 2)^2.
+    the dyadic boxes of the integer-dyadic grid contained in [-1, 2)^d.
 
     Block sums of an indicator are exact integers, so summing blocks of
     blocks, scale by scale, gives each mean exactly, and the maxima may be
-    taken in any order: for each side of the row blocks over the column
-    blocks, then over the row blocks, each on its grid of blocks."""
-    return _largest_mean(mask.astype(float), depth, 0, lambda rows: _largest_mean(rows, depth, 1))
+    taken in any order: for each side of the axis-0 blocks over the blocks
+    of the later axes, then over the axis-0 blocks, each on its grid of
+    blocks."""
+    inner = lambda means: means
+    for axis in range(mask.ndim - 1, -1, -1):
+        inner = functools.partial(_largest_mean, depth=depth, axis=axis, inner=inner)
+    return inner(mask.astype(float))
+
+
+def _check_shape(mask: np.ndarray, shape: tuple, name: str) -> None:
+    if np.shape(mask) != shape:
+        raise ValueError(f"{name} has shape {np.shape(mask)}, not {shape}")
 
 
 def enlarged_set(U_mask: np.ndarray, grid: Grid) -> np.ndarray:
     """V from the double maximal construction, as a mask on the 3x-padded
-    window (the unit square occupies the central block [N:2N, N:2N])."""
-    if grid.dim != 2:
-        raise ValueError("enlarged_set is two-dimensional")
-    N = grid.n_points
-    L = 3 * N
-    padded = np.zeros((L, L), dtype=bool)
-    padded[N : 2 * N, N : 2 * N] = U_mask
+    window (the unit cube occupies the central block [N:2N]^d)."""
+    _check_shape(U_mask, grid.shape, "U_mask")
+    padded = np.pad(np.asarray(U_mask, dtype=bool), grid.n_points)
     m1 = _padded_strong_maximal(padded, grid.depth) > 0.5
-    m2 = _padded_strong_maximal(m1, grid.depth) > 0.5
-    return m2
+    return _padded_strong_maximal(m1, grid.depth) > 0.5
 
 
-def _dilate_inside(R: DyadicRectangle, mu: float, V: np.ndarray, N: int) -> bool:
-    """Whether every cell of the padded window meeting the mu-dilate of R lies in V."""
-    idx = []
-    for iv in R.coordinates:
-        c, h = iv.center, iv.length / 2.0
-        lo, hi = c - mu * h, c + mu * h
-        if lo < -1.0 or hi > 2.0:
-            return False
-        idx.append((int(np.floor(lo * N + 1e-12)) + N, int(np.ceil(hi * N - 1e-12)) + N))
-    (a1, b1), (a2, b2) = idx
-    return bool(V[a1:b1, a2:b2].all())
+_EMB_CHUNK = 1 << 18  # box-to-edge-cell distances held at once by `_embeddedness`
+
+
+def _embeddedness(scales: np.ndarray, positions: np.ndarray, V: np.ndarray,
+                  depth: int) -> np.ndarray:
+    """Emb of each box of (d, K) arrays of scales and positions on the grid of
+    the given depth, V a mask on its 3x-padded window, in closed form.
+
+    The mu-dilate of a box meets cell x when mu |I_a| / 2 exceeds
+    t_a = |x_a + 1/2 - c_a| - 1/2 on every axis a (c the centre, in cells),
+    so Emb is the least max_a 2 t_a / |I_a| over the cells outside V and the
+    ring around the window, floored at 1; 1 for a box not inside V.  A walk
+    from an outside cell towards the centre never raises the distance, so
+    for a box inside V the outside cells touching an inside cell (edge cells)
+    hold the least; and a box with a cell inside V is inside V unless an
+    edge cell is closer than 1.  Each distance is an integer over |I_a| in
+    cells, exact.
+    """
+    d, N = scales.shape[0], 1 << depth
+    _check_shape(V, (3 * N,) * d, "V_mask")
+    inside = np.pad(np.asarray(V, dtype=bool), 1)  # the ring: np.roll brings it round
+    near = np.zeros_like(inside)
+    for axis in range(d):
+        near |= np.roll(inside, 1, axis) | np.roll(inside, -1, axis)
+    edge = np.argwhere(near & ~inside).T[:, None] - 1  # (d, 1, B), in window cells
+    width = 1 << (depth - scales)  # |I_a| in cells
+    twice_centre = 2 * N + (2 * positions + 1) * width
+    emb = np.where(inside[tuple(N + 1 + positions * width)], np.inf, 1.0)
+    step = max(1, _EMB_CHUNK // (d * max(edge.shape[2], 1)))
+    for lo in range(0, emb.size, step):
+        c, w = twice_centre[:, lo:lo + step, None], width[:, lo:lo + step, None]
+        dist = np.max((np.abs(2 * edge + 1 - c) - 1) / w, axis=0)  # (boxes, edge cells)
+        part = emb[lo:lo + step]
+        np.minimum(part, np.maximum(dist.min(axis=1, initial=np.inf), 1.0), out=part)
+    return emb
 
 
 def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
-                 V_mask: np.ndarray | None = None, mu_tol: float = 1e-9) -> float:
-    """Emb(R; U) = largest mu >= 1 with the mu-dilate of R inside V,
-    found by bisection refined to mu_tol; V on the padded window."""
-    s1, s2 = R.cell_slices(grid)
-    if not U_mask[s1, s2].all():
+                 V_mask: np.ndarray | None = None) -> float:
+    """Emb(R; U) = largest mu >= 1 with the mu-dilate of R inside V (by
+    default `enlarged_set(U_mask, grid)`, a mask on the 3x-padded window),
+    1 when R itself is not: `_embeddedness`'s closed form, exact."""
+    _check_shape(U_mask, grid.shape, "U_mask")
+    if not U_mask[R.cell_slices(grid)].all():
         raise ValueError("R must be contained in U")
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
-    N = grid.n_points
-
-    if not _dilate_inside(R, 1.0, V, N):
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while _dilate_inside(R, hi, V, N):
-        lo, hi = hi, hi * 2.0
-        if hi > 6.0 * N:
-            return hi / 2.0
-    while hi - lo > mu_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if _dilate_inside(R, mid, V, N):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(_embeddedness(*_box_arrays([R], grid.dim), V, grid.depth)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,30 +164,19 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
     sum_{R in U} Emb(R;U)^{-eps} <f, w_R> w_R against bmo_rect(f); V_mask,
     if given, is enlarged_set(U_mask, f.grid), shared by checks on one U."""
     grid = f.grid
+    _check_shape(U_mask, grid.shape, "U_mask")
     book = coefficient_book(f, family, meyer, depth)
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
-    damped = {}
-    emb_values = {}
     n = grid.depth if depth is None else depth
     tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    for r, c in book.items():
-        s1, s2 = r.cell_slices(grid)
-        if not U_mask[s1, s2].all():
-            continue
-        if abs(c) <= tol:
-            continue
-        mu = embeddedness(r, U_mask, grid, V_mask=V)
-        emb_values[r] = mu
-        damped[r] = c * mu ** -eps
+    kept = [r for r, c in book.items() if abs(c) > tol and U_mask[r.cell_slices(grid)].all()]
+    emb = _embeddedness(*_box_arrays(kept, grid.dim), V, grid.depth).tolist()
+    emb_values = dict(zip(kept, emb))
+    damped = {r: book[r] * mu ** -eps for r, mu in emb_values.items()}
     lhs = bmo_product_of_book(damped, n).value
     rhs = bmo_rect(f, family, meyer, depth, book=book).value
-    return {
-        "lhs_bmo": lhs,
-        "rhs_rect_bmo": rhs,
-        "ratio": lhs / rhs if rhs > 0 else np.nan,
-        "eps": eps,
-        "embeddedness": emb_values,
-    }
+    return {"lhs_bmo": lhs, "rhs_rect_bmo": rhs, "ratio": lhs / rhs if rhs > 0 else np.nan,
+            "eps": eps, "embeddedness": emb_values}
 
 
 class JourneCheckError(RuntimeError):
@@ -186,52 +198,37 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
       (c) product-BMO(damped projection) <= K * bmo_minus1(f): K reported.
     """
     grid = f.grid
-    N = grid.n_points
-    d = grid.dim
-    offenders_a = [r for r in collection.members
-                   if not _dilate_inside(r, emb_map[r], V_mask, N)]
+    N, d = grid.n_points, grid.dim
+    members = collection.members
+    sup = _embeddedness(*_box_arrays(members, d), V_mask, grid.depth).tolist()
+    unit = V_mask[(slice(N, 2 * N),) * d]
+    offenders_a = [r for r, mu in zip(members, sup)
+                   if not (emb_map[r] <= mu and unit[r.cell_slices(grid)].all())]
     sh_measure = collection.shadow_measure()
     v_measure = float(np.count_nonzero(V_mask)) * grid.weight
     b_ok = v_measure < (1.0 + eta) * sh_measure + 1e-12
     if offenders_a:
-        raise JourneCheckError(
-            f"{len(offenders_a)} rectangles violate Emb(R)*R inside V", offenders_a
-        )
+        raise JourneCheckError(f"{len(offenders_a)} rectangles violate Emb(R)*R inside V",
+                               offenders_a)
     if not b_ok:
-        raise JourneCheckError(
-            f"|V| = {v_measure} exceeds (1+eta)|sh| = {(1 + eta) * sh_measure}",
-            [("measure", v_measure, sh_measure)],
-        )
+        raise JourneCheckError(f"|V| = {v_measure} exceeds (1+eta)|sh| = {(1 + eta) * sh_measure}",
+                               [("measure", v_measure, sh_measure)])
     book = coefficient_book(f, family, meyer, depth)
     n = grid.depth if depth is None else depth
-    damped = {}
-    for r in collection.members:
-        c = book.get(r, 0.0)
-        if abs(c) > 0:
-            damped[r] = c * emb_map[r] ** (-2.0 * d)
+    damped = {r: book[r] * emb_map[r] ** (-2.0 * d)
+              for r in collection.members if abs(book.get(r, 0.0)) > 0}
     lhs = bmo_product_of_book(damped, n).value
     rhs = bmo_minus1(f, family, meyer, depth, book=book).value
-    return {
-        "a_ok": True,
-        "b_ok": True,
-        "v_measure": v_measure,
-        "shadow_measure": sh_measure,
-        "lhs_bmo": lhs,
-        "rhs_minus1": rhs,
-        "K_eta": lhs / rhs if rhs > 0 else np.nan,
-        "eta": eta,
-    }
+    return {"a_ok": True, "b_ok": True, "v_measure": v_measure, "shadow_measure": sh_measure,
+            "lhs_bmo": lhs, "rhs_minus1": rhs, "K_eta": lhs / rhs if rhs > 0 else np.nan,
+            "eta": eta}
 
 
 def trivial_candidate(collection: RectangleCollection) -> tuple[np.ndarray, dict]:
     """Emb = 1 and V = sh(collection) on the padded window: satisfies the
     geometric conclusions with eta = 0 (and no damping)."""
-    grid = collection.grid
-    N = grid.n_points
-    V = np.zeros((3 * N, 3 * N), dtype=bool)
-    V[N : 2 * N, N : 2 * N] = collection.shadow_mask()
-    emb = {r: 1.0 for r in collection.members}
-    return V, emb
+    return (np.pad(collection.shadow_mask(), collection.grid.n_points),
+            {r: 1.0 for r in collection.members})
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
 
     U = collection.shadow_mask()
     V = enlarged_set(U, grid)
-    emb = np.array([embeddedness(r, U, grid, V_mask=V) for r in collection.members])
+    emb = _embeddedness(*_box_arrays(collection.members, grid.dim), V, grid.depth)
 
     def synthesis(coefficients: np.ndarray) -> Signal:
         return Signal(grid, meyer.synthesis(coefficients, "v", normalized=True))
@@ -353,7 +350,7 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
     h_beta_alpha = hankel_apply(beta, alpha)
     beta4 = lp_norm(beta, 4)
 
-    level = np.floor(np.log2(np.maximum(emb, 1.0))).astype(int)
+    level = np.floor(np.log2(emb)).astype(int)
     slices = {int(lv): synthesis(on_members(level == lv)) for lv in np.unique(level)}
     slice_norms = {lv: hankel_apply(gamma, sl).norm2() for lv, sl in slices.items()}
 

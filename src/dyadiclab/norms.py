@@ -229,11 +229,10 @@ def _array_book(book: dict, significant: bool = False) -> _Book:
     d = len(next(iter(book)).coordinates) if book else 2
     if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
         raise ValueError(f"book rectangles must lie in [0,1)^{d}")
-    sides = np.array([(-iv.scale_exponent, iv.position) for r in book for iv in r.coordinates],
-                     dtype=np.int64).reshape(-1, d, 2)
+    scales, positions = _box_arrays(book, d)
     mass = _masses(np.array(list(book.values()), dtype=complex), significant)
     keep = mass > 0
-    return _Book(sides[keep, :, 0].T, sides[keep, :, 1].T, mass[keep])
+    return _Book(scales[:, keep], positions[:, keep], mass[keep])
 
 
 def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None,
@@ -251,6 +250,14 @@ def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
     """The DyadicRectangles of the boxes of (d, K) arrays of scales and positions."""
     return [DyadicRectangle(tuple(map(DyadicInterval, q, t)))
             for q, t in zip((-scales).T.tolist(), positions.T.tolist())]
+
+
+def _box_arrays(rects, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, K) arrays of scales and positions of d-axis DyadicRectangles,
+    the inverse of `_rectangles`."""
+    sides = np.array([(-iv.scale_exponent, iv.position) for r in rects for iv in r.coordinates],
+                     dtype=np.int64).reshape(len(rects), d, 2)
+    return sides[..., 0].T, sides[..., 1].T
 
 
 def _inside(book: _Book, scales: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -336,8 +343,6 @@ def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
 def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
              book: dict | None = None) -> BmoReport:
     """Product-BMO quadratic form with U ranging over dyadic rectangles; exact."""
-    if b.grid.dim != 2:
-        raise ValueError("bmo_rect handles d = 2")
     n = b.grid.depth if depth is None else depth
     value, scales, positions = _densest_box(_book_of(b, family, meyer, depth, book, False), n)
     witness = _rectangles(scales[:, None], positions[:, None])[0] if value > 0.0 else None
@@ -544,8 +549,6 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
     labelled bound beside the exact value (the `carleson` experiment's
     heuristic column, criterion 10).
     """
-    if b.grid.dim != 2:
-        raise ValueError("bmo_product handles d = 2")
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
     n = b.grid.depth if depth is None else depth
@@ -581,6 +584,8 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     maximal members under it in a set of at most its length, so it never
     beats them.  The witness is the members under the best I x J.
     """
+    # The mediant closed form needs the other side to be one-parameter: in
+    # d >= 3 the maximal other sides are boxes, which need not be disjoint.
     if b.grid.dim != 2:
         raise ValueError("bmo_minus1 handles d = 2")
     n = b.grid.depth if depth is None else depth

@@ -35,11 +35,11 @@ def test_intertwining():
     H = hk.hankel_matrix(b.coeffs, 6)
     assert hk.check_intertwining(H) == 0.0
     # random non-Hankel matrix has positive defect
-    fake = hk.HankelOp(OperatorMatrix(rng.standard_normal((6, 6)), ("m", 6), ("m", 6)), "matrix_on_l2")
+    fake = hk.HankelOp(OperatorMatrix(rng.standard_normal((6, 6)), ("m", 6), ("m", 6)))
     assert hk.check_intertwining(fake) > 1e-6
     # nonscalar Toeplitz does not intertwine
     T = hk.toeplitz_matrix(rng.standard_normal(11), 6)
-    fakeT = hk.HankelOp(T, "matrix_on_l2")
+    fakeT = hk.HankelOp(T)
     assert hk.check_intertwining(fakeT) > 1e-6
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -251,31 +253,209 @@ def test_journe_experiment_builds_the_enlarged_set_once(tmp_path, monkeypatch):
 
 def _strong_maximal_by_blocks(mask, depth):
     """The padded strong maximal function block by block: one mean per
-    aligned dyadic block of [-1, 2) at each scale pair."""
+    aligned dyadic box of [-1, 2)^d at each tuple of sides."""
     N = 1 << depth
     L = 3 * N
     f = mask.astype(float)
-    best = np.zeros((L, L))
-    # (first cell, block size, count) per scale 2^k, k = -depth..0, then 2^1
-    scales = [(0, 1 << (depth + k), L >> (depth + k)) for k in range(-depth, 1)] + [(N, 2 * N, 1)]
-    for r0, s1, c1 in scales:
-        for c0, s2, c2 in scales:
-            for i in range(c1):
-                for j in range(c2):
-                    rows = slice(r0 + i * s1, r0 + (i + 1) * s1)
-                    cols = slice(c0 + j * s2, c0 + (j + 1) * s2)
-                    best[rows, cols] = np.maximum(best[rows, cols], f[rows, cols].mean())
+    best = np.zeros(mask.shape)
+    # (first cell, block size, count) per side 2^k, k = -depth..0, then 2^1
+    sides = [(0, 1 << (depth + k), L >> (depth + k)) for k in range(-depth, 1)] + [(N, 2 * N, 1)]
+    for per_axis in itertools.product(sides, repeat=mask.ndim):
+        for at in itertools.product(*(range(count) for _, _, count in per_axis)):
+            block = tuple(slice(first + i * size, first + (i + 1) * size)
+                          for (first, size, _), i in zip(per_axis, at))
+            best[block] = np.maximum(best[block], f[block].mean())
     return best
 
 
 def test_padded_strong_maximal_matches_block_means():
-    for depth in (1, 2, 3, 4):
-        N = 1 << depth
-        for density in (0.0, 0.2, 0.7, 1.0):
-            mask = np.zeros((3 * N, 3 * N), dtype=bool)
-            mask[N:2 * N, N:2 * N] = rng.random((N, N)) < density
+    for d, depths in ((2, (1, 2, 3, 4)), (3, (1, 2))):
+        for depth in depths:
+            N = 1 << depth
+            for density in (0.0, 0.2, 0.7, 1.0):
+                mask = np.zeros((3 * N,) * d, dtype=bool)
+                mask[(slice(N, 2 * N),) * d] = rng.random((N,) * d) < density
+                assert np.array_equal(jn._padded_strong_maximal(mask, depth),
+                                      _strong_maximal_by_blocks(mask, depth))
+            mask = rng.random((3 * N,) * d) < 0.5  # mass outside the unit cube too
             assert np.array_equal(jn._padded_strong_maximal(mask, depth),
                                   _strong_maximal_by_blocks(mask, depth))
-        mask = rng.random((3 * N, 3 * N)) < 0.5  # mass outside the unit square too
-        assert np.array_equal(jn._padded_strong_maximal(mask, depth),
-                              _strong_maximal_by_blocks(mask, depth))
+
+
+# ---------------------------------------------------------------------------
+# embeddedness in closed form against the bisection it replaced
+
+
+def _dilate_inside(R, mu, V, N):
+    """The bisection's test, on d axes: every cell of the padded window
+    meeting the mu-dilate of R lies in V (a dilate leaving the window is not
+    inside)."""
+    cells = []
+    for iv in R.coordinates:
+        c, h = iv.center, iv.length / 2.0
+        lo, hi = c - mu * h, c + mu * h
+        if lo < -1.0 or hi > 2.0:
+            return False
+        cells.append(slice(int(np.floor(lo * N + 1e-12)) + N, int(np.ceil(hi * N - 1e-12)) + N))
+    return bool(V[tuple(cells)].all())
+
+
+def _bisected_embeddedness(R, V, N, mu_tol=1e-9):
+    """Emb(R) by doubling, then bisection refined to mu_tol."""
+    if not _dilate_inside(R, 1.0, V, N):
+        return 1.0
+    lo, hi = 1.0, 2.0
+    while _dilate_inside(R, hi, V, N):
+        lo, hi = hi, hi * 2.0
+    while hi - lo > mu_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if _dilate_inside(R, mid, V, N):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _boxes(depth, d):
+    """Every dyadic box of [0, 1)^d with sides >= 2^-depth."""
+    axis = [DyadicInterval(-p, j) for p in range(depth + 1) for j in range(1 << p)]
+    return [DyadicRectangle(sides) for sides in itertools.product(axis, repeat=d)]
+
+
+def _closed_form(boxes, V, depth):
+    return jn._embeddedness(*dl.norms._box_arrays(boxes, boxes[0].dim), V, depth)
+
+
+def _assert_matches_bisection(boxes, V, depth):
+    closed = _closed_form(boxes, V, depth)
+    assert closed.tolist() == [_bisected_embeddedness(r, V, 1 << depth) for r in boxes]
+    # a multiple of 2^-depth, so of 2^-(depth + 1): the bisection's midpoints hit it
+    assert np.all(closed * 2.0 ** depth % 1.0 == 0.0)
+    return closed
+
+
+def test_closed_form_matches_the_bisection_on_enlarged_sets():
+    # V the enlarged set of random unions of dyadic rectangles of sides >=
+    # 1/4, every dyadic box inside U
+    sweep_rng = np.random.default_rng(11)
+    pieces = _boxes(2, 2)
+    for depth in (2, 3, 4, 5):
+        g = Grid(depth, 2)
+        boxes = _boxes(depth, 2)
+        for _ in range(4):
+            U = np.zeros(g.shape, dtype=bool)
+            for i in sweep_rng.integers(0, len(pieces), size=sweep_rng.integers(1, 5)):
+                U[pieces[i].cell_slices(g)] = True
+            inside = [r for r in boxes if U[r.cell_slices(g)].all()]
+            V = jn.enlarged_set(U, g)
+            closed = _assert_matches_bisection(inside, V, depth)
+            assert jn.embeddedness(inside[-1], U, g) == closed[-1]
+
+
+def test_closed_form_matches_the_bisection_on_random_windows():
+    # any mask of the window, in 2-D and 3-D: boxes inside and outside V,
+    # finest cells (centres on half cells), and, for V all ones, dilates
+    # stopped by the window's edge
+    win_rng = np.random.default_rng(12)
+    for d, depth in ((2, 2), (2, 3), (3, 1), (3, 2)):
+        boxes, seen = _boxes(depth, d), set()
+        for density in (1.0, 0.999, 0.99, 0.9):
+            V = win_rng.random((3 << depth,) * d) < density
+            if density < 1.0:  # a hole in the unit cube too
+                V[tuple((1 << depth) + win_rng.integers(0, 1 << depth, d))] = False
+            seen.update(_assert_matches_bisection(boxes, V, depth).tolist())
+        assert min(seen) == 1.0 and len(seen) > 2
+
+
+def test_closed_form_on_the_full_window_is_the_distance_to_its_edge():
+    # V all ones: a finest cell's dilate stops at the nearer window edge
+    for d, depth in ((1, 3), (2, 2), (3, 2)):
+        N = 1 << depth
+        cell = DyadicRectangle((DyadicInterval(-depth, 0),) * d)
+        assert _closed_form([cell], np.ones((3 * N,) * d, dtype=bool), depth)[0] == 2 * N + 1
+
+
+def test_checker_accepts_the_closed_form_and_rejects_any_larger_emb():
+    # the cells of a 4 x 4 block: the central ones are embedded beyond 1
+    g = Grid(3, 2)
+    members = tuple(_rect(DyadicInterval(-3, i), DyadicInterval(-3, j))
+                    for i in range(2, 6) for j in range(2, 6))
+    coll = RectangleCollection(members, g)
+    V, emb = _maximal_candidate(coll)
+    assert max(emb.values()) > 1.0
+    f = dl.random_signal(g, np.random.default_rng(13))
+    assert jn.journe_inequality_checker_d1(f, coll, V, emb, eta=100.0)["a_ok"]
+    for r in members[:6]:
+        with pytest.raises(jn.JourneCheckError, match="inside V") as err:
+            jn.journe_inequality_checker_d1(f, coll, V, {**emb, r: emb[r] * (1 + 1e-9)}, eta=100.0)
+        assert err.value.offenders == [r]
+    # Emb 1 does not excuse a member that is not inside V
+    V_hole = V.copy()
+    V_hole[(g.n_points + 3,) * 2] = False
+    with pytest.raises(jn.JourneCheckError, match="inside V") as err:
+        jn.journe_inequality_checker_d1(f, coll, V_hole, dict.fromkeys(members, 1.0), eta=100.0)
+    assert err.value.offenders == [members[5]]
+
+
+def test_each_caller_makes_one_closed_form_call(monkeypatch):
+    calls = []
+    closed = jn._embeddedness
+
+    def counting(scales, positions, V, depth):
+        calls.append(scales.shape[1])
+        return closed(scales, positions, V, depth)
+
+    monkeypatch.setattr(jn, "_embeddedness", counting)
+    call_rng = np.random.default_rng(14)
+    g = Grid(3, 2)
+    f = dl.random_signal(g, call_rng)
+    rep = jn.journe_damped_check(f, np.ones(g.shape, dtype=bool), eps=0.5)
+    assert calls == [len(rep["embeddedness"])] and calls[0] > 1
+    coll = RectangleCollection((_rect(DyadicInterval(-1, 0), DyadicInterval(-2, 1)),
+                                _rect(DyadicInterval(-2, 3), DyadicInterval(-1, 1))), g)
+    V, emb = jn.trivial_candidate(coll)
+    jn.journe_inequality_checker_d1(f, coll, V, emb, eta=0.0)
+    assert calls[1:] == [2]
+    members = tuple(_rect(DyadicInterval(-2, i), DyadicInterval(-2, j)) for i in (1, 2) for j in (1, 2))
+    jn.lower_bound_experiment(dl.random_signal(Grid(6, 2), call_rng),
+                              RectangleCollection(members, Grid(6, 2)),
+                              build_meyer_family(Grid(6, 1)))
+    assert calls[2:] == [4]
+
+
+def test_masks_of_the_wrong_shape_are_rejected():
+    # R = I(2,1) x I(2,1) on Grid(3, 2), U its own 2 x 2 block: the window V
+    # gives Emb 1, where U itself read as V gave 3 and an 8 x 8 all-ones
+    # mask 11 before the shapes were checked
+    g = Grid(3, 2)
+    R = _rect(DyadicInterval(-2, 1), DyadicInterval(-2, 1))
+    U = np.zeros(g.shape, dtype=bool)
+    U[2:4, 2:4] = True
+    assert jn.embeddedness(R, U, g) == 1.0
+    f = haar_tensor(R, g)
+    coll = RectangleCollection((R,), g)
+    for V in (U, np.ones(g.shape, dtype=bool)):
+        with pytest.raises(ValueError, match="V_mask"):
+            jn.embeddedness(R, U, g, V_mask=V)
+        with pytest.raises(ValueError, match="V_mask"):
+            jn.journe_damped_check(f, U, eps=0.5, V_mask=V)
+        with pytest.raises(ValueError, match="V_mask"):
+            jn.journe_inequality_checker_d1(f, coll, V, {R: 1.0}, eta=0.0)
+    wide = np.ones((16, 16), dtype=bool)
+    for call in (lambda: jn.embeddedness(R, wide, g), lambda: jn.enlarged_set(wide, g),
+                 lambda: jn.journe_damped_check(f, wide, eps=0.5, V_mask=jn.enlarged_set(U, g))):
+        with pytest.raises(ValueError, match="U_mask"):
+            call()
+
+
+def test_damped_check_on_the_polydisc():
+    # one box on Grid(3, 3): ratio 1 undamped, Emb^-eps damped
+    g = Grid(3, 3)
+    r = DyadicRectangle((DyadicInterval(-2, 1), DyadicInterval(-2, 2), DyadicInterval(-2, 1)))
+    f = haar_tensor(r, g)
+    U = np.ones(g.shape, dtype=bool)
+    assert abs(jn.journe_damped_check(f, U, eps=0.0)["ratio"] - 1.0) < 1e-12
+    rep = jn.journe_damped_check(f, U, eps=0.5)
+    mu = rep["embeddedness"][r]
+    assert mu == _bisected_embeddedness(r, jn.enlarged_set(U, g), g.n_points) > 1.0
+    assert abs(rep["ratio"] - mu ** -0.5) < 1e-12

@@ -815,3 +815,61 @@ def test_max_union_ratio_allocates_nothing_of_size_boxes_by_rectangles():
         tracemalloc.stop()
     assert cuts == 1
     assert peak < 9 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the polydisc: rectangular and product BMO in three parameters
+
+
+def _boxes_and_cells(depth, d):
+    """Every dyadic box of [0, 1)^d with sides >= 2^-depth, and its cells on
+    Grid(depth, d) as a row of a (boxes, cells) mask."""
+    g = Grid(depth, d)
+    axis = [DyadicInterval(-p, j) for p in range(depth + 1) for j in range(1 << p)]
+    boxes = [DyadicRectangle(sides) for sides in itertools.product(axis, repeat=d)]
+    cells = np.zeros((len(boxes),) + g.shape, dtype=bool)
+    for k, r in enumerate(boxes):
+        cells[k][r.cell_slices(g)] = True
+    return boxes, cells.reshape(len(boxes), -1)
+
+
+def test_product_bmo_in_three_parameters_matches_every_union_of_the_eight_cells():
+    # depth 1: random books of the 27 boxes with sides >= 1/2, and Haar books
+    # of random signals on Grid(1, 3), against all 255 unions of the 8 cells;
+    # masses summed in book order, as the solver sums them
+    book_rng = np.random.default_rng(31)
+    boxes, cells = _boxes_and_cells(1, 3)
+    at = {r: k for k, r in enumerate(boxes)}
+    unions = (np.arange(1, 256)[:, None] >> np.arange(8) & 1).astype(bool)
+    inside = ~np.any(cells[None] & ~unions[:, None], axis=2)  # (union, box)
+
+    def brute(book):
+        mass = np.where(inside[:, [at[r] for r in book]], [abs(c) ** 2 for c in book.values()], 0.0)
+        return np.sqrt(np.max(np.cumsum(mass, axis=1)[:, -1] / (unions.sum(axis=1) * 0.125)))
+
+    for _ in range(100):
+        chosen = book_rng.permutation(27)[:book_rng.integers(1, 28)]
+        book = {boxes[k]: complex(*book_rng.standard_normal(2)) for k in chosen}
+        assert dl.norms.bmo_product_of_book(book, 1).value == brute(book)
+    for _ in range(10):
+        b = random_signal(Grid(1, 3), book_rng)
+        rep = bmo_product(b)
+        assert rep.value == brute(dl.norms.coefficient_book(b))
+        assert rep.witness.shape == (2, 2, 2)
+
+
+def test_rect_bmo_in_three_parameters_is_the_densest_dyadic_box():
+    # against a direct sum over the 343 dyadic boxes of Grid(2, 3)
+    book_rng = np.random.default_rng(32)
+    boxes, cells = _boxes_and_cells(2, 3)
+    at = {r: k for k, r in enumerate(boxes)}
+    area = np.array([r.area for r in boxes])
+    for _ in range(5):
+        b = random_signal(Grid(2, 3), book_rng)
+        book = dl.norms.coefficient_book(b)
+        held = cells[[at[r] for r in book]]
+        inside = ~np.any(held[None] & ~cells[:, None], axis=2)  # (box T, book box)
+        density = inside @ np.array([abs(c) ** 2 for c in book.values()]) / area
+        rep = bmo_rect(b)
+        assert abs(rep.value ** 2 - density.max()) <= 8 * np.finfo(float).eps * density.max()
+        assert rep.witness == boxes[int(np.argmax(density))]
