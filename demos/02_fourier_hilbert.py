@@ -12,7 +12,6 @@ from dyadiclab.dyadic import Grid, Signal
 from dyadiclab.transforms import (
     analytic_projection,
     axis_mean_projection,
-    dyadic_maximal,
     hilbert_transform,
     square_function,
     strong_maximal,
@@ -34,9 +33,9 @@ print("H cos = sin:", np.max(np.abs(hilbert_transform(1, cosx).values - np.sin(2
 hh = hilbert_transform(1, hilbert_transform(1, f))
 print("H(Hf) = -f + mean:", np.max(np.abs(hh.values + f.values - axis_mean_projection(1, f).values)))
 
-# the dyadic maximal function of a block indicator takes dyadic plateau values
+# in 1-D the strong maximal function is the dyadic one: plateaus on a block indicator
 ind = Signal(grid, (x < 0.25).astype(complex))
-m = dyadic_maximal(ind)
+m = strong_maximal(ind)
 print("M 1_[0,1/4) plateaus:", sorted({float(v) for v in np.round(m.values.real, 6)}, reverse=True))
 
 # the square function repackages the Haar coefficients: L2 mass matches

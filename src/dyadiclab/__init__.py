@@ -27,7 +27,6 @@ from .transforms import (
     all_analytic_projection,
     analytic_projection,
     build_meyer_family,
-    dyadic_maximal,
     fourier_mode,
     from_spectrum,
     haar_analysis,

@@ -305,38 +305,38 @@ class TruncationError(RuntimeError):
 
 def nehari_ratio(b: SymbolCoefficients, product_depth: int = 2) -> dict:
     """Computes ||H_b|| and the BMO norm of the analytic part of b, dyadic
-    BMO in 1-D and exact product BMO to depth product_depth in 2-D, plus
-    their ratio.  The report records both conventions in play, and in 2-D
-    the product-BMO solver's number of cuts.  In 2-D a product_depth beyond
-    the finest Haar scale of the symbol's grid raises ValueError."""
+    BMO in 1-D and exact product BMO to depth product_depth for d >= 2, plus
+    their ratio.  The report records both conventions in play, and for
+    d >= 2 the product-BMO solver's number of cuts.  For d >= 2 a
+    product_depth beyond the finest Haar scale of the symbol's grid raises
+    ValueError."""
     rep = nehari_ratios(b.coeffs[None], product_depth)
     return {key: v[0].item() if isinstance(v, np.ndarray) else v for key, v in rep.items()}
 
 
 def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
     """`nehari_ratio` of each symbol of a stack of analytic coefficient arrays
-    (leading axis: symbols), with arrays over the stack; ValueError unless
-    the symbols are 1-D or 2-D.
+    (leading axis: symbols) of any dimension d >= 1, with arrays over the
+    stack.
 
     With N the side of the symbols' grid `Grid(symbol_grid_depth(M), d)`,
     `_hankel_stack` gathers the Hankel matrices of _BATCH_POINTS // (M N)^d
     symbols at a time (at least one), whose norms one stacked SVD gives; one
     inverse FFT and one separable Haar transform give the books
     (`norms._haar_book`) of _BATCH_POINTS // N^d symbols at a time, the
-    symbols on the books' stack axis.  In 1-D one
-    densest-box accumulation of those gives their dyadic BMO.  In 2-D every
-    symbol has the same Haar rectangles (a negligible one gets mass 0), so
-    the minimum-cut set-up of `norms._max_union_ratio` is built once for the
-    stack, and each symbol runs only its start and its cuts; "cuts" holds
-    their number per symbol.  TruncationError if a symbol has BMO 0 but a
-    nonzero Hankel norm.
+    symbols on the books' stack axis.  In 1-D one densest-box accumulation of
+    those gives their dyadic BMO.  For d >= 2 every symbol has the same Haar
+    boxes (a negligible one gets mass 0), so the minimum-cut set-up of
+    `norms._max_union_ratio` is built once for the stack, and each symbol
+    runs only its start and its cuts; "cuts" holds their number per symbol.
+    TruncationError if a symbol has BMO 0 but a nonzero Hankel norm.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    T, d, M = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[1]
-    if d not in (1, 2):
-        raise ValueError(f"symbols must be 1-D or 2-D coefficient arrays, got {d}-D")
+    T, d, M = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[-1]
+    if d < 1:
+        raise ValueError("symbols must be coefficient arrays of dimension >= 1")
     g = Grid(symbol_grid_depth(M), d)
-    if d == 2 and product_depth > g.depth - 1:
+    if d > 1 and product_depth > g.depth - 1:
         raise ValueError(f"product_depth {product_depth} exceeds the finest Haar scale "
                          f"{g.depth - 1} of the depth-{g.depth} grid")
     hankel_norm, bmo_val, cuts = np.empty(T), np.empty(T), np.zeros(T, dtype=int)
@@ -351,7 +351,7 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
             book = norms._haar_book(samples, 1, None)
             bmo_val[lo:lo + step] = np.sqrt(norms._densest_box(book, g.depth)[0])
             continue
-        book = norms._haar_book(samples, 2, product_depth, significant=True)
+        book = norms._haar_book(samples, d, product_depth, significant=True)
         boxes = norms._Boxes(book, product_depth) if boxes is None else boxes
         for t, mass in enumerate(book.mass, lo):
             value, _, cuts[t], _ = norms._max_union_ratio(book._replace(mass=mass), product_depth,
@@ -369,6 +369,6 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
         "degree": M,
         "projection": "analytic (k >= 0, Hardy with DC)",
     }
-    if d == 2:
+    if d > 1:
         rep["cuts"] = cuts
     return rep

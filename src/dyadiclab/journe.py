@@ -22,7 +22,6 @@ coefficients: one analysis, then one synthesis for each masked part.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,50 +43,11 @@ from .norms import (
     coefficient_book,
     lp_norm,
 )
-from .transforms import MeyerFamily, all_analytic_projection
+from .transforms import MeyerFamily, _strong_maximal, all_analytic_projection
 
 
 # ---------------------------------------------------------------------------
 # padded-window double maximal function and embeddedness
-
-
-def _largest_mean(a: np.ndarray, depth: int, axis: int, inner=lambda means: means) -> np.ndarray:
-    """For each cell along `axis` the largest of the means of a over the
-    blocks of [-1, 2) holding it, each mapped by `inner`: sides 2^(k - depth),
-    k = 0..depth (each tiles the window, as -1 is a multiple of it), and
-    [0, 2), the one block of side 2 that fits.  Coarse to fine, each side's
-    maxima go in place onto both halves of its blocks in the next side's."""
-    def part(x, cells):
-        return x[(slice(None),) * axis + (cells,)]
-
-    sums = [a]
-    for _ in range(depth):
-        sums.append(part(sums[-1], slice(0, None, 2)) + part(sums[-1], slice(1, None, 2)))
-    best = inner(sums[depth] / (1 << depth))
-    for k in range(depth - 1, -1, -1):
-        finer = inner(sums[k] / (1 << k))
-        halves = finer.reshape(finer.shape[:axis] + (-1, 2) + finer.shape[axis + 1:])
-        np.maximum(halves, np.expand_dims(best, axis + 1), out=halves)
-        best = finer
-    pair = inner(part(sums[depth], slice(1, 3)).sum(axis=axis, keepdims=True) / (2 << depth))
-    inside = part(best, slice(1 << depth, None))
-    np.maximum(inside, pair, out=inside)
-    return best
-
-
-def _padded_strong_maximal(mask: np.ndarray, depth: int) -> np.ndarray:
-    """Strong maximal function of an indicator on the 3x-padded window, using
-    the dyadic boxes of the integer-dyadic grid contained in [-1, 2)^d.
-
-    Block sums of an indicator are exact integers, so summing blocks of
-    blocks, scale by scale, gives each mean exactly, and the maxima may be
-    taken in any order: for each side of the axis-0 blocks over the blocks
-    of the later axes, then over the axis-0 blocks, each on its grid of
-    blocks."""
-    inner = lambda means: means
-    for axis in range(mask.ndim - 1, -1, -1):
-        inner = functools.partial(_largest_mean, depth=depth, axis=axis, inner=inner)
-    return inner(mask.astype(float))
 
 
 def _check_shape(mask: np.ndarray, shape: tuple, name: str) -> None:
@@ -97,11 +57,12 @@ def _check_shape(mask: np.ndarray, shape: tuple, name: str) -> None:
 
 def enlarged_set(U_mask: np.ndarray, grid: Grid) -> np.ndarray:
     """V from the double maximal construction, as a mask on the 3x-padded
-    window (the unit cube occupies the central block [N:2N]^d)."""
+    window (the unit cube occupies the central block [N:2N]^d).  The means
+    of an indicator are exact and >= 0, so they take no map."""
     _check_shape(U_mask, grid.shape, "U_mask")
     padded = np.pad(np.asarray(U_mask, dtype=bool), grid.n_points)
-    m1 = _padded_strong_maximal(padded, grid.depth) > 0.5
-    return _padded_strong_maximal(m1, grid.depth) > 0.5
+    m1 = _strong_maximal(padded.astype(float), grid.depth) > 0.5
+    return _strong_maximal(m1.astype(float), grid.depth) > 0.5
 
 
 _EMB_CHUNK = 1 << 18  # box-to-edge-cell distances held at once by `_embeddedness`

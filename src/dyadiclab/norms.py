@@ -97,8 +97,8 @@ def operator_norm(A, method: str = "auto", tol: float = 1e-10, max_iter: int = 1
     sigma = 0.0
     for _ in range(max_iter):
         w = mat.conj().T @ (mat @ v)
-        new_sigma = float(np.sqrt(np.linalg.norm(w)))
         nw = np.linalg.norm(w)
+        new_sigma = float(np.sqrt(nw))
         if nw == 0:
             return 0.0
         v = w / nw

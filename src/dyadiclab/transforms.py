@@ -8,6 +8,8 @@ Conventions:
     signals split symmetrically and H^2 = -I off those modes.
   * Hilbert transform is the multiplier -i sgn(k), sgn(0) = sgn(N/2) = 0,
     which maps real signals to real signals (cos -> sin).
+  * The strong maximal function has one kernel, `_largest_mean`, for any d,
+    on the torus or on the padded window [-1, 2)^d of `journe`.
 """
 
 from __future__ import annotations
@@ -222,41 +224,52 @@ def haar_synthesis(coeffs: HaarCoefficients) -> Signal:
 # maximal and square functions
 
 
-def _block_averages(values: np.ndarray, axis: int, width: int) -> np.ndarray:
-    """Averages over aligned blocks of `width` cells along `axis`, broadcast back."""
-    moved = np.moveaxis(values, axis, 0)
-    shp = moved.shape
-    blocks = moved.reshape((shp[0] // width, width) + shp[1:])
-    avg = blocks.mean(axis=1)
-    out = np.repeat(avg, width, axis=0)
-    return np.moveaxis(out, 0, axis)
+def _largest_mean(a: np.ndarray, depth: int, axis: int, inner=lambda means: means) -> np.ndarray:
+    """For each cell along `axis` the largest of the means of a over the
+    dyadic blocks holding it, each mapped by `inner`: sides 2^(k - depth),
+    k = 0..depth, each tiling the axis, whether the torus [0, 1) of 2^depth
+    cells or the padded window [-1, 2) of 3 2^depth (-1 is a multiple of
+    each side); on the window also [0, 2), the one block of side 2 that
+    fits.  Coarse to fine, each side's maxima go in place onto both halves
+    of its blocks in the next side's."""
+    def part(x, cells):
+        return x[(slice(None),) * axis + (cells,)]
+
+    sums = [a]
+    for _ in range(depth):
+        sums.append(part(sums[-1], slice(0, None, 2)) + part(sums[-1], slice(1, None, 2)))
+    best = inner(sums[depth] / (1 << depth))
+    for k in range(depth - 1, -1, -1):
+        finer = inner(sums[k] / (1 << k))
+        halves = finer.reshape(finer.shape[:axis] + (-1, 2) + finer.shape[axis + 1:])
+        np.maximum(halves, np.expand_dims(best, axis + 1), out=halves)
+        best = finer
+    if a.shape[axis] > 1 << depth:  # the window
+        pair = inner(part(sums[depth], slice(1, 3)).sum(axis=axis, keepdims=True) / (2 << depth))
+        inside = part(best, slice(1 << depth, None))
+        np.maximum(inside, pair, out=inside)
+    return best
 
 
-def dyadic_maximal(f: Signal) -> Signal:
-    """sup over dyadic I containing x of |average of f over I| (d = 1)."""
-    if f.grid.dim != 1:
-        raise ValueError("dyadic_maximal is one-dimensional")
-    best = np.abs(f.values).astype(float)
-    for p in range(f.grid.depth - 1, -1, -1):
-        width = 1 << (f.grid.depth - p)
-        best = np.maximum(best, np.abs(_block_averages(f.values, 0, width)))
-    return Signal(f.grid, best.astype(complex))
+def _strong_maximal(values: np.ndarray, depth: int, inner=lambda means: means) -> np.ndarray:
+    """For each cell the largest of the means of `values` (float or complex,
+    any number of axes, each the torus or the padded window) over the boxes
+    holding it whose sides are `_largest_mean`'s blocks, each mapped by
+    `inner`.
+
+    Summing blocks of blocks, scale by scale, gives each mean, and the maxima
+    may be taken in any order: for each side of the axis-0 blocks over the
+    blocks of the later axes, then over the axis-0 blocks, each on its grid
+    of blocks; so `inner` maps the means of whole boxes."""
+    for axis in range(values.ndim - 1, -1, -1):
+        inner = functools.partial(_largest_mean, depth=depth, axis=axis, inner=inner)
+    return inner(values)
 
 
 def strong_maximal(f: Signal) -> Signal:
-    """sup over dyadic rectangles containing x of |average of f over R| (d = 2)."""
-    if f.grid.dim != 2:
-        raise ValueError("strong_maximal is two-dimensional")
-    n = f.grid.depth
-    best = np.zeros(f.grid.shape, dtype=float)
-    for p1 in range(n + 1):
-        w1 = 1 << (n - p1)
-        avg1 = _block_averages(f.values, 0, w1)
-        for p2 in range(n + 1):
-            w2 = 1 << (n - p2)
-            avg = _block_averages(avg1, 1, w2)
-            np.maximum(best, np.abs(avg), out=best)
-    return Signal(f.grid, best.astype(complex))
+    """sup over dyadic boxes R containing x of |average of f over R|, for
+    any d (in 1-D the dyadic maximal function)."""
+    return Signal(f.grid, _strong_maximal(f.values, f.grid.depth, np.abs).astype(complex))
 
 
 def square_function(f: Signal, family: str = "haar", meyer: "MeyerFamily" = None) -> Signal:

@@ -304,15 +304,26 @@ def test_nehari_ratio_contracts():
     assert hk.nehari_ratio(b2, product_depth=3)["ratio"] > 0
     with pytest.raises(ValueError, match="finest Haar scale"):
         hk.nehari_ratio(b2, product_depth=4)
-    with pytest.raises(ValueError, match="1-D or 2-D"):
-        hk.nehari_ratios(np.ones((1, 2, 2, 2)))
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        hk.nehari_ratios(np.ones(3))  # a stack of three 0-D symbols
+    # 3-D: bmo_product of the sampled symbol, and the norm of bhat(k + j) built entry by entry
+    b3 = hk.random_symbol(4, np.random.default_rng(30), dim=3)
+    rep3 = hk.nehari_ratio(b3, product_depth=3)
+    g3 = Grid(hk.symbol_grid_depth(4), 3)
+    alone = dl.bmo_product(b3.to_signal(g3), depth=3)
+    assert rep3["bmo_value"] == alone.value and rep3["cuts"] == alone.detail["cuts"]
+    modes = list(itertools.product(range(4), repeat=3))
+    direct = np.array([[b3.coeffs[k1 + j1, k2 + j2, k3 + j3] if max(k1 + j1, k2 + j2, k3 + j3) < 4
+                        else 0.0 for j1, j2, j3 in modes] for k1, k2, k3 in modes])
+    assert abs(rep3["hankel_norm"] - operator_norm(direct)) <= 1e-12 * rep3["hankel_norm"]
 
 
-@pytest.mark.parametrize("degree, dim", [(32, 1), (4, 2), (16, 2)],
-                         ids=["32-1-dyadic", "4-2-product_exact", "16-2-product_exact"])
+@pytest.mark.parametrize("degree, dim", [(32, 1), (4, 2), (16, 2), (4, 3)],
+                         ids=["32-1-dyadic", "4-2-product_exact", "16-2-product_exact",
+                              "4-3-product_exact"])
 def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim):
     # the Hankel norms go in chunks of 2^15 // (M N)^d symbols: 8 in the first
-    # two cases; the books in chunks of 2^15 // N^d: 8 in the last; so 19
+    # two cases; the books in chunks of 2^15 // N^d: 8 in the last two; so 19
     # symbols make three chunks, and dropping the first 5 moves every boundary
     coeffs = np.stack([hk.random_symbol(degree, rng, dim=dim).coeffs for _ in range(19)])
     whole = hk.nehari_ratios(coeffs)

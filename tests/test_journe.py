@@ -14,6 +14,7 @@ from dyadiclab.dyadic import (
     haar_tensor,
 )
 from dyadiclab import journe as jn
+from dyadiclab import transforms
 from dyadiclab.transforms import build_meyer_family
 
 rng = np.random.default_rng(4)
@@ -275,11 +276,29 @@ def test_padded_strong_maximal_matches_block_means():
             for density in (0.0, 0.2, 0.7, 1.0):
                 mask = np.zeros((3 * N,) * d, dtype=bool)
                 mask[(slice(N, 2 * N),) * d] = rng.random((N,) * d) < density
-                assert np.array_equal(jn._padded_strong_maximal(mask, depth),
+                assert np.array_equal(transforms._strong_maximal(mask.astype(float), depth),
                                       _strong_maximal_by_blocks(mask, depth))
             mask = rng.random((3 * N,) * d) < 0.5  # mass outside the unit cube too
-            assert np.array_equal(jn._padded_strong_maximal(mask, depth),
+            assert np.array_equal(transforms._strong_maximal(mask.astype(float), depth),
                                   _strong_maximal_by_blocks(mask, depth))
+
+
+def test_strong_maximal_and_enlarged_set_share_one_kernel(monkeypatch):
+    # per call of the nest on d = 2 at depth 3: one call along axis 0, then
+    # one along axis 1 per side 2^-3..1, and on the window one more for [0, 2)
+    cells, kernel = [], transforms._largest_mean
+
+    def counting(a, depth, axis, **kw):
+        cells.append(a.shape[axis] >> depth)  # 1 on the torus, 3 on the window
+        return kernel(a, depth, axis, **kw)
+
+    monkeypatch.setattr(transforms, "_largest_mean", counting)
+    g, gen = Grid(3, 2), np.random.default_rng(21)
+    dl.strong_maximal(dl.random_signal(g, gen))
+    assert cells == [1] * 5
+    cells.clear()
+    jn.enlarged_set(gen.random(g.shape) < 0.3, g)
+    assert cells == [3] * 12
 
 
 # ---------------------------------------------------------------------------

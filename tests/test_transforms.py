@@ -11,7 +11,6 @@ from dyadiclab.transforms import (
     apply_multipliers,
     axis_mean_projection,
     axis_multiplier,
-    dyadic_maximal,
     fourier_mode,
     from_spectrum,
     haar_analysis,
@@ -182,18 +181,18 @@ def test_haar_single_wavelet_and_constant():
     assert all(np.max(np.abs(ones.band(p))) < 1e-14 for p in range(4))
 
 
-def test_dyadic_maximal():
+def test_dyadic_maximal():  # the strong maximal function in 1-D
     g = Grid(4, 1)
-    assert np.max(np.abs(dyadic_maximal(constant(g)).values - 1.0)) < 1e-14
+    assert np.max(np.abs(strong_maximal(constant(g)).values - 1.0)) < 1e-14
     f = Signal(g, (g.points() < 0.25).astype(complex))
-    m = dyadic_maximal(f).values.real
+    m = strong_maximal(f).values.real
     assert np.allclose(m[:4], 1.0)
     assert np.allclose(m[4:8], 0.5)
     assert np.allclose(m[8:], 0.25)
     # monotone on nonnegative inputs
     a = Signal(g, rng.random(g.shape))
     b = Signal(g, a.values + rng.random(g.shape))
-    assert np.all(dyadic_maximal(a).values.real <= dyadic_maximal(b).values.real + 1e-14)
+    assert np.all(strong_maximal(a).values.real <= strong_maximal(b).values.real + 1e-14)
 
 
 def test_strong_maximal():
@@ -214,6 +213,28 @@ def test_strong_maximal():
         avg = abs(f.values[s1, s2].mean())
         brute[s1, s2] = np.maximum(brute[s1, s2], avg)
     assert np.max(np.abs(m - brute)) < 1e-13
+
+
+def _largest_box_means(values, depth):
+    """|mean| of values over every dyadic box of the torus, box by box, the
+    largest at each cell."""
+    best = np.zeros(values.shape)
+    for sides in itertools.product([1 << k for k in range(depth + 1)], repeat=values.ndim):
+        for at in itertools.product(*(range((1 << depth) // s) for s in sides)):
+            box = tuple(slice(i * s, (i + 1) * s) for s, i in zip(sides, at))
+            best[box] = np.maximum(best[box], abs(values[box].mean()))
+    return best
+
+
+def test_strong_maximal_matches_box_means_for_any_d():
+    gen = np.random.default_rng(20)  # its own draws: the module generator's later ones stay put
+    for d, depths in ((1, range(1, 7)), (2, range(1, 5)), (3, (1, 2))):
+        for depth in depths:
+            f = random_signal(Grid(depth, d), gen)
+            m = strong_maximal(f).values
+            assert m.dtype == complex and not np.any(m.imag)
+            brute = _largest_box_means(f.values, depth)
+            assert np.max(np.abs(m.real - brute) / brute) <= 1e-15
 
 
 def test_square_function():
