@@ -382,9 +382,10 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # M x M SVD (nehari1d M <= 512), an M^2 x M^2 Hankel matrix and its SVD per
 # trial (nehari2d M <= 32: 2 trials take 2.1 s and 75 MiB; M = 64 is a 4096^2
 # SVD per trial), a 2^n x 2^n SVD (para-bound n <= 10), eight 2^n x 2^n
-# pieces (commutator-decomp n <= 9), steps^2 nodes of about s 2^n cells per
-# window scale (petermichl steps <= 128, n <= 12: 2.4 ms a node at n = 12;
-# a node costs ~ n + log2(pad ~ Y) scales, so Y <= 1024 is <= 1.2x Y = 8),
+# pieces (commutator-decomp n <= 9: 0.13-0.16 s and 45 MiB a trial at n = 9),
+# steps^2 nodes of about s 2^n cells per window scale (petermichl steps <= 128,
+# n <= 12: 2.4 ms a node at n = 12; a node costs ~ n + log2(pad ~ Y) scales, so
+# Y <= 1024 is <= 1.2x Y = 8),
 # exact product BMO on 4^(n+3) cells (journe n <= 5: 0.14 s, carleson n <= 6:
 # 0.04 s) or to depth n (nehari2d n <= 6, and below the finest scale of M's
 # grid: one trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product

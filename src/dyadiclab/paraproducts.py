@@ -3,12 +3,14 @@ translation-dilation average, the commutator -> paraproduct decomposition,
 and the Meyer scale-block paraproducts in one and two parameters.
 
 Rank-one notation: (psi (x) phi) f = psi * <f, phi>, linear in f.  A sum of
-such terms is one coefficient matrix between two basis matrices, and an
-operator matrix is the operator applied once to the identity.
+such terms over the intervals J is one product A B^T w of two sampled
+matrices with a column per J, and an operator matrix is the operator
+applied once to the identity.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,66 +144,20 @@ class DecompositionError(RuntimeError):
 def commutator_gleft_matrix(b: Signal) -> np.ndarray:
     """[M_b, G_left] as a dense matrix on the cell basis, from G_left applied
     once to the identity."""
+    if b.grid.dim != 1:
+        raise ValueError("[M_b, G_left] needs a 1D symbol")
     GL = _shift_values(np.eye(b.grid.n_points, dtype=complex), b.grid.depth, 1.0, 0.0)
     return b.values[:, None] * GL - GL * b.values[None, :]
 
 
-# label -> bases (Psi, Phi) of the piece Psi C Phi^T: "h" samples h_I, "h1" samples h^1_I
-_GLEFT_BASES = {
-    "I=J_left:dual_para": ("h1", "h"),
-    "I=J_left:regular": ("h", "h"),
-    "I=J_right": ("h", "h"),
-    "I=J:para": ("h", "h1"),
-    "I=J:regular": ("h", "h"),
-    "I<J_left:analytic": ("h", "h"),
-    "I<J_left:dual": ("h", "h"),
-    "I<J_right": ("h", "h"),
-}
-
-
-def _haar_basis_matrices(grid: Grid) -> dict:
-    """Columns h_I and h^1_I = |h_I| sampled on the cells, for the intervals of
-    scale p < depth in heap order without the mean: I(p, j) is column
-    2^p - 1 + j, so the halves of column J are 2J + 1 and 2J + 2.  The h_I
-    are the Haar synthesis of the identity."""
-    H = _haar_synthesis_axis(np.eye(grid.n_points), grid.depth)[:, 1:]
-    return {"h": H, "h1": np.abs(H)}
-
-
-def _heap_descendants(nodes: np.ndarray, k: int) -> np.ndarray:
-    """Heap indices of the 2^k descendants k levels below each node, one row per node."""
-    return ((nodes + 1) << k)[:, None] - 1 + np.arange(1 << k)
-
-
-def _gleft_coefficients(label: str, beta: np.ndarray, n: int) -> np.ndarray:
-    """Coefficient matrix of one labelled piece over the intervals in heap
-    order, beta = <b, h_I> in that order; the J of one scale are written
-    at once, their descendants by one slice per scale."""
-    C = np.zeros((beta.size, beta.size), dtype=complex)
-    for p in range(n - 1):  # J carries resolvable halves: scale p <= n - 2
-        J = np.arange((1 << p) - 1, (2 << p) - 1)
-        L, R = 2 * J + 1, 2 * J + 2
-        s = 2.0 ** (p / 2)  # |J|^{-1/2}
-        if label == "I=J_left:dual_para":
-            C[L, J] = s * np.sqrt(2) * beta[L]
-        elif label == "I=J_left:regular":
-            C[L, L] = s * beta[L]
-        elif label == "I=J_right":
-            C[L, R] = -s * beta[R]
-        elif label in ("I=J:para", "I=J:regular"):
-            C[L, J] = -s * beta[J]
-        for k in range(1, n - 1 - p):  # I at scale p + 1 + k <= n - 1
-            if label == "I<J_left:analytic":
-                I = _heap_descendants(L, k)
-                eps1 = np.repeat([-1.0, 1.0], 1 << (k - 1))  # sign of h_{J_left} on I
-                C[I, J[:, None]] = s * np.sqrt(2) * eps1 * beta[I]
-            elif label == "I<J_left:dual":
-                I = _heap_descendants(L, k)
-                C[L[:, None], I] = s * beta[I]
-            elif label == "I<J_right":
-                I = _heap_descendants(R, k)
-                C[L[:, None], I] = -s * beta[I]
-    return C
+def _thin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B^T for factors with a column per J, one of them real: two real products."""
+    out = np.empty((len(A), len(B)), dtype=complex)
+    if np.iscomplexobj(A):
+        out.real, out.imag = A.real @ B.T, A.imag @ B.T
+    else:
+        out.real, out.imag = A @ B.real.T, A @ B.imag.T
+    return out
 
 
 def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> ParaproductPieces:
@@ -216,25 +172,41 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
       I inside J_right:-|J|^{-1/2} h_{J_left} (x) h_I
       (disjoint and J inside I vanish; the mean of b commutes)
 
-    eps1 is the sign of h_{J_left} on I.  Each labelled piece, a sum of
-    such terms, is Psi C Phi^T w: C its interval x interval coefficients,
-    Psi and Phi the sampled bases h or h^1, w the quadrature weight.  The
-    sum of the pieces is checked against the dense commutator, and its
-    largest entrywise defect kept as `residual`; a defect above check_tol
-    (relative to the largest entry, at least 1) raises with the residual
-    matrix.  The bases are real, so each piece is two real products, of
-    C.real and of C.imag.
+    eps1 is the sign of h_{J_left} on I.  The sums over I strictly inside a
+    half K close: D_K = sum_{I in K, I != K} <b, h_I> h_I is 1_K b less its
+    projection <b, h^1_K> h^1_K + <b, h_K> h_K onto the halves of K, that
+    is b minus its mean over the half of K holding x, and zero off K; the
+    eps1 sum is sign(h_{J_left}) D_{J_left}.  So each labelled piece is one
+    product A B^T w of two sampled factors with a column per J (scale
+    <= depth - 2), w the quadrature weight, each built just before its
+    product.  The sum of the pieces is checked against the dense
+    commutator, and its largest entrywise defect kept as `residual`; a
+    defect above check_tol (relative to the largest entry, at least 1)
+    raises with the residual matrix.
     """
     target = commutator_gleft_matrix(b)
-    n = b.grid.depth
-    beta = haar_analysis(b).values[1:]
-    bases = _haar_basis_matrices(b.grid)
-    pieces = {}
-    for label, (psi, phi) in _GLEFT_BASES.items():
-        C = _gleft_coefficients(label, beta, n)
-        Psi, PhiT = bases[psi], bases[phi].T * b.grid.weight
-        pieces[label] = (Psi @ C.real) @ PhiT + 1j * ((Psi @ C.imag) @ PhiT)
-    result = ParaproductPieces(b.grid, pieces)
+    n, w, m = b.grid.depth, b.grid.weight, (1 << (b.grid.depth - 1)) - 1
+    beta = haar_analysis(b).values[1:]  # heap order without the mean: J's halves are 2J + 1, 2J + 2
+    H = _haar_synthesis_axis(np.eye(b.grid.n_points), n)[:, 1:]  # the sampled h_I, same order
+    hJ, hL, hR = H[:, :m], H[:, 1:2 * m:2], H[:, 2:2 * m + 1:2]
+    bJ, bL, bR = beta[:m], beta[1:2 * m:2], beta[2:2 * m + 1:2]
+    s = w * np.repeat(2.0 ** (np.arange(n - 1) / 2), 1 << np.arange(n - 1))  # w |J|^{-1/2}
+
+    def inside(hK, bK):  # the columns D_K for the columns h_K
+        h1K = np.abs(hK)
+        return (h1K != 0) * b.values[:, None] - h1K * (w * (b.values @ h1K)) - hK * bK
+
+    factors = {  # label -> (A, B)
+        "I=J_left:dual_para": lambda: (np.abs(hL) * (np.sqrt(2) * s * bL), hJ),
+        "I=J_left:regular": lambda: (hL * (s * bL), hL),
+        "I=J_right": lambda: (hL * (-s * bR), hR),
+        "I=J:para": lambda: (hL * (-s * bJ), np.abs(hJ)),
+        "I=J:regular": lambda: (hL * (-s * bJ), hJ),
+        "I<J_left:analytic": lambda: (np.sign(hL) * inside(hL, bL) * (np.sqrt(2) * s), hJ),
+        "I<J_left:dual": lambda: (hL * s, inside(hL, bL)),
+        "I<J_right": lambda: (hL * -s, inside(hR, bR)),
+    }
+    result = ParaproductPieces(b.grid, {label: _thin_product(*make()) for label, make in factors.items()})
     residual = result.total() - target
     result.residual = float(np.max(np.abs(residual)))
     scale = max(1.0, float(np.max(np.abs(target))))
@@ -273,9 +245,10 @@ def _window_interp(q: np.ndarray, start: np.ndarray, rows: np.ndarray,
 
 
 def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_steps: int,
-                       pad: int, y_measure: str) -> np.ndarray:
+                       pad: int | None, y_measure: str) -> tuple[np.ndarray, int]:
     """The translation-dilation average of G on the window, applied to the
-    columns of values (2^n, B) on [0, 1) and read back on [0, 1).
+    columns of values (2^n, B) on [0, 1) and read back on [0, 1), and the
+    pad it used (default: the least power of two >= max(4, Y + 1)).
 
     Per y node the s nodes run as one batch of rows, each on its own index
     range: Dil_s of the translated input only on its support (about s 2^n
@@ -340,7 +313,7 @@ def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_ste
         V[m >= L] = 0.0
         out = _window_interp(x((pad << n) + np.arange(N))[None] + y, np.array([m0]), V[None], n, pad)
         acc += wy * out[0]
-    return acc
+    return acc, pad
 
 
 def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
@@ -378,8 +351,8 @@ def apply_petermichl_average(f: Signal, Y: float = 8.0, s_steps: int = 64,
     zero-padded on the window [-pad, pad+1) (default pad: the least power of
     two >= max(4, Y + 1)), and restrict back to [0,1).  A node costs about
     s 2^n cells per dyadic scale of the window, whatever the window's length."""
-    values = _petermichl_values(f.values[:, None], f.grid.depth, Y, s_steps, y_steps,
-                                pad, y_measure)
+    values, _ = _petermichl_values(f.values[:, None], f.grid.depth, Y, s_steps, y_steps,
+                                   pad, y_measure)
     return Signal(f.grid, values[:, 0])
 
 
@@ -404,8 +377,8 @@ def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: i
     asserted).  The average is applied once, to the batch of the N cell
     indicators; the working arrays grow as N^2 per s node."""
     N = grid.n_points
-    cols = _petermichl_values(np.eye(N, dtype=complex), grid.depth, Y, s_steps, y_steps,
-                              pad, y_measure)
+    cols, pad = _petermichl_values(np.eye(N, dtype=complex), grid.depth, Y, s_steps, y_steps,
+                                   pad, y_measure)
     Hcols = np.stack([hilbert_reference(Signal(grid, e)).values
                       for e in np.eye(N, dtype=complex)], axis=1)
     # least squares fit of avg ~ c * H over matrix entries
@@ -453,31 +426,26 @@ def delta_U(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
 
 
 def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -> Signal:
-    """sum_j (DeltaU_j b) * conj(U_{j - offset} phi), U_q = sum_{p <= q} DeltaU_p;
-    offset moves the U-block toward coarser scales (the proof-side variant
-    uses a large offset).  b and phi are analysed once, and each block is a
-    synthesis of a band of their coefficients (see `meyer_para_multi`)."""
-    Cb, Cphi = meyer.analysis(b.values, "u"), meyer.analysis(phi.values, "u")
-    out = np.zeros(b.grid.shape, dtype=complex)
-    for p in meyer.scales:
-        if p - offset >= 0:
-            below = slice(0, meyer.band(min(p - offset, meyer.max_scale)).stop)
-            out += (meyer.synthesis(Cb, "u", bands=(meyer.band(p),))
-                    * np.conj(meyer.synthesis(Cphi, "u", bands=(below,))))
-    return Signal(b.grid, out)
+    """sum_j (DeltaU_j b) * conj(U_{j - offset} phi), U_q = sum_{p <= q} DeltaU_p,
+    for d = 1: `meyer_para_multi` with J = () and kvec = (offset,).  offset
+    moves the U-block toward coarser scales (the proof-side variant uses a
+    large offset), |offset| <= 8."""
+    return meyer_para_multi(b, phi, meyer, J=(), kvec=(offset,))
 
 
 def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
-                     J: tuple[int, ...] = (1, 2), kvec: tuple[int, int] = (0, 0)) -> Signal:
-    """sum_jvec (DeltaU_jvec b) * conj(U_{jvec - kvec, J} phi) on the torus;
-    kvec moves the U block toward coarser scales per axis, |kvec|_inf <= 8.
+                     J: tuple[int, ...] = (1, 2), kvec: tuple[int, ...] = (0, 0)) -> Signal:
+    """sum_jvec (DeltaU_jvec b) * conj(U_{jvec - kvec, J} phi) on the torus of
+    dimension d = 1 or 2 (one entry of kvec per axis); kvec moves the U
+    block toward coarser scales per axis, |kvec|_inf <= 8, and a block whose
+    jvec - kvec leaves 0 ... max_scale on some axis is skipped.  In 2-D
     DeltaU_(p1,p2) F = P_p1 F P_p2^T with the 1-D block projectors P_p, and
     U_{q,J} takes P_qs on the axes s in J, sum_{p <= qs} P_p elsewhere.
 
     b and phi are analysed once against the u table (`MeyerFamily.analysis`),
     and a block pair is the `MeyerFamily.synthesis` of a band of coefficients
     (phi's conjugated in place); a sum over p <= q is the range 0 ...
-    2^(q+1) - 2 of heap indices.  The blocks go through two reused N x N
+    2^(q+1) - 2 of heap indices.  The 2-D blocks go through two reused N x N
     buffers: fresh N x N temporaries per pair took over half the time."""
     if max(abs(k) for k in kvec) > 8:
         raise ValueError("|kvec|_inf must be <= 8")
@@ -487,12 +455,12 @@ def meyer_para_multi(b: Signal, phi: Signal, meyer: MeyerFamily,
         return slice(0, meyer.band(p).stop) if axis is not None and axis not in J else meyer.band(p)
 
     out, work = np.zeros(b.grid.shape, dtype=complex), np.empty((2,) + b.grid.shape, dtype=complex)
-    for p1 in meyer.scales:
-        for p2 in meyer.scales:
-            q1, q2 = p1 - kvec[0], p2 - kvec[1]
-            if 0 <= q1 <= meyer.max_scale and 0 <= q2 <= meyer.max_scale:
-                block = meyer.synthesis(Cb, "u", bands=(band(p1), band(p2)), out=work[0])
-                phi_block = meyer.synthesis(Cphi, "u", bands=(band(q1, 1), band(q2, 2)), out=work[1])
-                block *= np.conj(phi_block, out=phi_block)
-                out += block
+    for pvec in itertools.product(meyer.scales, repeat=b.grid.dim):
+        qvec = [p - k for p, k in zip(pvec, kvec)]
+        if all(0 <= q <= meyer.max_scale for q in qvec):
+            block = meyer.synthesis(Cb, "u", bands=tuple(map(band, pvec)), out=work[0])
+            phi_bands = tuple(band(q, axis) for axis, q in enumerate(qvec, 1))
+            phi_block = meyer.synthesis(Cphi, "u", bands=phi_bands, out=work[1])
+            block *= np.conj(phi_block, out=phi_block)
+            out += block
     return Signal(b.grid, out)

@@ -162,14 +162,24 @@ def _rank_one_table(b: Signal) -> dict:
     return out
 
 
-def test_decomposition_pieces_match_rank_one_table():
-    g = Grid(5, 1)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_decomposition_pieces_match_rank_one_table(n):
+    # n = 1 has no J, so every piece is zero; at n = 2 no I lies strictly inside a half
+    g = Grid(n, 1)
     b = random_signal(g, rng)
     pieces = pp.decompose_commutator_Gleft(b).pieces
     table = _rank_one_table(b)
     assert list(pieces) == list(table)
     for label, ref in table.items():
         assert np.max(np.abs(pieces[label] - ref)) <= 1e-13, label
+
+
+def test_gleft_operators_need_a_1d_symbol():
+    b = random_signal(Grid(3, 2), np.random.default_rng(5))
+    with pytest.raises(ValueError, match="1D"):
+        pp.commutator_gleft_matrix(b)
+    with pytest.raises(ValueError, match="1D"):
+        pp.decompose_commutator_Gleft(b)
 
 
 def test_decomposition_single_haar_rank_one_algebra():
@@ -243,6 +253,22 @@ def test_meyer_para_1d():
     for off in (0, 1, 2):
         out = pp.meyer_para_1d(b1, phi, fam, offset=off)
         assert np.isfinite(out.norm2())
+
+
+def test_meyer_para_1d_matches_block_sums():
+    # sum_p (P_p b) * conj(sum_{q <= p - offset} P_q phi) with the block projectors
+    g = Grid(7, 1)
+    fam = build_meyer_family(g)
+    gen = np.random.default_rng(8)
+    b, phi = random_signal(g, gen), random_signal(g, gen)
+    P = fam.block_projector
+    for offset in (0, 1, 2):
+        ref = sum((P(p) @ b.values) * np.conj(sum(P(q) @ phi.values for q in range(p - offset + 1)))
+                  for p in fam.scales if p >= offset)
+        out = pp.meyer_para_1d(b, phi, fam, offset=offset).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        pp.meyer_para_1d(b, phi, fam, offset=9)
 
 
 def test_meyer_para_single_scale_localization():

@@ -275,6 +275,16 @@ def test_average_rejects_bad_pad_and_coarse_grids():
         pp.apply_petermichl_average(_random_complex(Grid(2, 1)))
 
 
+def test_average_reports_the_pad_it_used():
+    # the default window at Y = 8 is the least power of two >= 9
+    g = Grid(4, 1)
+    rep = pp.petermichl_average(g, Y=8.0, s_steps=4, y_steps=6)
+    assert rep["pad"] == 16
+    explicit = pp.petermichl_average(g, Y=8.0, s_steps=4, y_steps=6, pad=16)
+    assert explicit["pad"] == 16
+    assert np.array_equal(rep["matrix"].entries, explicit["matrix"].entries)
+
+
 def test_batched_matrix_equals_single_calls():
     g = Grid(4, 1)
     rep = pp.petermichl_average(g, Y=4.0, s_steps=6, y_steps=10)
