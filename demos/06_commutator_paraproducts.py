@@ -24,9 +24,11 @@ lhs = pp.para_haar(b, f)
 rhs = pp.para_double_sum(b, f)
 print("para_haar == double sum over I inside J:", np.max(np.abs(lhs.values - rhs.values)))
 
-# paraproduct norm vs dyadic BMO of the symbol
-mat = pp.para_haar_matrix(b)
-print("||Para_b|| / ||b||_BMOdy =", operator_norm(mat) / dl.bmo_dyadic(b).value)
+# paraproduct norm, by the dense SVD and by the real Gram of its orthonormal
+# expansion (sum_I |<b,h_I>|^2 |<f>_I|^2), vs dyadic BMO of the symbol
+dense = operator_norm(pp.para_haar_matrix(b))
+print("||Para_b||: dense SVD", dense, " Gram (para_haar_norm)", pp.para_haar_norm(b))
+print("||Para_b|| / ||b||_BMOdy =", dense / dl.bmo_dyadic(b).value)
 
 # the dyadic shift G and its one-sided half
 I = DyadicInterval(-2, 1)

@@ -139,8 +139,7 @@ def _exp_para_bound(cfg, threads):
             rng = trial_rng(seed + 37 * n, t)
             b = Signal(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
             b = b - Signal(grid, np.full(grid.shape, b.mean()))
-            mat = paraproducts.para_haar_matrix(b)
-            ratio = norms.operator_norm(mat) / norms.bmo_dyadic(b).value
+            ratio = paraproducts.para_haar_norm(b) / norms.bmo_dyadic(b).value
             return {"trial": t, "n": n, "ratio": ratio}
 
         rows.extend(_map_trials(one, trials, threads))
@@ -381,7 +380,8 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # Caps bound work growing as N^2 or faster (one core, one BLAS thread): an
 # M x M SVD (nehari1d M <= 512), an M^2 x M^2 Hankel matrix and its SVD per
 # trial (nehari2d M <= 32: 2 trials take 2.1 s and 75 MiB; M = 64 is a 4096^2
-# SVD per trial), a 2^n x 2^n SVD (para-bound n <= 10), eight 2^n x 2^n
+# SVD per trial), a 2^(n-1) x 2^(n-1) Gram (para-bound n <= 10: 0.02 s a
+# trial, and the 2^n cells' dyadic BMO), eight 2^n x 2^n
 # pieces (commutator-decomp n <= 9: 0.13-0.16 s and 45 MiB a trial at n = 9),
 # steps^2 nodes of about s 2^n cells per window scale (petermichl steps <= 128,
 # n <= 12: 2.4 ms a node at n = 12; a node costs ~ n + log2(pad ~ Y) scales, so

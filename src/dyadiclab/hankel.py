@@ -177,24 +177,6 @@ def little_hankel(b: SymbolCoefficients) -> HankelOp:
 # commutators [M_b, H] on the truncated mode basis
 
 
-def _mode_batches(grid: Grid, kvecs: list):
-    """(lo, hi, values) over consecutive slices of the mode list, values[i] the
-    exponential e^{2 pi i k.x} of kvecs[lo + i] as a product of per-axis
-    exponentials, read from one table of N-th roots of unity (so exactly
-    N-periodic in k); no batch holds more than _BATCH_POINTS grid points."""
-    d, N = grid.dim, grid.n_points
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    kvecs = np.asarray(kvecs, dtype=np.int64).reshape(-1, d)
-    step = max(1, _BATCH_POINTS // N ** d)
-    for lo in range(0, len(kvecs), step):
-        ks = kvecs[lo:lo + step]
-        values = 1.0
-        for a in range(d):
-            e = roots[ks[:, a, None] * np.arange(N) % N]
-            values = values * e.reshape((len(ks),) + (1,) * a + (N,) + (1,) * (d - 1 - a))
-        yield lo, lo + len(ks), values
-
-
 def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int | None = None,
                       variant: str = "imaginary") -> OperatorMatrix:
     """Matrix of the iterated commutator [...[M_b, H_a1], ..., H_ak] on the
@@ -224,74 +206,95 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int 
     return OperatorMatrix(entries.reshape(len(basis), len(basis)), ("modes", basis), ("modes", basis))
 
 
-def _iterated_commutator_values(b: Signal, axes, variant: str):
-    """Value-level application of A_d where A_0 = M_b, A_j = [A_{j-1}, H_j]; the
-    values may carry leading batch axes before the grid axes.  The H's
-    commute, so the axes nest last-first: the innermost commutator, applied
-    2^(k-1) times, runs along the contiguous last axis.  The A_j work in place
-    on their argument, so the returned map copies its input once."""
-    kinds = {ax: transforms.on_axis("hilbert" if variant == "imaginary" else "signum", ax,
-                                    b.grid.dim) for ax in axes}
+def _octant_spectra(b: Signal, sigma: tuple, K: int):
+    """(modes, S, T) over the columns e_j of the modes j of octant sigma of
+    [-K, K]^d, in row-major order, in chunks: modes[i] is the j of column i,
+    S[i] and T[i] the FFTs of C e_j and of b e_j, C the iterated commutator
+    [...[M_b, H_1], ..., H_d] in the sign normalization H = P_+ - P_-.
 
-    def apply(vals):
-        vals *= b.values
-        return vals
+    e_j is the product of the per-axis exponentials e_{j_a}(x_a), and
+    multiplying by a function of x_a commutes with M_b and with the H_c and
+    FFTs F_c of the other axes, so the spectra nest axis by axis:
+    S_0 = T_0 = b and, for a = 1..d,
+      S_a = F_a[S_{a-1} He_{j_a}] - m_a F_a[S_{a-1} e_{j_a}],
+      T_a = F_a[T_{a-1} e_{j_a}],
+    with m_a the sign multiplier of axis a and He_j = H e_j, the sampled
+    e_j through one FFT multiplier pass; S = S_d and T = T_d.  b is
+    multiplied at the samples and H applied by FFT, nothing is read off a
+    closed form.  Each prefix (j_1 .. j_a) is computed once for every column
+    that extends it, depth first, with no chunk above _BATCH_POINTS grid
+    points (one column if a grid is larger): three one-axis FFT passes per
+    column, and a share of that per prefix.
+    """
+    if K < 1:
+        return  # an empty octant
+    d, N = b.grid.dim, b.grid.n_points
+    m = transforms.axis_multiplier("signum", N).real
+    x = np.arange(N)
+    roots = np.exp(2j * np.pi * x / N)
+    step = max(1, _BATCH_POINTS // N ** d)
 
-    for ax in axes[::-1]:
-        def nxt(vals, prev=apply, ax=ax):
-            out = prev(transforms.apply_multipliers(kinds[ax], vals))
-            out -= transforms.apply_multipliers(kinds[ax], prev(vals), out=vals)
-            return out
-        apply = nxt
-    return lambda vals: apply(np.array(vals, dtype=complex))
+    def extend(a, modes, S, T):  # the spectra over axes 1..a of a stack of prefixes
+        j = np.arange(1, K + 1) if sigma[a] == "+" else np.arange(-K, 0)
+        e = roots[np.outer(j, x) % N]
+        He = np.fft.ifft(np.fft.fft(e) * m)
+        on_axis = (slice(None),) + (None,) * a + (slice(None),) + (None,) * (d - 1 - a)
+        e, He, m_a = e[on_axis], He[on_axis], m[on_axis[1:]]
+        rows, cols = max(1, step // K), min(K, step)
+
+        def spectrum(vals):  # F_a in place, the (prefix, j_a) axes flattened into one
+            return np.fft.fft(vals, axis=a - d, out=vals).reshape((-1,) + b.grid.shape)
+
+        for p in range(0, len(S), rows):
+            Sp, Tp = S[p:p + rows, None], T[p:p + rows, None]
+            for k in range(0, K, cols):
+                new_S, term, new_T = (spectrum(Sp * He[k:k + cols]), spectrum(Sp * e[k:k + cols]),
+                                      spectrum(Tp * e[k:k + cols]))
+                new_S -= np.multiply(term, m_a, out=term)
+                jk = j[k:k + cols]
+                new_modes = np.column_stack([np.repeat(modes[p:p + rows], len(jk), axis=0),
+                                             np.tile(jk, len(Sp))])
+                if a == d - 1:
+                    yield new_modes, new_S, new_T
+                else:
+                    yield from extend(a + 1, new_modes, new_S, new_T)
+
+    yield from extend(0, np.zeros((1, 0), dtype=np.int64), b.values[None], b.values[None])
 
 
 def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
-    """Verify the projection block identities of the commutator, in the
-    sign-multiplier normalization H' = P_+ - P_-:
+    """Verify the projection block identities of the d-fold commutator
+    C = [...[M_b, H_1], ..., H_d] in the sign normalization H_a = P_+ - P_-
+    on axis a: for every sign vector s in {+, -}^d,
 
-      d=1:  P_+ C P_+ = 0,  P_- C P_- = 0,
-            P_+ C P_- = -2 P_+ M_b P_-,  P_- C P_+ = +2 P_- M_b P_+.
-      d=2:  P_{-s} C P_s = s(1)s(2) * 4 * P_{-s} M_b P_s  for all sign pairs s,
-            and P_s C P_s = 0.
+      P_{-s} C P_s = (prod_a s_a) 2^d P_{-s} M_b P_s   and   P_s C P_s = 0
 
-    The factor 2^d comes from H = +-(I - 2P) on mean-free signals.  P_s
+    (at d = 1: P_+ C P_- = -2 P_+ M_b P_-, P_- C P_+ = +2 P_- M_b P_+).  The
+    factor comes from each H_a being s_a on P_s and -s_a on P_{-s}.  P_s
     annihilates every mode outside octant s and fixes those inside, so the
-    modes e of the truncated basis [-K, K]^d in octant s are its P_s-projected
-    basis; they go through C octant by octant, in batches.  One FFT of C e and
-    one of b e give both identities: their spectra on octant -s
-    (C e - factor * b e) and on octant s (C e).  Returns the largest L2 norm
-    of a defect column (Parseval on those spectra), which bounds its largest
-    sample times the square root of the quadrature weight from above.
+    modes e of the truncated basis [-K, K]^d in octant s are its
+    P_s-projected basis.  `_octant_spectra` gives the spectra of C e and of
+    b e, axis by axis, each prefix of modes once; their parts on octant -s
+    (C e - factor * b e) and on octant s (C e) are the two defects.  Returns
+    the largest L2 norm of a defect column (Parseval on those spectra), which
+    bounds its largest sample times the square root of the quadrature
+    weight from above.
     """
-    grid, d, N = b.grid, b.grid.dim, b.grid.n_points
+    d, N = b.grid.dim, b.grid.n_points
     K = N // 4 if mode_cutoff is None else mode_cutoff
     if K > N // 2 - 1:
         raise ValueError("mode cutoff exceeds grid")
-    apply_comm = _iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
     half = {"+": slice(1, N // 2), "-": slice(N // 2 + 1, None)}  # the FFT-layout modes of P_+, P_-
-    grid_axes = tuple(range(-d, 0))
-
-    def spectrum(vals):  # in place, one FFT pass per grid axis: about twice as fast as fftn here
-        for axis in grid_axes[::-1]:
-            np.fft.fft(vals, axis=axis, out=vals)
-        return vals
-
-    def column_norms(spec, sigma):
-        part = spec[(Ellipsis,) + tuple(half[s] for s in sigma)]
-        return np.linalg.norm(part, axis=grid_axes) / N ** d
-
     defect = 0.0
     for sigma in itertools.product("+-", repeat=d):
-        minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
-        factor_b = (-1) ** sigma.count("-") * 2.0 ** d * b.values
-        octant = itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma))
-        for _, _, modes in _mode_batches(grid, list(octant)):
-            comm = spectrum(apply_comm(modes))
-            comm_b = spectrum(np.multiply(modes, factor_b, out=modes))
-            diag = column_norms(comm, sigma)
-            off = column_norms(np.subtract(comm, comm_b, out=comm), minus_sigma)
-            defect = max(defect, float(np.max(off)), float(np.max(diag)))
+        own = (Ellipsis,) + tuple(half[s] for s in sigma)
+        opposite = (Ellipsis,) + tuple(half["-" if s == "+" else "+"] for s in sigma)
+        factor = (-1) ** sigma.count("-") * 2.0 ** d
+        for _, comm, comm_b in _octant_spectra(b, sigma, K):
+            off = comm[opposite] - factor * comm_b[opposite]
+            for part in (comm[own], off):
+                column_norms = np.linalg.norm(part.reshape(len(part), -1), axis=1)
+                defect = max(defect, float(np.max(column_norms)) / N ** d)
     return defect
 
 

@@ -68,6 +68,29 @@ def para_haar_matrix(b: Signal) -> OperatorMatrix:
     return OperatorMatrix(cols, basis, basis)
 
 
+def para_haar_norm(b: Signal) -> float:
+    """||Para_b||, the `operator_norm` of `para_haar_matrix(b)`, from a real Gram.
+
+    The h_I are orthonormal, so ||Para_b f||^2 = sum_I |<b, h_I>|^2 |<f>_I|^2
+    with <f>_I = 1_I^T f / L_I on the N cell values (L_I the cells of I), and
+    ||Para_b||^2 = N lambda_max(G), G = sum_I |<b, h_I>|^2 L_I^-2 1_I 1_I^T.
+    Every 1_I is constant on the cell pairs of the finest intervals, so
+    G = E G' E^T with E the N x N/2 pair indicator, E^T E = 2, and
+    lambda_max(G) = 2 lambda_max(G'), G' the same sum over the N/2 pairs:
+    one block-diagonal add per scale, then one real symmetric `eigvalsh`.
+    """
+    if b.grid.dim != 1:
+        raise ValueError("para_haar_norm needs a 1D symbol")
+    n, pairs = b.grid.depth, b.grid.n_points // 2
+    weight = np.abs(haar_analysis(b).values) ** 2
+    gram = np.zeros((pairs, pairs))
+    for p in range(n):
+        L = pairs >> p  # the pairs of an interval of scale p, 2 L its cells
+        blocks, j = gram.reshape(1 << p, L, 1 << p, L), np.arange(1 << p)
+        blocks[j, :, j, :] += (weight[1 << p:2 << p] / (2 * L) ** 2)[:, None, None]
+    return float(np.sqrt(2 * b.grid.n_points * max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def para_double_sum(b: Signal, f: Signal) -> Signal:
     """Brute-force sum over pairs I strictly inside J of
     <b,h_I><f,h_J> h_I h_J, with J running over the dyadic intervals of the

@@ -8,7 +8,7 @@ from dyadiclab.dyadic import Grid, Signal, constant
 from dyadiclab.experiments import trial_rng
 from dyadiclab import hankel as hk
 from dyadiclab.norms import OperatorMatrix, operator_norm
-from dyadiclab.transforms import apply_multipliers, fourier_mode
+from dyadiclab.transforms import apply_multipliers, fourier_mode, on_axis
 
 rng = np.random.default_rng(17)
 
@@ -178,6 +178,50 @@ def test_commutator_matrix_matches_closed_form():
     assert np.max(np.abs(M1 - _commutator_closed_form(b1, 30, (1,)))) < 1e-12
 
 
+def _mode_batches(grid, kvecs):
+    """(lo, hi, values) over consecutive slices of the mode list, values[i] the
+    exponential e^{2 pi i k.x} of kvecs[lo + i] as a product of per-axis
+    exponentials, read from one table of N-th roots of unity (so exactly
+    N-periodic in k); no batch holds more than _BATCH_POINTS grid points."""
+    d, N = grid.dim, grid.n_points
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    kvecs = np.asarray(kvecs, dtype=np.int64).reshape(-1, d)
+    step = max(1, hk._BATCH_POINTS // N ** d)
+    for lo in range(0, len(kvecs), step):
+        ks = kvecs[lo:lo + step]
+        values = 1.0
+        for a in range(d):
+            e = roots[ks[:, a, None] * np.arange(N) % N]
+            values = values * e.reshape((len(ks),) + (1,) * a + (N,) + (1,) * (d - 1 - a))
+        yield lo, lo + len(ks), values
+
+
+def _exponentials(grid, kvecs):
+    return np.concatenate([values for _, _, values in _mode_batches(grid, kvecs)])
+
+
+def _iterated_commutator_values(b, axes, variant):
+    """Value-level application of A_d where A_0 = M_b, A_j = [A_{j-1}, H_j]; the
+    values may carry leading batch axes before the grid axes.  The H's
+    commute, so the axes nest last-first: the innermost commutator, applied
+    2^(k-1) times, runs along the contiguous last axis.  The A_j work in place
+    on their argument, so the returned map copies its input once."""
+    kinds = {ax: on_axis("hilbert" if variant == "imaginary" else "signum", ax, b.grid.dim)
+             for ax in axes}
+
+    def apply(vals):
+        vals *= b.values
+        return vals
+
+    for ax in axes[::-1]:
+        def nxt(vals, prev=apply, ax=ax):
+            out = prev(apply_multipliers(kinds[ax], vals))
+            out -= apply_multipliers(kinds[ax], prev(vals), out=vals)
+            return out
+        apply = nxt
+    return lambda vals: apply(np.array(vals, dtype=complex))
+
+
 @pytest.mark.parametrize("variant", ["imaginary", "signum"])
 @pytest.mark.parametrize("depth, dim, K, axes", [(10, 1, 30, (1,)), (6, 2, 6, (1, 2)), (6, 2, 6, (2,))])
 def test_iterated_commutator_values_match_commutator_matrix(depth, dim, K, axes, variant):
@@ -187,32 +231,63 @@ def test_iterated_commutator_values_match_commutator_matrix(depth, dim, K, axes,
     basis = list(itertools.product(range(-K, K + 1), repeat=dim))
     assert len(basis) % max(1, hk._BATCH_POINTS // g.n_points ** dim) != 0
     expected = hk.commutator_matrix(b, axes, mode_cutoff=K, variant=variant).entries
-    apply = hk._iterated_commutator_values(b, axes, variant)
+    apply = _iterated_commutator_values(b, axes, variant)
     rows = (slice(None),) + tuple(np.array(basis).T % g.n_points)
-    for lo, hi, modes in hk._mode_batches(g, basis):
+    for lo, hi, modes in _mode_batches(g, basis):
         spec = np.fft.fftn(apply(modes), axes=tuple(range(-dim, 0)))[rows].T / g.n_points ** dim
         assert np.max(np.abs(spec - expected[:, lo:hi])) < 1e-12
 
 
+def _octant(sigma, K):
+    return list(itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma)))
+
+
+@pytest.mark.parametrize("depth, dim, K", [(14, 1, 5), (6, 2, 12), (4, 3, 3)])
+def test_octant_spectra_match_the_value_level_commutator(depth, dim, K):
+    # chunks of at most 2 (d = 1) or 8 (d = 2, 3) columns, the last one partial
+    g = Grid(depth, dim)
+    b = dl.random_signal(g, rng)
+    comm_of = _iterated_commutator_values(b, tuple(range(1, dim + 1)), "signum")
+    grid_axes = tuple(range(-dim, 0))
+    for sigma in itertools.product("+-", repeat=dim):
+        chunks = list(hk._octant_spectra(b, sigma, K))
+        assert len(chunks) > 1 and len(chunks[-1][0]) < hk._BATCH_POINTS // g.n_points ** dim
+        modes = np.concatenate([chunk[0] for chunk in chunks])
+        assert modes.tolist() == [list(j) for j in _octant(sigma, K)]
+        for modes, comm, comm_b in chunks:
+            vals = _exponentials(g, modes)
+            for got, want in ((comm, np.fft.fftn(comm_of(vals), axes=grid_axes)),
+                              (comm_b, np.fft.fftn(b.values * vals, axes=grid_axes))):
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def _block_defect_sup(b, K):
     """The block identity defect measured by its largest sample: each defect
-    column projected back onto the grid by P_s or P_-s, its largest modulus
-    times the square root of the quadrature weight."""
+    column of `_octant_spectra` taken back to the grid and projected by P_s
+    or P_-s, its largest modulus times the square root of the quadrature
+    weight."""
     d = b.grid.dim
-    comm_of = hk._iterated_commutator_values(b, tuple(range(1, d + 1)), "signum")
+    grid_axes = tuple(range(-d, 0))
     defect = 0.0
     for sigma in itertools.product("+-", repeat=d):
         minus_sigma = tuple("-" if s == "+" else "+" for s in sigma)
-        factor_b = (-1) ** sigma.count("-") * 2.0 ** d * b.values
-        octant = itertools.product(*(range(1, K + 1) if s == "+" else range(-K, 0) for s in sigma))
-        for _, _, modes in hk._mode_batches(b.grid, list(octant)):
-            dom = apply_multipliers(sigma, modes)
-            comm = comm_of(dom)
-            off = apply_multipliers(minus_sigma, comm - factor_b * dom)
-            diag = apply_multipliers(sigma, comm)
+        factor = (-1) ** sigma.count("-") * 2.0 ** d
+        for _, comm, comm_b in hk._octant_spectra(b, sigma, K):
+            off = apply_multipliers(minus_sigma, np.fft.ifftn(comm - factor * comm_b, axes=grid_axes))
+            diag = apply_multipliers(sigma, np.fft.ifftn(comm, axes=grid_axes))
             defect = max(defect, float(np.max(np.abs(off))) * b.grid.weight ** 0.5,
                          float(np.max(np.abs(diag))) * b.grid.weight ** 0.5)
     return defect
+
+
+def _patched_spectra(change):
+    """`_octant_spectra` with change(b, sigma, modes, comm) in place of each chunk's comm."""
+    exact = hk._octant_spectra
+
+    def spectra(b, sigma, K):
+        for modes, comm, comm_b in exact(b, sigma, K):
+            yield modes, change(b, sigma, modes, comm), comm_b
+    return spectra
 
 
 def test_block_defect_bounds_the_sup_measure(monkeypatch):
@@ -225,9 +300,7 @@ def test_block_defect_bounds_the_sup_measure(monkeypatch):
         new, old = hk.block_identity_check(b, mode_cutoff=K), _block_defect_sup(b, K)
         assert old <= new <= 1e-12
     # and on a commutator that is off by a visible amount
-    exact = hk._iterated_commutator_values
-    monkeypatch.setattr(hk, "_iterated_commutator_values",
-                        lambda *args: (lambda vals, comm=exact(*args): 1.01 * comm(vals)))
+    monkeypatch.setattr(hk, "_octant_spectra", _patched_spectra(lambda b, s, modes, comm: 1.01 * comm))
     assert hk.block_identity_check(b2, mode_cutoff=8) >= _block_defect_sup(b2, 8) > 1e-3
 
 
@@ -241,6 +314,9 @@ def test_block_identities():
     g2 = Grid(5, 2)
     b2 = hk.random_symbol(4, rng, dim=2).to_signal(g2)
     assert hk.block_identity_check(b2, mode_cutoff=6) < 1e-12
+    # the tridisc: eight octants, each nested three axes deep
+    b3 = dl.random_signal(Grid(3, 3), rng)
+    assert hk.block_identity_check(b3, mode_cutoff=3) < 1e-12
 
 
 def test_block_identity_check_sees_every_block(monkeypatch):
@@ -248,46 +324,36 @@ def test_block_identity_check_sees_every_block(monkeypatch):
     b2 = hk.random_symbol(4, rng, dim=2).to_signal(g2)
     with pytest.raises(ValueError, match="cutoff"):
         hk.block_identity_check(b2, mode_cutoff=g2.n_points // 2)
-    exact = hk._iterated_commutator_values
-
-    def scaled(b, axes, variant):
-        comm = exact(b, axes, variant)
-        return lambda vals: 1.01 * comm(vals)
-
-    monkeypatch.setattr(hk, "_iterated_commutator_values", scaled)
+    monkeypatch.setattr(hk, "_octant_spectra", _patched_spectra(lambda b, s, modes, comm: 1.01 * comm))
     assert hk.block_identity_check(b2, mode_cutoff=6) > 1e-3
     # a term that only one diagonal block P_s (.) P_s sees is caught in every octant s
     for sigma in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
-        def diagonal(b, axes, variant, sigma=sigma):
-            comm = exact(b, axes, variant)
-            return lambda vals: comm(vals) + 0.1 * apply_multipliers(sigma, vals)
+        def diagonal(b, octant, modes, comm, sigma=sigma):
+            extra = apply_multipliers(sigma, _exponentials(b.grid, modes))
+            return comm + 0.1 * np.fft.fftn(extra, axes=(-2, -1))
 
-        monkeypatch.setattr(hk, "_iterated_commutator_values", diagonal)
+        monkeypatch.setattr(hk, "_octant_spectra", _patched_spectra(diagonal))
         assert hk.block_identity_check(b2, mode_cutoff=6) > 1e-3
 
 
 def test_block_identity_check_sees_the_last_mode_of_each_octant(monkeypatch):
-    # 36 modes per octant at K = 6 on a 32^2 grid: the last one ends a partial batch
+    # 36 modes per octant at K = 6 on a 32^2 grid, in chunks of 30 and 6: the last one is partial
     g2, K = Grid(5, 2), 6
-    assert K * K % max(1, hk._BATCH_POINTS // g2.n_points ** 2) != 0
     b2 = hk.random_symbol(4, rng, dim=2).to_signal(g2)
-    exact = hk._iterated_commutator_values
     for sigma in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
         last = tuple(K if s == "+" else -1 for s in sigma)
+        modes, _, _ = list(hk._octant_spectra(b2, sigma, K))[-1]
+        assert tuple(modes[-1]) == last and len(modes) < hk._BATCH_POINTS // g2.n_points ** 2
         for wrong in (last, tuple(-k for k in last)):  # seen by P_s C P_s, by P_-s C P_s
-            target = fourier_mode(g2, *last).values
-            bad = fourier_mode(g2, *wrong).values
+            bad = np.fft.fftn(fourier_mode(g2, *wrong).values)
 
-            def one_mode_off(b, axes, variant, target=target, bad=bad):
-                comm = exact(b, axes, variant)
+            def one_mode_off(b, octant, modes, comm, last=last, bad=bad):
+                hit = np.all(modes == last, axis=1)[:, None, None]
+                return comm + 0.1 * hit * bad
 
-                def apply(vals):
-                    weight = np.mean(vals * np.conj(target), axis=(-2, -1))[..., None, None]
-                    return comm(vals) + 0.1 * weight * bad
-                return apply
-
-            monkeypatch.setattr(hk, "_iterated_commutator_values", one_mode_off)
+            monkeypatch.setattr(hk, "_octant_spectra", _patched_spectra(one_mode_off))
             assert hk.block_identity_check(b2, mode_cutoff=K) > 1e-3
+            monkeypatch.undo()
 
 
 def test_nehari_ratio_contracts():

@@ -145,10 +145,12 @@ def test_journe_checks_build_each_coefficient_book_once(monkeypatch):
 
 
 def _maximal_candidate(collection):
-    """(V, Emb) from the double maximal-function construction."""
-    U = collection.shadow_mask()
-    V = jn.enlarged_set(U, collection.grid)
-    return V, {r: jn.embeddedness(r, U, collection.grid, V_mask=V) for r in collection.members}
+    """(V, Emb) from the double maximal-function construction, every
+    member's Emb from one closed-form pass over the window."""
+    g = collection.grid
+    V = jn.enlarged_set(collection.shadow_mask(), g)
+    emb = jn._embeddedness(*jn._box_arrays(collection.members, g.dim), V, g.depth)
+    return V, dict(zip(collection.members, emb.tolist()))
 
 
 def test_checker_cross_checks_damped_check():
@@ -402,6 +404,8 @@ def test_checker_accepts_the_closed_form_and_rejects_any_larger_emb():
     coll = RectangleCollection(members, g)
     V, emb = _maximal_candidate(coll)
     assert max(emb.values()) > 1.0
+    U = coll.shadow_mask()
+    assert emb == {r: jn.embeddedness(r, U, g, V_mask=V) for r in members}
     f = dl.random_signal(g, np.random.default_rng(13))
     assert jn.journe_inequality_checker_d1(f, coll, V, emb, eta=100.0)["a_ok"]
     for r in members[:6]:

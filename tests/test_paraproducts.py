@@ -70,6 +70,22 @@ def test_para_norm_vs_bmo_single_wavelet_scale_invariance():
     assert abs(vals[0] - vals[1]) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_para_haar_norm_is_the_norm_of_the_matrix(n):
+    g, local = Grid(n, 1), np.random.default_rng(100 + n)
+    for b in (random_signal(g, local), Signal(g, local.standard_normal(g.shape))):
+        dense = operator_norm(pp.para_haar_matrix(b))
+        assert abs(pp.para_haar_norm(b) - dense) <= 1e-13 * dense
+
+
+def test_para_haar_norm_of_a_constant_and_of_a_2d_symbol():
+    assert pp.para_haar_norm(constant(Grid(5, 1), 2.5 - 1j)) == 0.0
+    with pytest.raises(ValueError, match="1D symbol"):
+        pp.para_haar_norm(zeros(Grid(3, 2)))
+    with pytest.raises(ValueError, match="1D symbol"):
+        pp.para_haar_matrix(zeros(Grid(3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # the dyadic shift
 
