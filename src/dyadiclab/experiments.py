@@ -169,14 +169,19 @@ def _exp_commutator_decomp(cfg, threads):
     return rows, summary, ["exact"]
 
 
+def _petermichl_bump(n: int, width: float) -> Signal:
+    """The mean-zero bump z exp(-z^2), z = (x - 1/2) / width, on Grid(n, 1);
+    nan where a narrow width overflows z."""
+    grid = Grid(n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (grid.points() - 0.5) / width
+        vals = z * np.exp(-z * z)
+    return Signal(grid, vals - vals.mean())
+
+
 def _exp_petermichl(cfg, threads):
     n, Y, steps, y_measure = cfg["n"], cfg["Y"], cfg["steps"], cfg["y_measure"]
-    width = cfg["bump_width"]
-    grid = Grid(n, 1)
-    x = grid.points()
-    z = (x - 0.5) / width
-    vals = z * np.exp(-z * z)
-    f = Signal(grid, vals - vals.mean())
+    f = _petermichl_bump(n, cfg["bump_width"])
     rep_full = paraproducts.petermichl_fit_on_signal(
         f, Y=Y, s_steps=steps, y_steps=steps, y_measure=y_measure)
     rep_half = paraproducts.petermichl_fit_on_signal(
@@ -383,9 +388,10 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # SVD per trial), a 2^(n-1) x 2^(n-1) Gram (para-bound n <= 10: 0.02 s a
 # trial, and the 2^n cells' dyadic BMO), eight 2^n x 2^n
 # pieces (commutator-decomp n <= 9: 0.13-0.16 s and 45 MiB a trial at n = 9),
-# steps^2 nodes of about s 2^n cells per window scale (petermichl steps <= 128,
-# n <= 12: 2.4 ms a node at n = 12; a node costs ~ n + log2(pad ~ Y) scales, so
-# Y <= 1024 is <= 1.2x Y = 8),
+# steps^2 nodes of a few passes over about s 2^n cells (petermichl steps <= 128,
+# n <= 12: 0.5 ms a node at n = 12, 12 s for the 128^2 + 64^2 nodes at the caps;
+# a coarser scale of a longer window adds a few blocks a node, so Y = 1024 costs
+# what Y = 8 does),
 # exact product BMO on 4^(n+3) cells (journe n <= 5: 0.14 s, carleson n <= 6:
 # 0.04 s) or to depth n (nehari2d n <= 6, and below the finest scale of M's
 # grid: one trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product
@@ -420,7 +426,7 @@ CATALOG = {
         "fn": _exp_petermichl,
         "description": "translation-dilation average of the dyadic shift fitted against the Hilbert transform",
         "fields": {"n": _int(10, 3, 12), "Y": _real(8.0, 0.0, 1024.0, open_low=True),
-                   "steps": _int(64, 2, 128), "bump_width": _real(0.08, 0.0, open_low=True),
+                   "steps": _int(64, 2, 128), "bump_width": _real(0.08, 0.0, 1.0, open_low=True),
                    "y_measure": Field("uniform", lambda v: v in ("uniform", "log"), "'uniform' or 'log'")},
     },
     "aak-extend": {
@@ -464,7 +470,8 @@ def list_experiments() -> dict:
 def validate_config(cfg: dict) -> dict:
     """The config with its experiment's defaults filled in.  Raises ConfigError
     on a field the experiment does not have, a value outside its field's type
-    and range, and a nehari2d depth n finer than the grid of its M resolves."""
+    and range, a nehari2d depth n finer than the grid of its M resolves, and
+    a petermichl bump too narrow to be sampled on the grid of its n."""
     if not isinstance(cfg, dict) or "experiment" not in cfg:
         raise ConfigError("config needs to be a JSON object with an 'experiment' field")
     name = cfg["experiment"]
@@ -483,6 +490,13 @@ def validate_config(cfg: dict) -> dict:
         finest = hankel.symbol_grid_depth(out["M"]) - 1
         if out["n"] > finest:
             raise ConfigError(f"n must be <= {finest}, the finest Haar scale of the grid of M")
+    # petermichl fits a multiple of the bump's Hilbert transform, dividing by its
+    # squared norm; a narrow bump vanishes (or is nan) at every grid point
+    if name == "petermichl":
+        bump = _petermichl_bump(out["n"], out["bump_width"])
+        reference = paraproducts.hilbert_reference(bump).values
+        if not np.vdot(reference, reference).real > 0:
+            raise ConfigError("bump_width is too narrow: the bump vanishes on the grid of n")
     return out
 
 

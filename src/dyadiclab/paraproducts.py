@@ -247,24 +247,108 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
 # node (y, s) applies Tr_y, Dil_s, G, Dil_{1/s}, Tr_{-y} on it: linear
 # interpolation on the window grid, zero outside [-pad, pad+1-h], and G over
 # the aligned dyadic I of >= 4 cells (scale 2^e covers cells < (L >> e) << e).
+# The nodes run as a batch of rows, a row being a run of window indices with
+# its own start; the operator is real, so the arrays are real, shaped
+# (column, row, cell), and every gather reads them by flat index.
 
 
 def _window_interp(q: np.ndarray, start: np.ndarray, rows: np.ndarray,
-                   n: int, pad: int) -> np.ndarray:
-    """Data rows (R, w, B) on window indices start[r] + c, zero off them,
+                   n: int, pad: int, row: np.ndarray | None = None) -> np.ndarray:
+    """Data rows (B, R', w) on window indices start[r] + c, zero off them,
     interpolated at the points q (R, m) as np.interp(left=0, right=0) does
-    on the window; one data row serves all of q.  Result (R, m, B)."""
-    padded = np.pad(rows, ((0, 0), (2, 2), (0, 0)))  # two zeros on either side
+    on the window; point row r reads data row row[r] (default r), one data
+    row serving any number of point rows.  Result (B, R, m)."""
+    B, R, w = rows.shape
+    # each cell's value and the step to the next, two zeros on either side
+    steps = np.zeros((B, R, w + 4, 2))
+    steps[:, :, 2:-2, 0] = rows
+    np.subtract(rows[:, :, 1:], rows[:, :, :-1], out=steps[:, :, 2:-3, 1])
+    steps[:, :, 1, 1], steps[:, :, -3, 1] = rows[:, :, 0], -rows[:, :, -1]
     h = 2.0 ** -n
-    j = np.floor((q + pad) / h).astype(np.int64)
-    # the bracket x_j <= q < x_{j+1} that np.interp's search finds, and its formula
-    j -= j * h - pad > q
-    j += (j + 1) * h - pad <= q
-    frac = ((q - (j * h - pad)) / h)[..., None]
-    r, c = np.arange(rows.shape[0])[:, None], np.clip(j - start[:, None] + 2, 0, rows.shape[1] + 2)
-    lo, hi = padded[r, c], padded[r, c + 1]
-    inside = ((q >= -pad) & (q <= pad + 1 - h))[..., None]
-    return np.where(inside, lo + (hi - lo) * frac, 0.0)
+    j = np.floor((q + pad) * 2.0 ** n).astype(np.int64)
+    frac = (q - (j * h - pad)) * 2.0 ** n
+    # the bracket x_j <= q < x_{j+1} that np.interp's search finds, and its
+    # formula: x_j is exact, so only a frac outside [0, 1) can need the steps
+    off = (frac < 0.0) | (frac >= 1.0)
+    if off.any():
+        jo, qo = j[off], q[off]
+        jo -= jo * h - pad > qo
+        jo += (jo + 1) * h - pad <= qo
+        j[off], frac[off] = jo, (qo - (jo * h - pad)) / h
+    j -= (start - 2)[:, None]
+    np.clip(j, 0, w + 2, out=j)
+    j += (np.arange(len(q)) if row is None else row)[:, None] * (w + 4)
+    lo = np.take(steps.reshape(B, -1, 2), j, axis=1)
+    return np.where((q >= -pad) & (q <= pad + 1 - h), lo[..., 0] + lo[..., 1] * frac, 0.0)
+
+
+def _dilated_shift_rows(shifted: np.ndarray, m0: np.ndarray, iy: np.ndarray, s: np.ndarray,
+                        width: int, n: int, pad: int) -> np.ndarray:
+    """Dil_{1/s} G Dil_s, less Dil_{1/s}'s amplitude s^{1/2}, on rows: row r
+    dilates the translate shifted[:, iy[r]] (held on window indices
+    m0[iy[r]] + c, c < N + 6) by s[r] and is read back at those same
+    indices.  Dil_s runs only on its support and G only at the indices
+    Dil_{1/s} reads, each on a row of `width` window indices.
+
+    G by a coarse-to-fine pyramid: the coefficients <u, h_I> of every
+    scale come from one prefix sum of the row, read at the starts, middles
+    and ends of the blocks that meet it.  The values at scale 2^e are
+    constant on quarters of its blocks, + - - + times the coefficient; the
+    values of all coarser scales are constant on halves of those quarters,
+    so each scale adds its quarters to the coarser values repeated twice,
+    shifted by the row's parity of b0 = g_start >> e.  That is one pass
+    per scale over that scale's blocks, about 2 width cells in all.
+    Result (B, R, N + 6)."""
+    h = 2.0 ** -n
+    L = (2 * pad + 1) << n
+    B, R = shifted.shape[0], len(iy)
+
+    def x(i):  # window coordinate of index i
+        return -pad + i * h
+
+    m = m0[iy][:, None] + np.arange(shifted.shape[2])
+    # Dil_s on the support
+    u_start = np.floor((s * x(m[:, 0]) + pad) / h).astype(np.int64) - 2
+    u = _window_interp(x(u_start[:, None] + np.arange(width)) / s[:, None], m[:, 0], shifted, n, pad, iy)
+    prefix = np.zeros((B, R, width + 1))
+    np.cumsum(u * (s ** -0.5)[:, None], axis=2, out=prefix[:, :, 1:])
+    prefix = prefix.reshape(B, -1)
+    del u  # G's arrays are the peak: free what they do not read
+    # G at the indices Dil_{1/s} reads: x_m s for the m read by Tr_{-y}
+    q = x(m) / (1.0 / s)[:, None]
+    g_start = np.floor((q[:, 0] + pad) / h).astype(np.int64) - 2
+    e = np.arange(n + int(pad).bit_length() - 1, 1, -1)  # |I| = 2^e cells, pad units ... 4 cells
+    nb = ((width - 1) >> e) + 2  # the blocks of each scale meeting a row
+    first = np.concatenate([[0], np.cumsum(nb)])
+    ec = np.repeat(e, nb)  # the scale of each block column
+    blocks = (g_start[:, None] >> ec) + (np.arange(first[-1]) - np.repeat(first[:-1], nb))
+    # u's mass below the start, middle and end of each block
+    t = ((blocks << ec) - u_start[:, None])[:, None] + (np.arange(3)[:, None] << (ec - 1))
+    mass = np.take(prefix, np.clip(t, 0, width) + np.arange(R)[:, None, None] * (width + 1), axis=1)
+    coef = (mass[:, :, 2] - mass[:, :, 1]) - (mass[:, :, 1] - mass[:, :, 0])
+    del t, mass, prefix
+    coef *= h * np.sqrt(2.0) * 2.0 ** (n - ec)  # <u, h_I> |I|^{-1/2} sqrt 2
+    # G has only the I below (L >> e) << e.  The rows need no zeros past L,
+    # where no read reaches (interpolation is zero outside the window), and
+    # at e <= n each I lies before L or wholly past it: only the scales
+    # above a unit have an I across L
+    wide = first[np.count_nonzero(e > n)]
+    coef[:, :, :wide] *= blocks[:, :wide] < (L >> ec[:wide])
+    # from the coarsest scale down, each on quarters from window index 4 b0 2^(e-2):
+    # g_I = -h_{I_left} + h_{I_right} is + - - +, and the coarser values on
+    # halves of quarters start at 8 (b0 >> 1), 4 (b0 & 1) quarters before
+    odd = (blocks[:, first[:-1]] & 1 == 1)[:, :, None]
+    Gu = np.zeros((B, R, 2 * nb[0] + 2))
+    for i, k in enumerate(nb):
+        c = coef[:, :, first[i] : first[i + 1]]
+        halves = np.where(odd[:, i], Gu[:, :, 2 : 2 + 2 * k], Gu[:, :, : 2 * k]).reshape(B, R, k, 2)
+        Gu = np.empty((B, R, k, 4))
+        np.add(halves[..., 0], c, out=Gu[..., 0])
+        np.subtract(halves[..., 0], c, out=Gu[..., 1])
+        np.subtract(halves[..., 1], c, out=Gu[..., 2])
+        np.add(halves[..., 1], c, out=Gu[..., 3])
+        Gu = Gu.reshape(B, R, -1)
+    return _window_interp(q, (g_start >> 2) << 2, Gu, n, pad)
 
 
 def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_steps: int,
@@ -273,11 +357,16 @@ def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_ste
     columns of values (2^n, B) on [0, 1) and read back on [0, 1), and the
     pad it used (default: the least power of two >= max(4, Y + 1)).
 
-    Per y node the s nodes run as one batch of rows, each on its own index
-    range: Dil_s of the translated input only on its support (about s 2^n
-    cells), G's coefficients <v, h_I> from one prefix sum of that support,
-    G only at the indices the back-dilation reads, and the rows summed with
-    their weights before the one back-translation, which is linear."""
+    The operator is real, so complex columns run as their real and
+    imaginary parts side by side, the latter only when nonzero.  Tr_y
+    translates every y node in one call; the (y, s) nodes then run as rows
+    of `_dilated_shift_rows`, in chunks of at most 2^16 window indices over
+    all columns (or of one row, if that is wider), the s nodes in a few
+    groups of consecutive s whose rows are ceil(s (2^n + 6)) + 6 cells wide
+    for the group's largest s.  Each y's rows are summed with their s
+    weights into one V, and Tr_{-y}, which is linear, reads every V in one
+    call before the weighted sum over y (y nodes past 2^16 translated
+    indices run in blocks)."""
     if n < 3:
         raise ResolutionError("averaging the shift needs grid depth >= 3")
     if pad is None:
@@ -285,58 +374,39 @@ def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_ste
     if pad < 1 or pad & (pad - 1):  # keeps every dyadic scale aligned with the window
         raise ValueError("pad must be a power of two")
     N, B = values.shape
+    split = np.iscomplexobj(values) and bool(np.any(values.imag))
+    cols = np.vstack([values.real.T, values.imag.T]) if split else values.real.T
     h = 2.0 ** -n
-    L = (2 * pad + 1) << n
 
     def x(i):  # window coordinate of index i
         return -pad + i * h
 
     y_nodes, y_w, s_nodes, s_w = petermichl_quadrature(Y, s_steps, y_steps, h, y_measure)
-    width = 2 * N + 18  # covers any row's support and reads, s <= 2
-    chunk = max(1, (1 << 18) // (width * B))  # rows per batch: working arrays of <= 2^18 entries
-    acc = np.zeros((N, B), dtype=complex)
-    for y, wy in zip(y_nodes, y_w):
+    s_w = s_w * (1.0 / s_nodes) ** -0.5  # with Dil_{1/s}'s amplitude
+    # window indices a chunk of rows holds, so that no working array passes 2^18 entries
+    budget = (1 << 16) // len(cols)
+    acc = np.zeros((len(cols), N))
+    y_chunk = max(1, budget // (N + 6))
+    for a in range(0, y_steps, y_chunk):
+        y, wy = y_nodes[a : a + y_chunk], y_w[a : a + y_chunk]
         # Tr_y: the translate is zero outside indices m0 + 2 ... m0 + N + 2
-        m0 = int(np.floor((pad + y) / h)) - 2
-        m = m0 + np.arange(N + 6)
-        shifted = _window_interp((x(m) - y)[None], np.array([pad << n]), values[None], n, pad)
-        shifted[:, (m < 0) | (m >= L)] = 0.0
-        # Tr_{-y} reads the back-dilated rows V at the same indices m
-        V = np.zeros((N + 6, B), dtype=complex)
-        for c0 in range(0, s_steps, chunk):
-            s, ws = s_nodes[c0 : c0 + chunk], s_w[c0 : c0 + chunk]
-            r = np.arange(s.size)[:, None]
-            # Dil_s on the support, zero beyond the window
-            u_start = np.floor((s * x(m0) + pad) / h).astype(np.int64) - 2
-            ui = u_start[:, None] + np.arange(width)
-            u = _window_interp(x(ui) / s[:, None], np.array([m0]), shifted, n, pad) * (s ** -0.5)[:, None, None]
-            u[(ui < 0) | (ui >= L)] = 0.0
-            prefix = np.pad(np.cumsum(u, axis=1), ((0, 0), (1, 0), (0, 0)))
-            # G at the indices Dil_{1/s} reads: x_m s for the m read by Tr_{-y}
-            q = x(m)[None, :] / (1.0 / s)[:, None]
-            g_start = np.floor((q[:, 0] + pad) / h).astype(np.int64) - 2
-            gi = g_start[:, None] + np.arange(width)
-            Gu = np.zeros((s.size, width, B), dtype=complex)
-
-            def mass(idx):  # sum of u over the row's cells below window index idx
-                return prefix[r, np.clip(idx - u_start[:, None], 0, width)]
-
-            for e in range(2, n + int(pad).bit_length()):  # |I| = 2^e cells, 4 cells ... pad units
-                nb = ((width - 1) >> e) + 2
-                blocks = (g_start >> e)[:, None] + np.arange(nb)
-                at_mid = mass((2 * blocks + 1) << (e - 1))
-                coef = (mass((blocks + 1) << e) - at_mid) - (at_mid - mass(blocks << e))
-                coef *= h * np.sqrt(2.0) * 2.0 ** (n - e)  # <u, h_I> |I|^{-1/2} sqrt 2
-                coef[blocks >= (L >> e)] = 0.0
-                # g_I = -h_{I_left} + h_{I_right}: signs + - - + on the quarters
-                quarters = coef[:, :, None, :] * np.array([1.0, -1.0, -1.0, 1.0])[:, None]
-                Gu += quarters.reshape(s.size, 4 * nb, B)[r, (gi >> (e - 2)) - 4 * blocks[:, :1]]
-            v = _window_interp(q, g_start, Gu, n, pad)
-            V += np.tensordot(ws * (1.0 / s) ** -0.5, v, axes=(0, 0))
-        V[m >= L] = 0.0
-        out = _window_interp(x((pad << n) + np.arange(N))[None] + y, np.array([m0]), V[None], n, pad)
-        acc += wy * out[0]
-    return acc, pad
+        m0 = np.floor((pad + y) / h).astype(np.int64) - 2
+        m = m0[:, None] + np.arange(N + 6)
+        shifted = _window_interp(x(m) - y[:, None], np.full(len(y), pad << n), cols[:, None], n, pad,
+                                 np.zeros(len(y), dtype=np.int64))
+        # Tr_{-y} reads each y's back-dilated rows, summed, at the same indices m
+        V = np.zeros(shifted.shape)
+        for group in np.array_split(np.arange(s_steps), min(4, s_steps)):
+            width = int(np.ceil(s_nodes[group[-1]] * (N + 6))) + 6  # covers a row's support and reads
+            rows = max(1, budget // width)
+            ny, ns = max(1, rows // group.size), min(group.size, rows)
+            for i, k in itertools.product(range(0, len(y), ny), range(0, group.size, ns)):
+                iy, sk = np.arange(i, min(i + ny, len(y))), group[k : k + ns]
+                v = _dilated_shift_rows(shifted, m0, np.repeat(iy, sk.size),
+                                        np.tile(s_nodes[sk], iy.size), width, n, pad)
+                V[:, i : i + ny] += s_w[sk] @ v.reshape(len(cols), iy.size, sk.size, N + 6)
+        acc += wy @ _window_interp(x((pad << n) + np.arange(N)) + y[:, None], m0, V, n, pad)
+    return (acc[:B] + 1j * acc[B:] if split else acc.astype(complex)).T, pad
 
 
 def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
@@ -372,8 +442,9 @@ def apply_petermichl_average(f: Signal, Y: float = 8.0, s_steps: int = 64,
                              y_measure: str = "uniform") -> Signal:
     """Apply the translation-dilation average of G to a unit-interval signal,
     zero-padded on the window [-pad, pad+1) (default pad: the least power of
-    two >= max(4, Y + 1)), and restrict back to [0,1).  A node costs about
-    s 2^n cells per dyadic scale of the window, whatever the window's length."""
+    two >= max(4, Y + 1)), and restrict back to [0,1).  A node works on
+    about s 2^n cells; each coarser scale of a longer window adds a few
+    blocks, so the window's length barely shows in the cost."""
     values, _ = _petermichl_values(f.values[:, None], f.grid.depth, Y, s_steps, y_steps,
                                    pad, y_measure)
     return Signal(f.grid, values[:, 0])
@@ -398,10 +469,10 @@ def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: i
     """Matrix of the averaged operator restricted to the interior window,
     plus the constant c fitted against the Hilbert transform (reported, not
     asserted).  The average is applied once, to the batch of the N cell
-    indicators; the working arrays grow as N^2 per s node."""
+    indicators as real columns, which share each node's rows: a chunk
+    holds about 2^16 / N window indices a column."""
     N = grid.n_points
-    cols, pad = _petermichl_values(np.eye(N, dtype=complex), grid.depth, Y, s_steps, y_steps,
-                                   pad, y_measure)
+    cols, pad = _petermichl_values(np.eye(N), grid.depth, Y, s_steps, y_steps, pad, y_measure)
     Hcols = np.stack([hilbert_reference(Signal(grid, e)).values
                       for e in np.eye(N, dtype=complex)], axis=1)
     # least squares fit of avg ~ c * H over matrix entries
@@ -431,6 +502,8 @@ def petermichl_fit_on_signal(f: Signal, Y: float = 8.0, s_steps: int = 64,
     Hf = hilbert_reference(f)
     num = complex(np.vdot(Hf.values, avg.values)).real
     den = float(np.vdot(Hf.values, Hf.values).real)
+    if not den > 0:
+        raise ValueError("the Hilbert transform of f vanishes on the grid: no multiple of it to fit")
     c_fit = num / den
     err = float(np.linalg.norm(avg.values - c_fit * Hf.values) / np.linalg.norm(Hf.values))
     return {"fitted_c": c_fit, "relative_error": err, "Y": Y,

@@ -108,6 +108,9 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": ["nehari1d"]},
     {"experiment": "commutator-decomp", "n": 3, "trials": 1, "seed": 2**64},
     {"experiment": "nehari2d", "M": 32, "n": 7},
+    {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e308},
+    {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e200},
+    {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e-300},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
@@ -118,7 +121,8 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
         "nehari1d_unknown_field", "petermichl_unknown_field", "lower_bound_grid_depth10",
         "aak_extend_M513", "aak_extend_recovery_degree513", "aak_extend_K129",
         "config_not_an_object", "experiment_not_a_string", "seed_beyond_64_bits",
-        "nehari2d_n7"])
+        "nehari2d_n7", "petermichl_bump_width_1e308", "petermichl_bump_width_1e200",
+        "petermichl_bump_width_1e-300"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))

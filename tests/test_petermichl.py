@@ -200,6 +200,11 @@ def test_fit_converges_and_steps_help():
     assert rep32["fitted_c"] != 0.0
 
 
+def test_fit_rejects_a_signal_with_no_hilbert_transform():
+    with pytest.raises(ValueError, match="Hilbert"):
+        pp.petermichl_fit_on_signal(zeros(Grid(3, 1)), Y=2.0, s_steps=2, y_steps=2)
+
+
 def test_kernel_antisymmetry():
     g = Grid(5, 1)
     rep = pp.petermichl_average(g, Y=8.0, s_steps=16, y_steps=64)
@@ -293,3 +298,85 @@ def test_batched_matrix_equals_single_calls():
         e.values[c] = 1.0
         col = pp.apply_petermichl_average(e, Y=4.0, s_steps=6, y_steps=10).values
         assert np.max(np.abs(rep["matrix"].entries[:, c] - col)) <= 1e-14 * np.max(np.abs(col))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel: s groups, row chunks, y blocks and the real split
+
+
+def _kernel_calls(monkeypatch):
+    """Record the row width of each `_dilated_shift_rows` call."""
+    calls = []
+    inner = pp._dilated_shift_rows
+
+    def recording(shifted, m0, iy, s, width, n, pad):
+        calls.append(width)
+        return inner(shifted, m0, iy, s, width, n, pad)
+
+    monkeypatch.setattr(pp, "_dilated_shift_rows", recording)
+    return calls
+
+
+@pytest.mark.parametrize("depth, pad", [(3, None), (3, 1), (6, 1)])
+@pytest.mark.parametrize("s_steps", [5, 7])
+def test_average_matches_window_oracle_on_uneven_s_groups(monkeypatch, depth, pad, s_steps):
+    # 5 and 7 s nodes split into groups of 2 1 1 1 and 2 2 2 1, each group
+    # with its own row width; n = 3 has the narrowest rows and pad 1 the
+    # shortest window
+    calls = _kernel_calls(monkeypatch)
+    f = _random_complex(Grid(depth, 1))
+    assert _relative_gap(f, Y=2.0, s_steps=s_steps, y_steps=3, pad=pad) <= 1e-13
+    assert len(set(calls)) == len(calls) == 4
+
+
+@pytest.mark.parametrize("s_steps, y_steps", [(64, 1), (1, 40)])
+def test_average_matches_window_oracle_across_chunks(monkeypatch, s_steps, y_steps):
+    # at n = 10 a complex column's two real halves leave a chunk fewer rows
+    # than the 16 s nodes of the widest group, and fewer indices than 40
+    # translates: the rows of one group, and the y nodes, run in several calls
+    calls = _kernel_calls(monkeypatch)
+    f = _random_complex(Grid(10, 1))
+    assert _relative_gap(f, Y=8.0, s_steps=s_steps, y_steps=y_steps) <= 1e-13
+    assert len(calls) > min(4, s_steps)
+
+
+def test_window_interp_is_np_interp_bit_for_bit():
+    # the bracket and the formula are np.interp's, also for points one ulp
+    # either side of a grid point, where the floor of (q + pad) 2^n can miss
+    n, pad = 6, 4
+    x = LineWindow(n, pad).coords()
+    data = rng.standard_normal(x.size)
+    q = np.concatenate([rng.uniform(-pad - 1.0, pad + 2.0, 4000), x,
+                        np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    got = pp._window_interp(q[None], np.array([0]), data[None, None], n, pad)[0, 0]
+    assert np.array_equal(got, np.interp(q, x, data, left=0.0, right=0.0))
+
+
+def test_real_input_runs_as_the_complex_one():
+    # a zero imaginary part is dropped, so the two run the same real rows
+    g = Grid(5, 1)
+    values = rng.standard_normal((g.n_points, 3))
+    real, pad = pp._petermichl_values(values, 5, 4.0, 6, 5, None, "uniform")
+    cplx, _ = pp._petermichl_values(values.astype(complex), 5, 4.0, 6, 5, None, "uniform")
+    assert pad == 8 and np.array_equal(real, cplx)
+    # and a complex column is its real part plus i times its imaginary part
+    mixed, _ = pp._petermichl_values(values + 1j * values[:, ::-1], 5, 4.0, 6, 5, None, "uniform")
+    assert np.max(np.abs(mixed - (real + 1j * real[:, ::-1]))) <= 1e-14 * np.max(np.abs(real))
+
+
+def test_average_memory_is_set_by_the_chunk_not_the_node_count():
+    # 2 x 128 nodes at n = 10 are two groups of 128 rows, 1232 and 1738
+    # cells wide: about 2 x 10^5 window indices a group.  The chunks and y
+    # blocks keep the peak near 7.5 MiB; one chunk a group takes 21 MiB
+    import tracemalloc
+
+    g = Grid(10, 1)
+    f = _bump(g)
+    pp.apply_petermichl_average(f, Y=8.0, s_steps=2, y_steps=2)
+    tracemalloc.start()
+    try:
+        pp.apply_petermichl_average(f, Y=8.0, s_steps=2, y_steps=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
