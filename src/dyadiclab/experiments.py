@@ -386,8 +386,8 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # M x M SVD (nehari1d M <= 512), an M^2 x M^2 Hankel matrix and its SVD per
 # trial (nehari2d M <= 32: 2 trials take 2.1 s and 75 MiB; M = 64 is a 4096^2
 # SVD per trial), a 2^(n-1) x 2^(n-1) Gram (para-bound n <= 10: 0.02 s a
-# trial, and the 2^n cells' dyadic BMO), eight 2^n x 2^n
-# pieces (commutator-decomp n <= 9: 0.13-0.16 s and 45 MiB a trial at n = 9),
+# trial, and the 2^n cells' dyadic BMO), eight thin products added into one
+# 2^n x 2^n matrix (commutator-decomp n <= 9: 0.09-0.12 s, 18 MiB a trial at n = 9),
 # steps^2 nodes of a few passes over about s 2^n cells (petermichl steps <= 128,
 # n <= 12: 0.5 ms a node at n = 12, 12 s for the 128^2 + 64^2 nodes at the caps;
 # a coarser scale of a longer window adds a few blocks a node, so Y = 1024 costs
@@ -470,8 +470,9 @@ def list_experiments() -> dict:
 def validate_config(cfg: dict) -> dict:
     """The config with its experiment's defaults filled in.  Raises ConfigError
     on a field the experiment does not have, a value outside its field's type
-    and range, a nehari2d depth n finer than the grid of its M resolves, and
-    a petermichl bump too narrow to be sampled on the grid of its n."""
+    and range, a nehari2d depth n finer than the grid of its M resolves, a
+    petermichl bump too narrow to be sampled on the grid of its n, and a
+    petermichl log measure whose Y is not above its lower end 2^-n."""
     if not isinstance(cfg, dict) or "experiment" not in cfg:
         raise ConfigError("config needs to be a JSON object with an 'experiment' field")
     name = cfg["experiment"]
@@ -490,9 +491,11 @@ def validate_config(cfg: dict) -> dict:
         finest = hankel.symbol_grid_depth(out["M"]) - 1
         if out["n"] > finest:
             raise ConfigError(f"n must be <= {finest}, the finest Haar scale of the grid of M")
-    # petermichl fits a multiple of the bump's Hilbert transform, dividing by its
-    # squared norm; a narrow bump vanishes (or is nan) at every grid point
     if name == "petermichl":
+        if out["y_measure"] == "log" and not out["Y"] > 2.0 ** -out["n"]:
+            raise ConfigError("Y must be > 2^-n for the log measure, which runs dy/y from 2^-n up to Y")
+        # the fit is a multiple of the bump's Hilbert transform, dividing by its
+        # squared norm; a narrow bump vanishes (or is nan) at every grid point
         bump = _petermichl_bump(out["n"], out["bump_width"])
         reference = paraproducts.hilbert_reference(bump).values
         if not np.vdot(reference, reference).real > 0:

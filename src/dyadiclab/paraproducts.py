@@ -11,7 +11,7 @@ applied once to the identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,10 +125,10 @@ def para_double_sum(b: Signal, f: Signal) -> Signal:
 
 def _shift_values(values: np.ndarray, depth: int, left: float, right: float) -> np.ndarray:
     """sum_J <f, h_J> (left h_{J_left} + right h_{J_right}) along axis 0 of
-    values, trailing axes a batch; J runs over intervals whose halves are
-    wavelet-resolvable, |J| >= 4 cells."""
+    values, trailing axes a batch, real in and real out; J runs over
+    intervals whose halves are wavelet-resolvable, |J| >= 4 cells."""
     c = _haar_analysis_axis(values, depth)
-    new = np.zeros(values.shape, dtype=complex)  # the halves of heap index i are 2i and 2i + 1
+    new = np.zeros(values.shape, dtype=c.dtype)  # the halves of heap index i are 2i and 2i + 1
     new[2::2] = left * c[1:len(c) // 2]
     new[3::2] = right * c[1:len(c) // 2]
     return _haar_synthesis_axis(new, depth)
@@ -145,17 +145,34 @@ def dyadic_shift_G(f: Signal) -> Signal:
 
 @dataclass
 class ParaproductPieces:
-    """Labeled rank-structured pieces whose sum reproduces [M_b, G_left]."""
+    """Labeled rank-structured pieces whose sum reproduces [M_b, G_left], held
+    as factors: a piece, A B^T for the pair its builder returns, is formed when read."""
 
     grid: Grid
-    pieces: dict = field(default_factory=dict)  # label -> (N, N) matrix
+    factors: dict  # label -> () -> (A, B), in the order of the case table
     residual: float = None  # max |total - [M_b, G_left]|, set by decompose_commutator_Gleft
 
+    def piece(self, label: str) -> np.ndarray:
+        return ParaproductPieces(self.grid, {label: self.factors[label]}).total()
+
+    @property
+    def pieces(self) -> dict:
+        return {label: self.piece(label) for label in self.factors}
+
     def total(self) -> np.ndarray:
-        return sum(self.pieces.values())
+        """The pieces added in table order into one (N, N) matrix, the real and
+        imaginary halves of each product through one real buffer."""
+        out = np.zeros((self.grid.n_points,) * 2, dtype=complex)
+        half = np.empty(out.shape)
+        for A, B in (make() for make in self.factors.values()):  # a column per J, one of them real
+            pairs = ((A.real, B.T), (A.imag, B.T)) if np.iscomplexobj(A) else ((A, B.real.T), (A, B.imag.T))
+            for part, (X, Y) in zip((out.real, out.imag), pairs):
+                part += np.matmul(X, Y, out=half)
+            del A, B, pairs, X, Y  # before the next factors are built
+        return out
 
     def labels(self) -> list:
-        return sorted(self.pieces)
+        return sorted(self.factors)
 
 
 class DecompositionError(RuntimeError):
@@ -169,17 +186,9 @@ def commutator_gleft_matrix(b: Signal) -> np.ndarray:
     once to the identity."""
     if b.grid.dim != 1:
         raise ValueError("[M_b, G_left] needs a 1D symbol")
-    GL = _shift_values(np.eye(b.grid.n_points, dtype=complex), b.grid.depth, 1.0, 0.0)
-    return b.values[:, None] * GL - GL * b.values[None, :]
-
-
-def _thin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B^T for factors with a column per J, one of them real: two real products."""
-    out = np.empty((len(A), len(B)), dtype=complex)
-    if np.iscomplexobj(A):
-        out.real, out.imag = A.real @ B.T, A.imag @ B.T
-    else:
-        out.real, out.imag = A @ B.real.T, A @ B.imag.T
+    GL = _shift_values(np.eye(b.grid.n_points), b.grid.depth, 1.0, 0.0)  # real
+    out = b.values[:, None] * GL
+    out -= GL * b.values
     return out
 
 
@@ -201,8 +210,8 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
     is b minus its mean over the half of K holding x, and zero off K; the
     eps1 sum is sign(h_{J_left}) D_{J_left}.  So each labelled piece is one
     product A B^T w of two sampled factors with a column per J (scale
-    <= depth - 2), w the quadrature weight, each built just before its
-    product.  The sum of the pieces is checked against the dense
+    <= depth - 2), w the quadrature weight, formed when it is read.  The
+    sum of the pieces, added in place, is checked against the dense
     commutator, and its largest entrywise defect kept as `residual`; a
     defect above check_tol (relative to the largest entry, at least 1)
     raises with the residual matrix.
@@ -229,8 +238,9 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
         "I<J_left:dual": lambda: (hL * s, inside(hL, bL)),
         "I<J_right": lambda: (hL * -s, inside(hR, bR)),
     }
-    result = ParaproductPieces(b.grid, {label: _thin_product(*make()) for label, make in factors.items()})
-    residual = result.total() - target
+    result = ParaproductPieces(b.grid, factors)
+    residual = result.total()
+    residual -= target
     result.residual = float(np.max(np.abs(residual)))
     scale = max(1.0, float(np.max(np.abs(target))))
     if result.residual > check_tol * scale:
@@ -416,15 +426,17 @@ def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
     The dilation measure is ds/s on [1, 2].  The translation measure is
     uniform dy on [0, Y) by default: that is the Haar measure of grid
     translations, and the average then equidistributes every dyadic scale.
-    The 'log' variant (dy/y from y0, the literal printed form) is kept for
-    comparison; its truncation is dominated by near-zero shifts and converges
-    much more slowly.
+    The 'log' variant (dy/y from y0 up to Y > y0, the literal printed form)
+    is kept for comparison; its truncation is dominated by near-zero shifts
+    and converges much more slowly.
     """
     if y_measure == "uniform":
         edges = np.linspace(0.0, Y, y_steps + 1)
         y_nodes = 0.5 * (edges[:-1] + edges[1:])
         y_weights = np.full(y_steps, edges[1] - edges[0])
     elif y_measure == "log":
+        if not Y > y0:
+            raise ValueError(f"the log measure runs dy/y from y0 = {y0:g} up to Y, so Y must be above it")
         ly = np.linspace(np.log(y0), np.log(Y), y_steps + 1)
         y_nodes = np.exp(0.5 * (ly[:-1] + ly[1:]))
         y_weights = np.full(y_steps, ly[1] - ly[0])

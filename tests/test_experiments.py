@@ -111,6 +111,8 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
     {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e308},
     {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e200},
     {"experiment": "petermichl", "n": 4, "steps": 2, "bump_width": 1e-300},
+    {"experiment": "petermichl", "n": 6, "Y": 1e-4, "y_measure": "log", "steps": 4},
+    {"experiment": "petermichl", "n": 6, "Y": 1.0 / 64, "y_measure": "log", "steps": 4},
 ], ids=["nehari2d_trials0", "nehari2d_M0", "nehari2d_M_str", "nehari2d_n0", "nehari2d_n6",
         "nehari2d_n_float", "carleson_n_list_empty", "carleson_n7", "carleson_n_negative",
         "carleson_n_list_int", "lower_bound_grid_depth5", "nehari2d_n_beyond_grid",
@@ -122,7 +124,8 @@ def test_aak_extend_bad_config_exits_1_with_error_json(tmp_path, bad):
         "aak_extend_M513", "aak_extend_recovery_degree513", "aak_extend_K129",
         "config_not_an_object", "experiment_not_a_string", "seed_beyond_64_bits",
         "nehari2d_n7", "petermichl_bump_width_1e308", "petermichl_bump_width_1e200",
-        "petermichl_bump_width_1e-300"])
+        "petermichl_bump_width_1e-300", "petermichl_log_Y_below_a_cell",
+        "petermichl_log_Y_one_cell"])
 def test_bad_config_exits_1_with_error_json(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bad))

@@ -137,6 +137,57 @@ def test_decomposition_reconstructs_exactly():
         assert len(pieces.labels()) == 8
 
 
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_decomposition_residual_is_the_sum_of_its_pieces_in_table_order(n):
+    # the in-place sum adds the pieces in the order of the table, as sum() does
+    g = Grid(n, 1)
+    b = random_signal(g, rng) + 1j * random_signal(g, rng)
+    pieces = pp.decompose_commutator_Gleft(b)
+    target = pp.commutator_gleft_matrix(b)
+    assert pieces.residual == np.max(np.abs(sum(pieces.pieces.values()) - target))
+
+
+def test_decomposition_error_holds_the_residual_matrix():
+    g = Grid(6, 1)
+    b = random_signal(g, rng) + 1j * random_signal(g, rng)
+    pieces = pp.decompose_commutator_Gleft(b, check_tol=np.inf)
+    assert pieces.residual > 0
+    with pytest.raises(pp.DecompositionError) as err:
+        pp.decompose_commutator_Gleft(b, check_tol=1e-300)
+    residual = err.value.residual
+    assert residual.shape == (g.n_points, g.n_points)
+    assert np.array_equal(residual, pieces.total() - pp.commutator_gleft_matrix(b))
+    assert np.max(np.abs(residual)) == pieces.residual
+
+
+def test_decomposition_piece_is_formed_from_its_factors():
+    b = random_signal(Grid(5, 1), rng) + 1j * random_signal(Grid(5, 1), rng)
+    pieces = pp.decompose_commutator_Gleft(b)
+    dense = pieces.pieces
+    assert list(dense) == list(pieces.factors) and sorted(dense) == pieces.labels()
+    for label in pieces.labels():
+        A, B = pieces.factors[label]()
+        assert np.array_equal(pieces.piece(label), dense[label]), label
+        assert np.max(np.abs(dense[label] - A @ B.T)) <= 1e-13, label
+
+
+def test_decomposition_memory_bound():
+    # the pieces are held as factors and summed in place: one call at n = 9
+    # peaks near 18 MiB, where eight dense 512^2 complex pieces alone are 32 MiB
+    import tracemalloc
+
+    g = Grid(9, 1)
+    b = random_signal(g, rng) + 1j * random_signal(g, rng)
+    pp.decompose_commutator_Gleft(random_signal(Grid(4, 1), rng))
+    tracemalloc.start()
+    try:
+        pp.decompose_commutator_Gleft(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
+
+
 def test_commutator_gleft_matrix_matches_the_diagonal_products():
     g = Grid(5, 1)
     b = random_signal(g, rng) + 1j * random_signal(g, rng)
@@ -183,11 +234,11 @@ def test_decomposition_pieces_match_rank_one_table(n):
     # n = 1 has no J, so every piece is zero; at n = 2 no I lies strictly inside a half
     g = Grid(n, 1)
     b = random_signal(g, rng)
-    pieces = pp.decompose_commutator_Gleft(b).pieces
+    pieces = pp.decompose_commutator_Gleft(b)
     table = _rank_one_table(b)
-    assert list(pieces) == list(table)
+    assert list(pieces.factors) == list(table)
     for label, ref in table.items():
-        assert np.max(np.abs(pieces[label] - ref)) <= 1e-13, label
+        assert np.max(np.abs(pieces.piece(label) - ref)) <= 1e-13, label
 
 
 def test_gleft_operators_need_a_1d_symbol():
@@ -223,7 +274,7 @@ def test_decomposition_single_haar_rank_one_algebra():
 def test_decomposition_constant_symbol_vanishes():
     g = Grid(5, 1)
     pieces = pp.decompose_commutator_Gleft(constant(g, 2.0))
-    assert max(np.max(np.abs(m)) for m in pieces.pieces.values()) < 1e-14
+    assert max(np.max(np.abs(pieces.piece(label))) for label in pieces.labels()) < 1e-14
 
 
 def test_decomposition_gstar_composed_form():
@@ -249,7 +300,7 @@ def test_decomposition_gstar_composed_form():
             coef = bc.band(p)[j] * 2.0 ** (p / 2)  # <b,h_I>/sqrt|I|
             hI = haar_function(0, I, g)
             alt += coef * np.outer(hI.values, np.conj(gstar.values)) * w
-    assert np.max(np.abs(pieces.pieces["I<J_left:analytic"] - alt)) < 1e-12
+    assert np.max(np.abs(pieces.piece("I<J_left:analytic") - alt)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_quadrature_measures():
         pp.petermichl_quadrature(8.0, 4, 4, 0.1, "bogus")
 
 
+@pytest.mark.parametrize("Y", [1e-4, 1.0 / 64])
+def test_log_quadrature_needs_Y_above_its_lower_end(Y):
+    # dy/y runs from y0 up to Y; at Y <= y0 the interval would be reversed
+    with pytest.raises(ValueError, match="log measure"):
+        pp.petermichl_quadrature(Y, 4, 4, 1.0 / 64, "log")
+    with pytest.raises(ValueError, match="log measure"):
+        pp.apply_petermichl_average(_bump(Grid(6, 1)), Y=Y, s_steps=4, y_steps=4, y_measure="log")
+    y, wy, _, ws = pp.petermichl_quadrature(Y, 4, 4, 1.0 / 64, "uniform")
+    assert np.all((y > 0) & (y < Y)) and abs(wy.sum() * ws.sum() - 1.0) < 1e-12
+
+
 def test_average_annihilates_constants():
     # a constant on the whole window is killed exactly (every g_I is mean
     # zero); the unit-interval embedding sees its own edges, so the statement
