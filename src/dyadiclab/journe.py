@@ -16,12 +16,15 @@ along axis a.  It is a multiple of 2^-depth, so the bisection this replaced
 (refined far below 2^-depth) landed on it exactly, and its 1e-12 rounding
 guard let the sup itself test as inside: the two agreed bit for bit.
 
-The lower-bound experiment splits its symbol on the matrix of its Meyer
-coefficients: one analysis, then one synthesis for each masked part.
+The damped checks read f's coefficients as arrays off one coefficient
+pass (`norms._coefficient_heap`) and build no dict book.  The lower-bound
+experiment splits its symbol on the matrix of its Meyer coefficients: one
+analysis, then one synthesis for each masked part.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +38,8 @@ from .dyadic import (
     haar_tensor,
     zeros,
 )
-from .norms import (
-    _box_arrays,
-    bmo_minus1,
-    bmo_product_of_book,
-    bmo_rect,
-    coefficient_book,
-    lp_norm,
-)
+from . import norms
+from .norms import _box_arrays, lp_norm
 from .transforms import MeyerFamily, _strong_maximal, all_analytic_projection
 
 
@@ -118,26 +115,45 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
 # damped projection checks
 
 
+def _inside_cells(mask: np.ndarray, scales: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Which boxes of (d, K) arrays of scales and positions have every cell
+    in the cell mask (2^depth cells a side): the count of mask cells in each
+    box, read off a summed-volume table at its 2^d corners by inclusion and
+    exclusion, against the box's own count."""
+    depth = mask.shape[0].bit_length() - 1
+    table = np.pad(np.asarray(mask, dtype=bool), (1, 0))
+    for axis in range(mask.ndim):
+        table = np.cumsum(table, axis=axis)
+    ends = (positions << (depth - scales), (positions + 1) << (depth - scales))
+    count = sum((-1) ** c.count(0) * table[tuple(ends[e][a] for a, e in enumerate(c))]
+                for c in itertools.product((0, 1), repeat=mask.ndim))
+    return count == np.prod(ends[1] - ends[0], axis=0)
+
+
 def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
                         family: str = "haar", meyer: MeyerFamily | None = None,
                         depth: int | None = None, V_mask: np.ndarray | None = None) -> dict:
     """Compare the product BMO of the damped projection
     sum_{R in U} Emb(R;U)^{-eps} <f, w_R> w_R against bmo_rect(f); V_mask,
-    if given, is enlarged_set(U_mask, f.grid), shared by checks on one U."""
+    if given, is enlarged_set(U_mask, f.grid), shared by checks on one U.
+    Both sups run on the arrays of one coefficient pass; `embeddedness`
+    (DyadicRectangle -> Emb of each damped box) is the one dict built."""
     grid = f.grid
     _check_shape(U_mask, grid.shape, "U_mask")
-    book = coefficient_book(f, family, meyer, depth)
+    n = norms._depth(f, depth)
+    heap = norms._coefficient_heap(f, family, meyer)
+    scales, positions, coef = norms._coefficients(heap, grid.dim, depth)
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
-    n = grid.depth if depth is None else depth
-    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
-    kept = [r for r, c in book.items() if abs(c) > tol and U_mask[r.cell_slices(grid)].all()]
-    emb = _embeddedness(*_box_arrays(kept, grid.dim), V, grid.depth).tolist()
-    emb_values = dict(zip(kept, emb))
-    damped = {r: book[r] * mu ** -eps for r, mu in emb_values.items()}
-    lhs = bmo_product_of_book(damped, n).value
-    rhs = bmo_rect(f, family, meyer, depth, book=book).value
+    kept = (norms._masses(coef, True) > 0) & _inside_cells(U_mask, scales, positions)
+    inner = (scales[:, kept], positions[:, kept])
+    emb = _embeddedness(*inner, V, grid.depth)
+    # float_power rounds as Python's float ** float; np.power can miss it in the last bit
+    damped = norms._nonzero_book(*inner, coef[kept] * np.float_power(emb, -eps), True)
+    lhs = np.sqrt(norms._max_union_ratio(damped, n)[0])
+    rect = norms._densest_box(norms._nonzero_book(scales, positions, coef, False), n)[0]
+    rhs = np.sqrt(float(rect))
     return {"lhs_bmo": lhs, "rhs_rect_bmo": rhs, "ratio": lhs / rhs if rhs > 0 else np.nan,
-            "eps": eps, "embeddedness": emb_values}
+            "eps": eps, "embeddedness": dict(zip(norms._rectangles(*inner), emb.tolist()))}
 
 
 class JourneCheckError(RuntimeError):
@@ -160,11 +176,15 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
     """
     grid = f.grid
     N, d = grid.n_points, grid.dim
-    members = collection.members
-    sup = _embeddedness(*_box_arrays(members, d), V_mask, grid.depth).tolist()
-    unit = V_mask[(slice(N, 2 * N),) * d]
-    offenders_a = [r for r, mu in zip(members, sup)
-                   if not (emb_map[r] <= mu and unit[r.cell_slices(grid)].all())]
+    n = norms._depth(f, depth)
+    members = tuple(dict.fromkeys(collection.members))
+    scales, positions = _box_arrays(members, d)
+    if np.any((scales < 0) | (positions < 0) | (positions >> np.maximum(scales, 0) != 0)):
+        raise ValueError(f"collection members must lie in [0,1)^{d}")
+    emb = np.array([emb_map[r] for r in members], dtype=float)
+    fits = emb <= _embeddedness(scales, positions, V_mask, grid.depth)
+    fits &= _inside_cells(V_mask[(slice(N, 2 * N),) * d], scales, positions)
+    offenders_a = [r for r, ok in zip(members, fits.tolist()) if not ok]
     sh_measure = collection.shadow_measure()
     v_measure = float(np.count_nonzero(V_mask)) * grid.weight
     b_ok = v_measure < (1.0 + eta) * sh_measure + 1e-12
@@ -174,12 +194,17 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
     if not b_ok:
         raise JourneCheckError(f"|V| = {v_measure} exceeds (1+eta)|sh| = {(1 + eta) * sh_measure}",
                                [("measure", v_measure, sh_measure)])
-    book = coefficient_book(f, family, meyer, depth)
-    n = grid.depth if depth is None else depth
-    damped = {r: book[r] * emb_map[r] ** (-2.0 * d)
-              for r in collection.members if abs(book.get(r, 0.0)) > 0}
-    lhs = bmo_product_of_book(damped, n).value
-    rhs = bmo_minus1(f, family, meyer, depth, book=book).value
+    heap = norms._coefficient_heap(f, family, meyer)
+    # a member's coefficient sits at 2^p + j on each axis; 0 for one finer than the book
+    held = np.all((scales <= n) & (2 << scales <= heap.shape[0]), axis=0)
+    c = np.zeros(len(members), dtype=heap.dtype)
+    c[held] = heap[tuple((1 << scales[:, held]) + positions[:, held])]
+    live = c != 0
+    damped = norms._nonzero_book(scales[:, live], positions[:, live],
+                                 c[live] * np.float_power(emb[live], -2.0 * d), True)
+    lhs = np.sqrt(norms._max_union_ratio(damped, n)[0])
+    book = norms._nonzero_book(*norms._coefficients(heap, d, depth), True)
+    rhs = np.sqrt(norms._bmo_minus1(book, n)[0])
     return {"a_ok": True, "b_ok": True, "v_measure": v_measure, "shadow_measure": sh_measure,
             "lhs_bmo": lhs, "rhs_minus1": rhs, "K_eta": lhs / rhs if rhs > 0 else np.nan,
             "eta": eta}

@@ -16,8 +16,10 @@ Dinkelbach's ratio iteration, whose last cut certifies the value; it starts
 from the members of the densest dyadic box when they beat the union of all
 boxes, and its heuristic mode runs that same solver and labels its value a
 lower bound.  Coefficient books are d-axis arrays of scales, positions and
-masses (`_Book`); a dict book is converted once, and a book rectangle
-outside [0,1)^d raises ValueError.
+masses (`_Book`), sliced off one heap-ordered coefficient array for Haar
+and Meyer alike; `coefficient_book` alone builds a dict book, and a dict
+passed as `book=` is converted once, a rectangle outside [0,1)^d raising
+ValueError.  A depth outside 0..b.grid.depth raises ValueError at once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .dyadic import (
     DyadicInterval,
     DyadicRectangle,
+    Grid,
     RectangleCollection,
     ResolutionError,
     Signal,
@@ -143,50 +146,61 @@ class BmoReport:
 # coefficient books and the densest dyadic box
 
 
-def _haar_coefficients(values: np.ndarray, d: int, depth: int | None) -> tuple:
-    """(scales, positions, c): every Haar box I(p_1, j_1) x ... x I(p_d, j_d)
-    of sides >= 2^-depth of the grid of `values` (axes 0..d-1; trailing
-    axes: a stack of signals) as (d, K) arrays, in book order (scale tuples
-    descending, axis 0 slowest, positions row-major), and its coefficients
-    (leading axis: the boxes), sliced off `transforms.haar_analysis`'s heap
-    array band by band; no DyadicRectangle is built."""
-    heap = transforms._haar_transform(values, d)
-    finest = values.shape[0].bit_length() - 2
+def _heap_book(heap: np.ndarray, d: int, depth: int | None) -> tuple:
+    """(scales, positions, c): every box I(p_1, j_1) x ... x I(p_d, j_d) of
+    sides >= 2^-depth of a heap-ordered coefficient array (axes 0..d-1,
+    I(p, j) at 2^p + j; trailing axes: a stack of books) as (d, K) arrays,
+    in book order (scale tuples descending, axis 0 slowest, positions
+    row-major), and its coefficients (leading axis: the boxes), sliced off
+    the heap band by band; no DyadicRectangle is built."""
+    finest = heap.shape[0].bit_length() - 2
     top = finest if depth is None else min(depth, finest)
     sides = np.array(list(itertools.product(range(top, -1, -1), repeat=d)),
                      dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
     blocks = [heap[transforms._heap_band(q)] for q in sides.T]
     positions = np.concatenate([np.indices(c.shape[:d]).reshape(d, -1) for c in blocks], axis=1)
-    coef = np.concatenate([c.reshape((-1,) + values.shape[d:]) for c in blocks])
+    coef = np.concatenate([c.reshape((-1,) + heap.shape[d:]) for c in blocks])
     return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), positions, coef
 
 
-def _haar_coefficient_book(b: Signal, depth: int | None) -> dict:
-    """Map DyadicRectangle -> <b, h_R> for the wavelet rectangles resolvable
-    on the grid whose coefficient is not exactly zero, optionally truncated
-    to sides >= 2^-depth.  A missing rectangle has coefficient 0."""
-    scales, positions, coef = _haar_coefficients(b.values, b.grid.dim, depth)
+def _depth(b: Signal, depth: int | None) -> int:
+    """b's grid's depth, or `depth` when it lies in 0..b.grid.depth (ValueError otherwise)."""
+    if depth is not None and not 0 <= depth <= b.grid.depth:
+        raise ValueError(f"depth must lie in 0..{b.grid.depth}, the depth of b's grid; got {depth}")
+    return b.grid.depth if depth is None else depth
+
+
+def _coefficient_heap(b: Signal, family: str, meyer) -> np.ndarray:
+    """b's coefficients in `_heap_book`'s layout: its Haar transform, or its
+    Meyer coefficient matrix shifted one place on each axis (member
+    2^p - 1 + j to 2^p + j), which needs b on the family's 2-D grid.  The
+    one coefficient pass behind every book of a signal."""
+    if family == "haar":
+        return transforms._haar_transform(b.values, b.grid.dim)
+    if family != "meyer":
+        raise ValueError("family must be 'haar' or 'meyer'")
+    if meyer is None:
+        raise ValueError("pass the MeyerFamily for family='meyer'")
+    grid = Grid(meyer.axis_grid.depth, 2)
+    if b.grid != grid:
+        raise ValueError(f"a Meyer book needs a signal on the family's {grid}, not on {b.grid}")
+    return np.pad(meyer.analysis(b.values), ((1, 0), (1, 0)))
+
+
+def _coefficients(heap: np.ndarray, d: int, depth: int | None) -> tuple:
+    """The `_heap_book` arrays of the boxes of `heap` whose coefficient is not exactly zero."""
+    scales, positions, coef = _heap_book(heap, d, depth)
     keep = np.flatnonzero(coef)
-    return dict(zip(_rectangles(scales[:, keep], positions[:, keep]), coef[keep].tolist()))
-
-
-def _meyer_coefficient_book(b: Signal, meyer, depth: int | None) -> dict:
-    """Map DyadicRectangle -> <b, w_I (x) w_J> in `MeyerFamily.rectangles`
-    order, optionally truncated to sides >= 2^-depth, from one analysis."""
-    C = meyer.analysis(b.values)
-    return {r: complex(C[meyer.index(r.coordinates[0]), meyer.index(r.coordinates[1])])
-            for r in meyer.rectangles()
-            if depth is None or max(-iv.scale_exponent for iv in r.coordinates) <= depth}
+    return scales[:, keep], positions[:, keep], coef[keep]
 
 
 def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | None = None) -> dict:
-    if family == "haar":
-        return _haar_coefficient_book(b, depth)
-    if family == "meyer":
-        if meyer is None:
-            raise ValueError("pass the MeyerFamily for family='meyer'")
-        return _meyer_coefficient_book(b, meyer, depth)
-    raise ValueError("family must be 'haar' or 'meyer'")
+    """Map DyadicRectangle -> <b, w_R> over the family's rectangles with
+    sides >= 2^-depth whose coefficient is not exactly zero, in book order:
+    the one place a dict book is built (the sups take it through `book=`)."""
+    _depth(b, depth)
+    scales, positions, coef = _coefficients(_coefficient_heap(b, family, meyer), b.grid.dim, depth)
+    return dict(zip(_rectangles(scales, positions), coef.tolist()))
 
 
 class _Book(NamedTuple):
@@ -216,34 +230,38 @@ def _masses(coef: np.ndarray, significant: bool) -> np.ndarray:
 
 
 def _haar_book(values: np.ndarray, d: int, depth: int | None, significant: bool = False) -> _Book:
-    """`_haar_coefficients` as a book of masses, 0 where the coefficient is 0."""
-    scales, positions, coef = _haar_coefficients(values, d, depth)
+    """The Haar boxes of `values` (axes 0..d-1; trailing axes: a stack of
+    signals) as a book of masses, 0 where the coefficient is 0."""
+    scales, positions, coef = _heap_book(transforms._haar_transform(values, d), d, depth)
     return _Book(scales, positions, _masses(np.moveaxis(coef, 0, -1), significant))
 
 
+def _nonzero_book(scales: np.ndarray, positions: np.ndarray, coef: np.ndarray,
+                  significant: bool) -> _Book:
+    """The boxes of one set of coefficients whose mass (`_masses`) is not 0."""
+    mass = _masses(coef, significant)
+    keep = mass > 0
+    return _Book(scales[:, keep], positions[:, keep], mass[keep])
+
+
 def _array_book(book: dict, significant: bool = False) -> _Book:
-    """A dict book (DyadicRectangle -> coefficient) as arrays, keeping its
-    nonzero masses (with `significant`, those above 1e-12 of the largest); d
+    """A dict book (DyadicRectangle -> coefficient) as a `_nonzero_book`; d
     is read off the rectangles, 2 for an empty book.  ValueError unless every
     rectangle, kept or not, lies in [0,1)^d."""
     d = len(next(iter(book)).coordinates) if book else 2
     if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
         raise ValueError(f"book rectangles must lie in [0,1)^{d}")
-    scales, positions = _box_arrays(book, d)
-    mass = _masses(np.array(list(book.values()), dtype=complex), significant)
-    keep = mass > 0
-    return _Book(scales[:, keep], positions[:, keep], mass[keep])
+    return _nonzero_book(*_box_arrays(book, d), np.array(list(book.values()), dtype=complex),
+                         significant)
 
 
 def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None,
              significant: bool) -> _Book:
-    """The array book of b (or of the dict `book` when given) by `_haar_book`
-    or `_array_book`, only its nonzero masses."""
-    if book is None and family == "haar":
-        full = _haar_book(b.values, b.grid.dim, depth, significant)
-        return full.select(full.mass > 0)
-    return _array_book(coefficient_book(b, family, meyer, depth) if book is None else book,
-                       significant)
+    """The `_nonzero_book` of b's coefficients, or of the dict `book` when given."""
+    if book is None:
+        heap = _coefficient_heap(b, family, meyer)
+        return _nonzero_book(*_coefficients(heap, b.grid.dim, depth), significant)
+    return _array_book(book, significant)
 
 
 def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
@@ -343,7 +361,7 @@ def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
 def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
              book: dict | None = None) -> BmoReport:
     """Product-BMO quadratic form with U ranging over dyadic rectangles; exact."""
-    n = b.grid.depth if depth is None else depth
+    n = _depth(b, depth)
     value, scales, positions = _densest_box(_book_of(b, family, meyer, depth, book, False), n)
     witness = _rectangles(scales[:, None], positions[:, None])[0] if value > 0.0 else None
     return BmoReport(np.sqrt(float(value)), witness, "exact", family)
@@ -551,23 +569,29 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
-    n = b.grid.depth if depth is None else depth
+    n = _depth(b, depth)
     value, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book, True), n)
     return BmoReport(np.sqrt(value), witness, "exact" if mode == "exact" else "lower_bound",
                      family, {"search": "min-cut", "depth": n, "cuts": cuts, "start": start})
 
 
-def bmo_product_of_book(book: dict, depth: int) -> BmoReport:
-    """Exact product BMO evaluated directly on a coefficient book (wavelet-family
-    agnostic; used by the damped projections where the signal is synthetic),
-    by the same minimum-cut solver as `bmo_product(mode="exact")`."""
-    best_val, witness, cuts, start = _max_union_ratio(_array_book(book, significant=True), depth)
-    return BmoReport(np.sqrt(best_val), witness, "exact", "book",
-                     {"search": "min-cut", "depth": depth, "cuts": cuts, "start": start})
-
-
 # ---------------------------------------------------------------------------
 # BMO with one parameter lost
+
+
+def _bmo_minus1(book: _Book, n: int) -> tuple[float, _Book]:
+    """`bmo_minus1`'s sup squared on a d = 2 book, and the members under its best I x J."""
+    # The mediant closed form needs the other side to be one-parameter: in
+    # d >= 3 the maximal other sides are boxes, which need not be disjoint.
+    if book.scales.shape[0] != 2:
+        raise ValueError("bmo_minus1 handles d = 2")
+    best_val, best = 0.0, book.select(slice(0, 0))
+    for axis in (0, 1):
+        val, scales, positions = _densest_box(book, n, shared=axis)
+        if val > best_val:
+            best_val = float(val)
+            best = book.select(_inside(book, scales, positions) & (book.scales[axis] == scales[axis]))
+    return best_val, best
 
 
 def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = None,
@@ -580,22 +604,12 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     parts under them; under I x J the best part takes every member inside.
     The sup is max over I x J of (sum_{K in J} m_{I x K}) / (|I| |J|): the
     rectangular accumulation counting only rectangles with side I on the
-    shared axis, once per axis.  A J that is no member's side holds the
-    maximal members under it in a set of at most its length, so it never
-    beats them.  The witness is the members under the best I x J.
+    shared axis, once per axis (`_bmo_minus1`).  A J that is no member's
+    side holds the maximal members under it in a set of at most its length,
+    so it never beats them.  The witness is the members under the best I x J.
     """
-    # The mediant closed form needs the other side to be one-parameter: in
-    # d >= 3 the maximal other sides are boxes, which need not be disjoint.
-    if b.grid.dim != 2:
-        raise ValueError("bmo_minus1 handles d = 2")
-    n = b.grid.depth if depth is None else depth
-    nz = _book_of(b, family, meyer, depth, book, True)
-    best_val, best_members = 0.0, ()
-    for axis in (0, 1):
-        val, scales, positions = _densest_box(nz, n, shared=axis)
-        if val > best_val:
-            best_val = float(val)
-            kept = nz.select(_inside(nz, scales, positions) & (nz.scales[axis] == scales[axis]))
-            best_members = tuple(_rectangles(kept.scales, kept.positions))
-    witness = RectangleCollection(best_members, b.grid) if best_members else None
-    return BmoReport(np.sqrt(best_val), witness, "exact", family)
+    n = _depth(b, depth)
+    value, best = _bmo_minus1(_book_of(b, family, meyer, depth, book, True), n)
+    members = tuple(_rectangles(best.scales, best.positions))
+    witness = RectangleCollection(members, b.grid) if members else None
+    return BmoReport(np.sqrt(value), witness, "exact", family)

@@ -228,14 +228,20 @@ def decompose_commutator_Gleft(b: Signal, check_tol: float = 1e-12) -> Paraprodu
         h1K = np.abs(hK)
         return (h1K != 0) * b.values[:, None] - h1K * (w * (b.values @ h1K)) - hK * bK
 
+    left = []  # D_{J_left}: the "analytic" piece leaves it for "dual", the next in table order
+
+    def keep_left():
+        left[:] = [inside(hL, bL)]
+        return left[0]
+
     factors = {  # label -> (A, B)
         "I=J_left:dual_para": lambda: (np.abs(hL) * (np.sqrt(2) * s * bL), hJ),
         "I=J_left:regular": lambda: (hL * (s * bL), hL),
         "I=J_right": lambda: (hL * (-s * bR), hR),
         "I=J:para": lambda: (hL * (-s * bJ), np.abs(hJ)),
         "I=J:regular": lambda: (hL * (-s * bJ), hJ),
-        "I<J_left:analytic": lambda: (np.sign(hL) * inside(hL, bL) * (np.sqrt(2) * s), hJ),
-        "I<J_left:dual": lambda: (hL * s, inside(hL, bL)),
+        "I<J_left:analytic": lambda: (np.sign(hL) * keep_left() * (np.sqrt(2) * s), hJ),
+        "I<J_left:dual": lambda: (hL * s, left.pop() if left else inside(hL, bL)),
         "I<J_right": lambda: (hL * -s, inside(hR, bR)),
     }
     result = ParaproductPieces(b.grid, factors)

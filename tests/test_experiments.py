@@ -193,17 +193,18 @@ def test_each_experiment_reads_exactly_its_fields(name, small):
     assert set(ex.CATALOG[name]["fields"]) <= cfg.read <= {"seed", *ex.CATALOG[name]["fields"]}
 
 
-def test_carleson_builds_each_coefficient_book_once(tmp_path, monkeypatch):
+def test_carleson_calls_coefficient_book_once_per_n(tmp_path, monkeypatch):
+    # one dict book a signal, read by both sups through book=
     from dyadiclab import norms
 
     calls = []
-    build = norms._haar_coefficient_book
+    build = norms.coefficient_book
 
-    def counting(b, depth):
+    def counting(b, *args, **kwargs):
         calls.append(b.grid.depth)
-        return build(b, depth)
+        return build(b, *args, **kwargs)
 
-    monkeypatch.setattr(norms, "_haar_coefficient_book", counting)
+    monkeypatch.setattr(norms, "coefficient_book", counting)
     ex.run({"experiment": "carleson", "n_list": [0, 1, 2]}, tmp_path, threads=1)
     assert calls == [3, 4, 5]
 

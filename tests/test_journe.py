@@ -125,23 +125,73 @@ def test_checker_rejects_bad_candidates():
         jn.journe_inequality_checker_d1(f, coll, big_V, emb, eta=0.1)
 
 
-def test_journe_checks_build_each_coefficient_book_once(monkeypatch):
-    calls = []
-    build = dl.norms._haar_coefficient_book
+def test_journe_checks_make_one_coefficient_pass_and_no_dict_book(monkeypatch):
+    passes, transforms_run = [], []
+    coefficients, transform = dl.norms._coefficient_heap, transforms._haar_transform
 
-    def counting(b, depth):
-        calls.append(b.grid.depth)
-        return build(b, depth)
+    def counting(b, *args):
+        passes.append(b.grid.depth)
+        return coefficients(b, *args)
 
-    monkeypatch.setattr(dl.norms, "_haar_coefficient_book", counting)
+    def counting_transform(*args, **kwargs):
+        transforms_run.append(1)
+        return transform(*args, **kwargs)
+
+    def no_dict_book(*args, **kwargs):
+        raise AssertionError("a dict book was built")
+
+    monkeypatch.setattr(dl.norms, "_coefficient_heap", counting)
+    monkeypatch.setattr(transforms, "_haar_transform", counting_transform)
+    monkeypatch.setattr(dl.norms, "coefficient_book", no_dict_book)
     g = Grid(3, 2)
     f = dl.random_signal(g, rng)
     jn.journe_damped_check(f, np.ones(g.shape, dtype=bool), eps=0.5)
-    assert calls == [3]
+    assert passes == [3] and len(transforms_run) == 1
     coll = RectangleCollection((_rect(DyadicInterval(-1, 0), DyadicInterval(-2, 1)),), g)
     V, emb = jn.trivial_candidate(coll)
     jn.journe_inequality_checker_d1(f, coll, V, emb, eta=0.0)
-    assert calls == [3, 3]
+    assert passes == [3, 3] and len(transforms_run) == 2
+
+
+def _dict_damped_check(f, U_mask, eps, family="haar", meyer=None, depth=None):
+    """The damped check on dict books, rectangle by rectangle, as it ran
+    before the array path: the oracle of `journe_damped_check`."""
+    grid = f.grid
+    book = dl.norms.coefficient_book(f, family, meyer, depth)
+    V = jn.enlarged_set(U_mask, grid)
+    n = grid.depth if depth is None else depth
+    tol = 1e-12 * max([abs(c) for c in book.values()] + [1.0])
+    kept = [r for r, c in book.items() if abs(c) > tol and U_mask[r.cell_slices(grid)].all()]
+    emb = jn._embeddedness(*jn._box_arrays(kept, grid.dim), V, grid.depth).tolist()
+    emb_values = dict(zip(kept, emb))
+    damped = {r: book[r] * mu ** -eps for r, mu in emb_values.items()}
+    lhs = dl.bmo_product(dl.zeros(grid), book=damped, depth=n).value
+    rhs = dl.bmo_rect(f, family, meyer, depth, book=book).value
+    return {"lhs_bmo": lhs, "rhs_rect_bmo": rhs, "ratio": lhs / rhs if rhs > 0 else np.nan,
+            "eps": eps, "embeddedness": emb_values}
+
+
+@pytest.mark.parametrize("family,d,depth", [("haar", 2, 4), ("haar", 3, 3), ("meyer", 2, 6)])
+def test_damped_check_on_arrays_matches_the_dict_oracle_bit_for_bit(family, d, depth):
+    # a U with holes leaves boxes out; several eps and book depths
+    check_rng = np.random.default_rng(25 + d + depth)
+    g = Grid(depth, d)
+    meyer = build_meyer_family(Grid(depth, 1)) if family == "meyer" else None
+    for trial in range(2):
+        f = dl.random_signal(g, check_rng)
+        if trial:
+            f = f + 1j * dl.random_signal(g, check_rng)
+        U = check_rng.random(g.shape) < 0.85
+        U[(slice(0, g.n_points // 2),) * d] = True
+        for book_depth in (None, 1):
+            for eps in (0.0, 0.5, 1.5):
+                got = jn.journe_damped_check(f, U, eps, family, meyer, book_depth)
+                want = _dict_damped_check(f, U, eps, family, meyer, book_depth)
+                kept, book = want["embeddedness"], dl.norms.coefficient_book(f, family, meyer, book_depth)
+                assert len(kept) < len(book) and (kept or book_depth == 1)
+                for key in ("lhs_bmo", "rhs_rect_bmo", "ratio"):
+                    assert got[key] == want[key], key
+                assert list(got["embeddedness"].items()) == list(want["embeddedness"].items())
 
 
 def _maximal_candidate(collection):

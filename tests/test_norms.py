@@ -303,7 +303,7 @@ def test_exact_product_bmo_matches_cell_union_oracle():
     for k in (1, 2, 3, 5, 7):
         book = _sparse_book(2, k, rng)
         oracle = _cell_union_oracle(book, 2)
-        assert abs(dl.norms.bmo_product_of_book(book, 2).value - oracle) <= 1e-12 * oracle
+        assert abs(bmo_product(dl.zeros(g), book=book, depth=2).value - oracle) <= 1e-12 * oracle
         assert abs(bmo_product(_signal_of_book(book, g)).value - oracle) <= 1e-12 * oracle
 
 
@@ -321,7 +321,7 @@ def test_exact_product_bmo_matches_rectangle_union_oracle():
                     for r in combo:
                         mask[r.cell_slices(g)] = True
                     best = max(best, _book_value(book, mask, g))
-            rep = dl.norms.bmo_product_of_book(book, depth)
+            rep = bmo_product(dl.zeros(g), book=book, depth=depth)
             assert abs(rep.value - np.sqrt(best)) <= 1e-12 * np.sqrt(best)
             assert abs(np.sqrt(_book_value(book, rep.witness, g)) - rep.value) <= 1e-12 * rep.value
 
@@ -425,6 +425,50 @@ def test_bmo_with_meyer_family():
     rep_prod = bmo_product(w, mode="exact", family="meyer", meyer=fam)
     assert abs(rep_prod.value - r.area ** -0.5) < 1e-8
     assert abs(bmo_minus1(w, family="meyer", meyer=fam).value - r.area ** -0.5) < 1e-8
+
+
+def test_a_meyer_book_needs_a_signal_on_the_family_grid():
+    # a family built on Grid(5, 1) reads signals on Grid(5, 2) only
+    from dyadiclab.transforms import build_meyer_family
+
+    fam = build_meyer_family(Grid(5, 1))
+    bmo_rect(random_signal(Grid(5, 2), rng), family="meyer", meyer=fam)
+    for g in (Grid(5, 1), Grid(5, 3), Grid(6, 2)):
+        b = random_signal(g, rng)
+        for evaluate in (lambda: bmo_rect(b, family="meyer", meyer=fam),
+                         lambda: bmo_product(b, family="meyer", meyer=fam),
+                         lambda: bmo_minus1(b, family="meyer", meyer=fam),
+                         lambda: dl.norms.coefficient_book(b, "meyer", fam),
+                         lambda: journe.journe_damped_check(b, np.ones(g.shape, dtype=bool), 0.5,
+                                                            "meyer", fam)):
+            with pytest.raises(ValueError, match=r"Grid\(depth=5, dim=2\)"):
+                evaluate()
+
+
+@pytest.mark.parametrize("depth", [-1, 4, 5])
+def test_a_depth_outside_the_grid_is_rejected_before_any_work(depth, monkeypatch):
+    g = Grid(3, 2)
+    b = random_signal(g, rng)
+    book = dl.norms.coefficient_book(b)
+    U = np.ones(g.shape, dtype=bool)
+    coll = dl.RectangleCollection((DyadicRectangle((DyadicInterval(-1, 0), DyadicInterval(-1, 0))),), g)
+
+    def no_work(*args):
+        raise AssertionError("a coefficient pass ran")
+
+    monkeypatch.setattr(dl.transforms, "_haar_transform", no_work)
+    for evaluate in (lambda: dl.norms.coefficient_book(b, depth=depth),
+                     lambda: bmo_rect(b, depth=depth),
+                     lambda: bmo_rect(b, depth=depth, book=book),
+                     lambda: bmo_minus1(b, depth=depth),
+                     lambda: bmo_minus1(b, depth=depth, book=book),
+                     lambda: bmo_product(b, depth=depth),
+                     lambda: bmo_product(b, depth=depth, book=book),
+                     lambda: journe.journe_damped_check(b, U, 0.5, depth=depth),
+                     lambda: journe.journe_inequality_checker_d1(b, coll, *journe.trivial_candidate(coll),
+                                                                 eta=0.0, depth=depth)):
+        with pytest.raises(ValueError, match=r"depth must lie in 0\.\.3"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +826,7 @@ def _inside_mask(book, mask):
 def test_max_union_ratio_rejects_a_rectangle_finer_than_its_depth():
     fine = DyadicRectangle((DyadicInterval(-3, 0), DyadicInterval(-1, 0)))
     with pytest.raises(dl.ResolutionError):
-        dl.norms.bmo_product_of_book({fine: 1.0}, 2)
+        bmo_product(dl.zeros(Grid(2, 2)), book={fine: 1.0}, depth=2)
 
 
 def _half_square(position: int) -> DyadicRectangle:
@@ -795,7 +839,7 @@ def _half_square(position: int) -> DyadicRectangle:
                          ids=["left_of_0", "right_of_1", "negligible_right_of_1"])
 def test_book_rectangles_outside_the_unit_square_are_rejected(book):
     b = dl.zeros(Grid(2, 2))
-    for evaluate in (lambda: dl.norms.bmo_product_of_book(book, 2),
+    for evaluate in (lambda: bmo_product(b, book=book, depth=2),
                      lambda: bmo_product(b, book=book),
                      lambda: bmo_rect(b, book=book),
                      lambda: bmo_minus1(b, book=book)):
@@ -850,7 +894,7 @@ def test_product_bmo_in_three_parameters_matches_every_union_of_the_eight_cells(
     for _ in range(100):
         chosen = book_rng.permutation(27)[:book_rng.integers(1, 28)]
         book = {boxes[k]: complex(*book_rng.standard_normal(2)) for k in chosen}
-        assert dl.norms.bmo_product_of_book(book, 1).value == brute(book)
+        assert bmo_product(dl.zeros(Grid(1, 3)), book=book, depth=1).value == brute(book)
     for _ in range(10):
         b = random_signal(Grid(1, 3), book_rng)
         rep = bmo_product(b)
