@@ -1,10 +1,10 @@
 """Norm-minimal matrix completion and the Hankel extension ladder.
 
 parrott_min fills the unknown block of [[X, C], [A, B]] with the closed-form
-central completion (one SVD of B); the norm measured on the completed matrix
-matches Parrott's value max(||[A B]||, ||[C; B]||) to about 1e-13.  Iterating the
-one-step Hankel extension grows a two-sided symbol beta whose sup norm chases
-the Hankel norm from above (the recovered bounded symbol)."""
+central completion (one Hermitian solve); the norm measured on the completed
+matrix matches Parrott's value max(||[A B]||, ||[C; B]||) to about 1e-13.
+Iterating the one-step Hankel extension grows a two-sided symbol beta whose
+sup norm chases the Hankel norm from above (the recovered bounded symbol)."""
 
 import numpy as np
 

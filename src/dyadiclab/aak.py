@@ -2,11 +2,11 @@
 extension, and bounded-symbol recovery at finite truncation.
 
 parrott_min fills the unknown block of [[X, C], [A, B]] with the central
-completion of Davis, Kahan and Weinberger (1982), built from one thin SVD of
-the known corner B, taken at a gamma 5e-14 relative above Parrott's least
-possible norm max(||[A B]||, ||[C; B]||) so that rounding cannot push it past
-that value.  The achieved value is measured on the assembled matrix and
-compared in the tests against that closed form.
+completion of Davis, Kahan and Weinberger (1982), X = -C (g^2 - B*B)^-1 B* A,
+by one Hermitian solve at g^2 = gamma^2 (1 + 1e-13), about 5e-14 relative
+above Parrott's least possible norm gamma = max(||[A B]||, ||[C; B]||), so
+that rounding cannot push it past that value.  The achieved value is measured
+on the assembled matrix and compared in the tests against that closed form.
 
 A finitely supported Hankel sequence defines a semi-infinite operator whose
 norm equals the norm of the full window of side len(sequence).  Prepending an
@@ -70,22 +70,23 @@ def parrott_closed_form(p: BlockProblem) -> float:
 
 
 def _central_completion(A, B, C, gamma: float) -> np.ndarray:
-    """X = -C (gamma^2 - B*B)^+ B* A, from one thin SVD B = W diag(s) V*:
-    X = -C V diag(s / g) W* A with g_i = gamma^2 - s_i^2 + 1e-13 gamma^2.
+    """X = -C G^-1 B* A by one solve of the L x L Hermitian system
+    G = g^2 I - B*B with g^2 = gamma^2 (1 + 1e-13), L the width of B; by the
+    push-through identity, -C V diag(s / (g^2 - s^2)) W* A for B = W diag(s) V*.
 
-    gamma and s come from separate SVDs, so gamma^2 - s_i^2 carries an
-    absolute error of a few eps gamma^2.  On a nearly tight direction (g_i
-    small) Parrott's condition only bounds ||w_i* A||, ||C v_i|| by
-    sqrt(g_i), so the term of that direction has size up to s_i and the same
-    relative error, which can push the norm above gamma.  Completing instead
-    at gamma^2 + 1e-13 gamma^2, the standard remedy of taking gamma just above
-    the optimum, leaves room for that error on every direction and costs at
-    most about 5e-14 gamma in the norm.  gamma = 0 gives X = 0.
+    Parrott's gamma is at least ||B||, so G's eigenvalues g^2 - s_i^2 are at
+    least 1e-13 gamma^2, far above the rounding of gamma (another SVD) and of
+    B*B: G is positive definite even on a tight direction (s_i = gamma), where
+    the unshifted G is singular.  Completing just above the optimum also keeps
+    that rounding, which a nearly tight direction's term carries in full, from
+    pushing the norm past gamma, at a cost of about 5e-14 gamma.  gamma = 0
+    forces B = 0 and a singular G: X = 0, no solve.
     """
-    W, s, Vh = np.linalg.svd(B, full_matrices=False)
-    gap = np.maximum(gamma ** 2 - s ** 2, 0.0) + 1e-13 * gamma ** 2
-    weight = np.divide(s, gap, out=np.zeros_like(s), where=gap > 0)
-    return -(C @ Vh.conj().T) @ (weight[:, None] * (W.conj().T @ A))
+    if gamma == 0:
+        return np.zeros((C.shape[0], A.shape[1]), dtype=complex)
+    G = -(B.conj().T @ B)
+    G.flat[::G.shape[0] + 1] += gamma ** 2 * (1 + 1e-13)
+    return -C @ np.linalg.solve(G, B.conj().T @ A)
 
 
 def _checked(achieved: float, gamma: float) -> float:
@@ -145,10 +146,12 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
 
     ratio = ||beta||_inf / sequence_norm(H) is >= 1 - 1e-8 always (a bounded
     multiplier dominates its Hankel compression); the trend in `steps` is
-    reported, not asserted.
+    reported, not asserted.  ValueError if `grid` has fewer points than modes.
     """
     if H.sequence is None:
         raise ValueError("recovery needs the defining sequence")
+    if grid is not None and grid.n_points < len(H.sequence) + steps:
+        raise ValueError(f"{len(H.sequence) + steps} modes need a grid of as many points")
     seq = np.asarray(H.sequence, dtype=complex)
     base_norm = gamma = H.sequence_norm()
     for _ in range(steps):  # each achieved norm is the next step's gamma
@@ -159,14 +162,11 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
 def _bounded_symbol(seq: np.ndarray, steps: int, base_norm: float, grid: Grid | None = None) -> dict:
     """The report of recover_bounded_symbol for a sequence extended `steps`
     times (seq[i] is a_{i - steps}) from one whose sequence norm is base_norm."""
-    total_modes = len(seq)
-    if grid is None:
-        n = max(4, int(np.ceil(np.log2(4 * total_modes))))
-        grid = Grid(n, 1)
+    if grid is None:  # at least four points a mode
+        grid = Grid(max(4, int(np.ceil(np.log2(4 * len(seq))))), 1)
     N = grid.n_points
     modes = np.zeros(N, dtype=complex)
-    for idx, a in enumerate(seq):
-        modes[(idx - steps) % N] = a
+    modes[(np.arange(len(seq)) - steps) % N] = seq
     beta = Signal(grid, np.fft.ifft(modes) * N)
     sup = float(np.max(np.abs(beta.values)))
     return {

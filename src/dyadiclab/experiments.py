@@ -397,9 +397,9 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # grid: one trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product
 # BMO), the Meyer decomposition on a 4^depth grid, x4 a step and most of it the
 # maximal function of V on the 3x-padded window (lower-bound grid_depth <= 9:
-# 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's SVDs
-# (one trial at M = 512: 3.3 s and 180 MiB; one recovery chain at degree 512:
-# 9.8 s and 186 MiB; K = 128 steps: 0.63 s).
+# 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's solves and
+# values-only SVDs (one trial at M = 512: 1.9 s and 113 MiB; one recovery chain
+# at degree 512: 4.8 s and 118 MiB; K = 128 at the other defaults: 0.9 s).
 CATALOG = {
     "nehari1d": {
         "fn": _exp_nehari1d,

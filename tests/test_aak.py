@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyadiclab import aak, hankel as hk
+from dyadiclab.dyadic import Grid
 from dyadiclab.norms import operator_norm
 
 rng = np.random.default_rng(23)
@@ -161,33 +162,42 @@ def test_recover_bounded_symbol():
     assert np.max(np.abs(rep0["beta"].values - direct.values)) < 1e-10
 
 
-def _count_svds(monkeypatch) -> list:
-    calls = []
-    svd = np.linalg.svd
+def _count_svds_and_solves(monkeypatch) -> tuple[list, list]:
+    svds, solves = [], []
+    svd, solve = np.linalg.svd, np.linalg.solve
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+    def counting_svd(*args, **kwargs):
+        svds.append((args[0].shape, kwargs.get("compute_uv", True)))
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return svds, solves
 
 
-def test_extension_step_takes_three_svds(monkeypatch):
+def test_extension_step_takes_two_values_only_svds_and_one_solve(monkeypatch):
     seq = rng.standard_normal(31) + 1j * rng.standard_normal(31)
     H = hk.hankel_matrix(seq, 16)
-    calls = _count_svds(monkeypatch)
+    svds, solves = _count_svds_and_solves(monkeypatch)
     aak.extend_hankel_step(H)
-    # gamma from the full window, the thin SVD of B, the extended full window
-    assert calls == [(31, 31), (32, 31), (32, 32)]
+    # gamma from the full window and the norm of the extended full window,
+    # both values only; the completion is one solve of the 31 x 31 system
+    assert svds == [((31, 31), False), ((32, 32), False)]
+    assert solves == [(31, 31)]
 
 
 @pytest.mark.parametrize("K", [0, 1, 4])
 def test_recovery_chains_each_achieved_norm_into_the_next_gamma(monkeypatch, K):
     H = hk.hankel_operator_1d(hk.random_symbol(5, rng))
-    calls = _count_svds(monkeypatch)
+    svds, solves = _count_svds_and_solves(monkeypatch)
     aak.recover_bounded_symbol(H, K)
-    assert len(calls) == 1 + 2 * K
+    assert len(svds) == 1 + K
+    assert all(compute_uv is False for _, compute_uv in svds)
+    assert len(solves) == K
 
 
 def test_extension_step_norms_are_the_sequence_norms():
@@ -213,3 +223,97 @@ def test_extension_step_raises_above_gamma():
     with pytest.raises(ArithmeticError):
         aak._extend_sequence(seq, gamma * (1 - 1e-6))
     assert aak._extend_sequence(seq, gamma)[1] <= gamma * (1 + 1e-10)
+
+
+def test_recovery_rejects_a_grid_too_small_for_its_modes():
+    # degree 6 extended twice has 13 modes; on 4 points they would overwrite
+    # each other and give beta = 0
+    H = hk.hankel_operator_1d(hk.random_symbol(6, np.random.default_rng(6)))
+    for n in (2, 3):
+        with pytest.raises(ValueError):
+            aak.recover_bounded_symbol(H, 2, Grid(n, 1))
+    rep = aak.recover_bounded_symbol(H, 2, Grid(4, 1))  # 16 points: a point a mode
+    assert rep["ratio"] >= 1 - 1e-8
+    seq = rep["sequence"]
+    modes = np.concatenate([seq[2:], np.zeros(16 - len(seq)), seq[:2]])  # a_k at k mod 16
+    assert np.allclose(np.fft.fft(rep["beta"].values) / 16, modes)
+
+
+def _svd_route_completion(A, B, C, gamma):
+    """The central completion by one thin SVD B = W diag(s) V*: X = -C V
+    diag(s / g) W* A with g_i = max(gamma^2 - s_i^2, 0) + 1e-13 gamma^2, the
+    oracle for aak._central_completion's solve."""
+    W, s, Vh = np.linalg.svd(B, full_matrices=False)
+    gap = np.maximum(gamma ** 2 - s ** 2, 0.0) + 1e-13 * gamma ** 2
+    weight = np.divide(s, gap, out=np.zeros_like(s), where=gap > 0)
+    return -(C @ Vh.conj().T) @ (weight[:, None] * (W.conj().T @ A))
+
+
+def _relative_gap(X, oracle) -> float:
+    return np.linalg.norm(X - oracle) / np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("M", [4, 8, 16, 32, 64, 128])
+def test_central_completion_matches_the_svd_oracle_on_windows(M):
+    window_rng = np.random.default_rng(M)
+    for _ in range(2):
+        seq = window_rng.standard_normal(2 * M - 1) + 1j * window_rng.standard_normal(2 * M - 1)
+        L = len(seq)
+        blocks = (hk.hankel_window(seq, L + 1, 1), hk.hankel_window(seq[1:], L + 1, L),
+                  hk.hankel_window(seq, 1, L))
+        gamma = hk.hankel_matrix(seq, M).sequence_norm()
+        X = aak._central_completion(*blocks, gamma)
+        assert _relative_gap(X, _svd_route_completion(*blocks, gamma)) <= 1e-10
+
+
+def test_central_completion_matches_the_svd_oracle_on_parrott_problems():
+    parrott_rng = np.random.default_rng(3)
+
+    def block(shape):
+        return parrott_rng.standard_normal(shape) + 1j * parrott_rng.standard_normal(shape)
+
+    shapes = [((3, 3), (3, 3), (3, 3))] * 10 + [((4, 1), (4, 3), (1, 3))] * 5
+    for shape_A, shape_B, shape_C in shapes:
+        p = aak.BlockProblem(block(shape_A), block(shape_B), block(shape_C))
+        gamma = aak.parrott_closed_form(p)
+        X = aak._central_completion(p.A, p.B, p.C, gamma)
+        assert _relative_gap(X, _svd_route_completion(p.A, p.B, p.C, gamma)) <= 1e-10
+
+
+def test_central_completion_matches_the_svd_oracle_near_tight():
+    # the twofold family of test_parrott_near_tight_twofold.  There the shifted
+    # gap is 1e-13..1e-12 of gamma^2, so X moves by the condition number
+    # kappa of G times eps under any rounding of that gap, whichever route
+    # computes it (the oracle on the adjoint problem moves as much): the two
+    # routes agree to 1e-10 plus 32 kappa eps, and both attain gamma.
+    near_rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+
+    def unitary():
+        z = near_rng.standard_normal((3, 3)) + 1j * near_rng.standard_normal((3, 3))
+        return np.linalg.qr(z)[0]
+
+    for _ in range(200):
+        W, V = unitary(), unitary()
+        size = np.append(10.0 ** near_rng.uniform(-8, -6, size=2), 0.3)
+        Ap = size[:, None] * (near_rng.standard_normal((3, 2)) + 1j * near_rng.standard_normal((3, 2)))
+        Cp = (near_rng.standard_normal((2, 3)) + 1j * near_rng.standard_normal((2, 3))) * size
+        p = aak.BlockProblem(W @ Ap, W @ np.diag([1.0, 1.0, 0.5]) @ V.conj().T, Cp @ V.conj().T)
+        gamma = aak.parrott_closed_form(p)
+        X = aak._central_completion(p.A, p.B, p.C, gamma)
+        oracle = _svd_route_completion(p.A, p.B, p.C, gamma)
+        g2 = gamma ** 2 * (1 + 1e-13)
+        kappa = (g2 - 0.25) / (g2 - 1.0)
+        assert _relative_gap(X, oracle) <= 1e-10 + 32 * kappa * eps
+        for Y in (X, oracle):
+            assert abs(operator_norm(p.assemble(Y)) - gamma) <= 1e-12 * gamma
+
+
+@pytest.mark.parametrize("degree, K", [(6, 128), (64, 64)])
+def test_long_chains_stay_at_their_gamma(degree, K):
+    H = hk.hankel_operator_1d(hk.random_symbol(degree, np.random.default_rng(degree)))
+    seq, gamma = np.asarray(H.sequence, dtype=complex), H.sequence_norm()
+    for _ in range(K):
+        seq, achieved = aak._extend_sequence(seq, gamma)
+        assert achieved <= gamma * (1 + 1e-10)
+        gamma = achieved

@@ -291,16 +291,19 @@ def test_commutator_decomp_experiment(tmp_path):
 
 def test_aak_extend_runs_one_recovery_chain_per_symbol(monkeypatch):
     # default config: 3 recovery symbols extended K = 4 times; one chain per
-    # symbol takes its base sequence norm and two SVDs a step, 3 (1 + 2 * 4)
+    # symbol takes its base sequence norm and one values-only SVD a step (the
+    # achieved norm; the completion is a solve), 3 (1 + 4)
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(k.get("compute_uv", True)) or svd(*a, **k))
     cfg = ex.validate_config({"experiment": "aak-extend"})
     ex.CATALOG["aak-extend"]["fn"](cfg, 1)
     with_recovery = len(calls)
+    assert all(compute_uv is False for compute_uv in calls)
     calls.clear()
     ex.CATALOG["aak-extend"]["fn"]({**cfg, "recovery_trials": 0}, 1)
-    assert with_recovery - len(calls) == 27
+    assert with_recovery - len(calls) == 15
 
 
 def test_cli_list_and_run(tmp_path, capsys):
