@@ -39,9 +39,7 @@ from .transforms import (
 from .norms import (
     BmoReport,
     OperatorMatrix,
-    OperatorNormError,
     bmo_dyadic,
-    bmo_dyadic_shift_average,
     bmo_minus1,
     bmo_product,
     bmo_rect,
@@ -59,7 +57,6 @@ from .hankel import (
     little_hankel,
     nehari_ratio,
     random_symbol,
-    toeplitz_matrix,
 )
 from .aak import (
     BlockProblem,

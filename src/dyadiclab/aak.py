@@ -146,10 +146,13 @@ def recover_bounded_symbol(H: HankelOp, steps: int, grid: Grid | None = None) ->
 
     ratio = ||beta||_inf / sequence_norm(H) is >= 1 - 1e-8 always (a bounded
     multiplier dominates its Hankel compression); the trend in `steps` is
-    reported, not asserted.  ValueError if `grid` has fewer points than modes.
+    reported, not asserted.  ValueError if `steps` is negative or `grid` has
+    fewer points than modes.
     """
     if H.sequence is None:
         raise ValueError("recovery needs the defining sequence")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if grid is not None and grid.n_points < len(H.sequence) + steps:
         raise ValueError(f"{len(H.sequence) + steps} modes need a grid of as many points")
     seq = np.asarray(H.sequence, dtype=complex)

@@ -399,7 +399,8 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # maximal function of V on the 3x-padded window (lower-bound grid_depth <= 9:
 # 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's solves and
 # values-only SVDs (one trial at M = 512: 1.9 s and 113 MiB; one recovery chain
-# at degree 512: 4.8 s and 118 MiB; K = 128 at the other defaults: 0.9 s).
+# at degree 512: 4.8-5.1 s and 118 MiB at K = 4, but 157 s at K = 128, both caps
+# together; K = 128 at the other defaults: 0.9 s).
 CATALOG = {
     "nehari1d": {
         "fn": _exp_nehari1d,

@@ -1,4 +1,4 @@
-"""Hankel and Toeplitz matrices, Hankel operators on truncated Hardy spaces,
+"""Hankel matrices, Hankel operators on truncated Hardy spaces,
 commutators with the Hilbert transform, and their block identities.
 
 A Hankel operator with analytic symbol b acts by phi -> P(b * conj(phi)).
@@ -101,16 +101,6 @@ def hankel_matrix(alpha, size: int) -> HankelOp:
     mat = hankel_window(alpha, size, size)
     om = OperatorMatrix(mat, ("modes", tuple(range(size))), ("modes", tuple(range(size))))
     return HankelOp(om, sequence=alpha[: 2 * size - 1])
-
-
-def toeplitz_matrix(alpha_centered, size: int) -> OperatorMatrix:
-    """size x size Toeplitz matrix; alpha_centered has length 2*size-1 with
-    alpha_centered[size-1] = alpha_0, so entry (i,j) = alpha_{i-j}."""
-    a = np.asarray(alpha_centered, dtype=complex)
-    if len(a) != 2 * size - 1:
-        raise ValueError("need a centered sequence of length 2*size-1")
-    mat = a[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
-    return OperatorMatrix(mat, ("modes", tuple(range(size))), ("modes", tuple(range(size))))
 
 
 def shift_matrix(size: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Norm functionals: L^p, operator norm, and the BMO hierarchy.
 
+The operator norm is exact, one values-only dense SVD, for matrices of side
+up to _DENSE_SVD_MAX = 4096; a larger side raises ValueError before any SVD.
+
 The BMO functionals are quadratic forms on wavelet coefficients:
 
     value(U)^2 = |U|^{-1} * sum_{R subset U} |<b, w_R>|^2
@@ -43,12 +46,6 @@ from .dyadic import (
 from . import transforms
 
 
-class OperatorNormError(RuntimeError):
-    def __init__(self, message, lower, upper):
-        super().__init__(message)
-        self.bracket = (lower, upper)
-
-
 @dataclass
 class OperatorMatrix:
     """Dense matrix with declared domain/codomain bases."""
@@ -79,47 +76,26 @@ class OperatorMatrix:
         return operator_norm(self)
 
 
-# the largest dimension whose operator norm `operator_norm` takes from a dense SVD
+# the largest side of a matrix whose operator norm is taken, by a dense SVD
 _DENSE_SVD_MAX = 4096
 
 
-def operator_norm(A, method: str = "auto", tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value; dense SVD up to dimension 4096, else power iteration."""
+def operator_norm(A) -> float:
+    """Largest singular value, exact: `operator_norms` of the one matrix."""
     mat = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=complex)
-    if mat.size == 0:
-        return 0.0
-    if method == "auto":
-        method = "dense" if max(mat.shape) <= _DENSE_SVD_MAX else "power"
-    if method == "dense":
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    if method != "power":
-        raise ValueError("method must be 'auto', 'dense' or 'power'")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat.conj().T @ (mat @ v)
-        nw = np.linalg.norm(w)
-        new_sigma = float(np.sqrt(nw))
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    upper = float(np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf)))
-    raise OperatorNormError(
-        f"power iteration did not converge in {max_iter} steps", sigma, upper
-    )
+    return float(operator_norms(mat))
 
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
-    """`operator_norm` of each matrix of a stack (leading axis), the dense ones
-    by one stacked SVD."""
-    if mats.size == 0 or max(mats.shape[1:]) > _DENSE_SVD_MAX:
-        return np.array([operator_norm(mat) for mat in mats])
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+    """Largest singular value of each matrix of a stack (leading axes), exact,
+    by one values-only dense SVD of the stack; ValueError before any SVD when
+    a side exceeds _DENSE_SVD_MAX."""
+    if max(mats.shape[-2:]) > _DENSE_SVD_MAX:
+        raise ValueError(f"operator norm of a {mats.shape[-2:]} matrix: a side is above the "
+                         f"dense-SVD cap {_DENSE_SVD_MAX} (a 4096^2 values-only SVD takes 64.6 s)")
+    if mats.size == 0:
+        return np.zeros(mats.shape[:-2])
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 def lp_norm(f: Signal, p) -> float:
@@ -339,19 +315,6 @@ def bmo_dyadic(b: Signal) -> BmoReport:
         raise ValueError("bmo_dyadic handles d = 1")
     value, (p,), (j,) = _densest_box(_haar_book(b.values, 1, None), b.grid.depth)
     return BmoReport(np.sqrt(float(value)), DyadicInterval(-int(p), int(j)), "exact", "haar")
-
-
-def bmo_dyadic_shift_average(b: Signal, shifts: int = 8) -> float:
-    """Average of bmo_dyadic over circular grid shifts; a separate labeled
-    output for comparing against translation-invariant BMO, never substituted
-    for the plain dyadic norm.  Shift s < shifts moves the grid by
-    (s * N) // shifts points, spread evenly round the circle, so ValueError
-    unless 1 <= shifts <= N."""
-    N = b.grid.n_points
-    if not 1 <= shifts <= N:
-        raise ValueError(f"need 1 <= shifts <= {N}, the grid's points; got {shifts}")
-    shifted = np.stack([np.roll(b.values, (s * N) // shifts) for s in range(shifts)], axis=1)
-    return float(np.mean(np.sqrt(_densest_box(_haar_book(shifted, 1, None), b.grid.depth)[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -317,3 +317,12 @@ def test_long_chains_stay_at_their_gamma(degree, K):
         seq, achieved = aak._extend_sequence(seq, gamma)
         assert achieved <= gamma * (1 + 1e-10)
         gamma = achieved
+
+
+def test_recovery_rejects_negative_steps():
+    # steps = -1 used to skip the chain, loosen the grid check by one and shift
+    # the modes: 9 modes of a degree-5 symbol wrapped onto the 8 points of Grid(3, 1)
+    H = hk.hankel_operator_1d(hk.random_symbol(5, np.random.default_rng(5)))
+    for grid in (None, Grid(3, 1), Grid(4, 1)):
+        with pytest.raises(ValueError, match="steps"):
+            aak.recover_bounded_symbol(H, -1, grid)

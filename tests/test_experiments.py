@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dyadiclab import experiments as ex
-from dyadiclab import cli
+from dyadiclab import cli, norms
 
 
 EXPECTED_NAMES = {
@@ -304,6 +304,58 @@ def test_aak_extend_runs_one_recovery_chain_per_symbol(monkeypatch):
     calls.clear()
     ex.CATALOG["aak-extend"]["fn"]({**cfg, "recovery_trials": 0}, 1)
     assert with_recovery - len(calls) == 15
+
+
+# The side of the largest matrix whose operator norm a run takes, from its config:
+# nehari1d's M x M Hankel matrices, nehari2d's M^2 x M^2 little Hankel matrices,
+# aak-extend's extended windows of a 2M - 1 sequence and its recovery chain's
+# last window, 2 degree - 1 + K
+LARGEST_NORM_SIDE = {
+    "nehari1d": lambda f: max(f["M"], *f["M_list"]),
+    "nehari2d": lambda f: f["M"] ** 2,
+    "aak-extend": lambda f: max(2 * max(f["M_list"]), 2 * f["recovery_degree"] - 1 + f["K"]),
+}
+
+
+@pytest.mark.parametrize("name, small", [
+    ("nehari1d", {"M": 5, "M_list": [3], "trials": 1, "trend_trials": 1}),
+    ("nehari1d", {"M": 3, "M_list": [2, 6], "trials": 1, "trend_trials": 1}),
+    ("nehari2d", {"M": 3, "n": 1, "trials": 2}),
+    ("aak-extend", {"M_list": [6], "trials": 1, "recovery_trials": 1, "recovery_degree": 2, "K": 1}),
+    ("aak-extend", {"M_list": [2], "trials": 1, "recovery_trials": 1, "recovery_degree": 4, "K": 3}),
+])
+def test_largest_norm_side_of_a_run(monkeypatch, name, small):
+    # the run passes a dense-SVD cap at its predicted side and raises one below it
+    cfg = ex.validate_config({"experiment": name, **small})
+    side = LARGEST_NORM_SIDE[name](cfg)
+    monkeypatch.setattr(norms, "_DENSE_SVD_MAX", side)
+    ex.CATALOG[name]["fn"](cfg, 1)
+    monkeypatch.setattr(norms, "_DENSE_SVD_MAX", side - 1)
+    with pytest.raises(ValueError, match="dense-SVD cap"):
+        ex.CATALOG[name]["fn"](cfg, 1)
+
+
+def _int_cap(field):
+    """The largest integer an integer field accepts (in a one-item list for a
+    listed field), by bisection; None when it has no cap below 2^40."""
+    listed = isinstance(field.default, list)
+    ok = (lambda v: field.ok([v])) if listed else field.ok
+    lo, hi = max(field.default) if listed else field.default, 2 ** 40
+    if ok(hi):
+        return None
+    while hi - lo > 1:  # ok(lo) and not ok(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    assert ok(lo) and not ok(lo + 1)
+    return [lo] if listed else lo
+
+
+def test_catalog_caps_stay_within_the_dense_svd_cap():
+    # a field cap raised past the guard would end a run in a bare ValueError
+    sides = {name: side({key: _int_cap(f) for key, f in ex.CATALOG[name]["fields"].items()})
+             for name, side in LARGEST_NORM_SIDE.items()}
+    assert sides == {"nehari1d": 512, "nehari2d": 1024, "aak-extend": 1151}
+    assert max(sides.values()) <= norms._DENSE_SVD_MAX
 
 
 def test_cli_list_and_run(tmp_path, capsys):

@@ -18,9 +18,7 @@ from dyadiclab.dyadic import (
 )
 from dyadiclab.norms import (
     OperatorMatrix,
-    OperatorNormError,
     bmo_dyadic,
-    bmo_dyadic_shift_average,
     bmo_minus1,
     bmo_product,
     bmo_rect,
@@ -55,16 +53,19 @@ def test_operator_norm_random_vs_randomized_lower_bound():
         best = max(best, float(np.linalg.norm(A @ v)))
     assert best <= dense + 1e-10
     assert dense - best < 1e-6 * dense
-    assert abs(operator_norm(A, method="power") - dense) < 1e-6 * dense
 
 
-def test_operator_norm_power_cap():
-    A = np.diag([1.0, 1.0 - 1e-15])  # degenerate top pair stalls slowly but converges by change
-    # force non-convergence with a tiny cap
-    with pytest.raises(OperatorNormError) as err:
-        operator_norm(np.array([[1.0, 2.0], [0.5, 0.3]]), method="power", max_iter=1)
-    lo, hi = err.value.bracket
-    assert lo <= hi
+def test_operator_norm_raises_above_the_cap_before_any_svd(monkeypatch):
+    monkeypatch.setattr(dl.norms, "_DENSE_SVD_MAX", 8)
+    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    assert operator_norm(A) == float(np.linalg.svd(A, compute_uv=False)[0])  # at the cap
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran above the cap")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for call, mats in ((operator_norm, np.ones((9, 3))), (dl.norms.operator_norms, np.ones((2, 9, 9)))):
+        with pytest.raises(ValueError, match="cap 8"):
+            call(mats)
 
 
 def test_operator_matrix_algebra():
@@ -117,43 +118,6 @@ def test_bmo_dyadic_witness_reproduces_value():
             if iv.contains(J):
                 total += abs(coeffs.band(p)[j]) ** 2
     assert abs(np.sqrt(total / iv.length) - rep.value) < 1e-10
-
-
-def test_bmo_shift_average_labelled():
-    g = Grid(5, 1)
-    b = random_signal(g, rng)
-    plain = bmo_dyadic(b).value
-    avg = bmo_dyadic_shift_average(b)
-    assert avg > 0 and np.isfinite(avg)
-    assert not np.isclose(avg, plain) or True  # separate output, no substitution
-
-
-def test_bmo_shift_average_needs_distinct_shifts():
-    # more shifts than grid points used to repeat the unshifted grid (step
-    # N // shifts = 0): on Grid(2, 1) the default 8 gave bmo_dyadic's value
-    g = Grid(2, 1)
-    b = random_signal(g, np.random.default_rng(3))
-    for shifts in (0, -1, 5, 8):
-        with pytest.raises(ValueError, match="shifts"):
-            bmo_dyadic_shift_average(b, shifts)
-    with pytest.raises(ValueError, match="shifts"):
-        bmo_dyadic_shift_average(b)
-    assert bmo_dyadic_shift_average(b, 1) == bmo_dyadic(b).value
-    by_hand = np.mean([bmo_dyadic(dl.Signal(g, np.roll(b.values, s))).value for s in range(4)])
-    assert abs(bmo_dyadic_shift_average(b, 4) - by_hand) < 1e-15
-
-
-def test_bmo_shift_average_spreads_shifts_round_the_circle(monkeypatch):
-    # shift s of 5 moves the 8 points of Grid(3, 1) by (s * 8) // 5 = 0, 1, 3, 4, 6,
-    # not by s * (8 // 5) = 0..4, which bunch at the start of the circle
-    g = Grid(3, 1)
-    b = random_signal(g, np.random.default_rng(4))
-    offsets, roll = [], np.roll
-    monkeypatch.setattr(np, "roll", lambda a, s: offsets.append(s) or roll(a, s))
-    avg = bmo_dyadic_shift_average(b, 5)
-    assert offsets == [0, 1, 3, 4, 6]
-    by_hand = np.mean([bmo_dyadic(dl.Signal(g, roll(b.values, s))).value for s in offsets])
-    assert abs(avg - by_hand) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +773,6 @@ def test_a_stack_of_books_is_solved_as_each_book_alone():
                 alone = dl.norms._densest_box(stack._replace(mass=mass), depth, shared)
                 for got, want in zip(together, alone):
                     assert np.array_equal(got[s], want)
-    # the shift average solves its shifted signals as one stack
-    b = random_signal(Grid(5, 1), book_rng)
-    by_hand = np.mean([bmo_dyadic(dl.Signal(b.grid, np.roll(b.values, 8 * s))).value for s in range(4)])
-    assert bmo_dyadic_shift_average(b, 4) == by_hand
 
 
 def _inside_mask(book, mask):
