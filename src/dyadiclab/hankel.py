@@ -180,8 +180,8 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int 
     """
     d, N = b.grid.dim, b.grid.n_points
     K = N // 4 if mode_cutoff is None else mode_cutoff
-    if K > N // 2 - 1:
-        raise ValueError("mode cutoff exceeds grid")
+    if not 0 <= K <= N // 2 - 1:
+        raise ValueError(f"mode cutoff must lie in 0..{N // 2 - 1}; got {K}")
     modes = np.arange(-K, K + 1)
     m = transforms.axis_multiplier("hilbert" if variant == "imaginary" else "signum", N)[modes % N]
 
@@ -272,8 +272,8 @@ def block_identity_check(b: Signal, mode_cutoff: int | None = None) -> float:
     """
     d, N = b.grid.dim, b.grid.n_points
     K = N // 4 if mode_cutoff is None else mode_cutoff
-    if K > N // 2 - 1:
-        raise ValueError("mode cutoff exceeds grid")
+    if not 0 <= K <= N // 2 - 1:
+        raise ValueError(f"mode cutoff must lie in 0..{N // 2 - 1}; got {K}")
     half = {"+": slice(1, N // 2), "-": slice(N // 2 + 1, None)}  # the FFT-layout modes of P_+, P_-
     defect = 0.0
     for sigma in itertools.product("+-", repeat=d):
@@ -318,10 +318,11 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
     inverse FFT and one separable Haar transform give the books
     (`norms._haar_book`) of _BATCH_POINTS // N^d symbols at a time, the
     symbols on the books' stack axis.  In 1-D one densest-box accumulation of
-    those gives their dyadic BMO.  For d >= 2 every symbol has the same Haar
-    boxes (a negligible one gets mass 0), so the minimum-cut set-up of
-    `norms._max_union_ratio` is built once for the stack, and each symbol
-    runs only its start and its cuts; "cuts" holds their number per symbol.
+    those gives their dyadic BMO.  For d >= 2 a chunk's book holds the boxes
+    nonzero in some symbol (mass 0 where a symbol's is 0 or negligible), so
+    the minimum-cut set-up of `norms._max_union_ratio` is built again only
+    for a chunk on other boxes, and each symbol runs only its start and its
+    cuts; "cuts" holds their number per symbol.
     TruncationError if a symbol has BMO 0 but a nonzero Hankel norm.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -336,7 +337,7 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
     step = max(1, _BATCH_POINTS // (M * g.n_points) ** d)
     for lo in range(0, T, step):
         hankel_norm[lo:lo + step] = operator_norms(_hankel_stack(coeffs[lo:lo + step]))
-    boxes = None
+    boxes = on = None  # the set-up, and the boxes it was built on
     step = max(1, _BATCH_POINTS // g.n_points ** d)
     for lo in range(0, T, step):
         samples = np.moveaxis(_symbol_samples(coeffs[lo:lo + step], g), 0, -1)
@@ -344,8 +345,9 @@ def nehari_ratios(coeffs: np.ndarray, product_depth: int = 2) -> dict:
             book = norms._haar_book(samples, 1, None)
             bmo_val[lo:lo + step] = np.sqrt(norms._densest_box(book, g.depth)[0])
             continue
-        book = norms._haar_book(samples, d, product_depth, significant=True)
-        boxes = norms._Boxes(book, product_depth) if boxes is None else boxes
+        book = norms._haar_book(samples, d, product_depth)
+        if boxes is None or not all(map(np.array_equal, book[:2], on)):
+            boxes, on = norms._Boxes(book, product_depth), book[:2]
         for t, mass in enumerate(book.mass, lo):
             value, _, cuts[t], _ = norms._max_union_ratio(book._replace(mass=mass), product_depth,
                                                           boxes)

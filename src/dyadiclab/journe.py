@@ -105,8 +105,9 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
     default `enlarged_set(U_mask, grid)`, a mask on the 3x-padded window),
     1 when R itself is not: `_embeddedness`'s closed form, exact."""
     _check_shape(U_mask, grid.shape, "U_mask")
-    if not U_mask[R.cell_slices(grid)].all():
-        raise ValueError("R must be contained in U")
+    if (R.dim != grid.dim or not all(iv.in_unit_torus() for iv in R.coordinates)
+            or not U_mask[R.cell_slices(grid)].all()):
+        raise ValueError(f"R must be a rectangle in [0,1)^{grid.dim} contained in U; got {R}")
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
     return float(_embeddedness(*_box_arrays([R], grid.dim), V, grid.depth)[0])
 
@@ -144,13 +145,14 @@ def journe_damped_check(f: Signal, U_mask: np.ndarray, eps: float,
     heap = norms._coefficient_heap(f, family, meyer)
     scales, positions, coef = norms._coefficients(heap, grid.dim, depth)
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
-    kept = (norms._masses(coef, True) > 0) & _inside_cells(U_mask, scales, positions)
+    mass = norms._masses(coef)
+    kept = (mass > 0) & _inside_cells(U_mask, scales, positions)
     inner = (scales[:, kept], positions[:, kept])
     emb = _embeddedness(*inner, V, grid.depth)
     # float_power rounds as Python's float ** float; np.power can miss it in the last bit
-    damped = norms._nonzero_book(*inner, coef[kept] * np.float_power(emb, -eps), True)
+    damped = norms._nonzero_book(*inner, coef[kept] * np.float_power(emb, -eps))
     lhs = np.sqrt(norms._max_union_ratio(damped, n)[0])
-    rect = norms._densest_box(norms._nonzero_book(scales, positions, coef, False), n)[0]
+    rect = norms._densest_box(norms._Book(scales, positions, mass), n)[0]
     rhs = np.sqrt(float(rect))
     return {"lhs_bmo": lhs, "rhs_rect_bmo": rhs, "ratio": lhs / rhs if rhs > 0 else np.nan,
             "eps": eps, "embeddedness": dict(zip(norms._rectangles(*inner), emb.tolist()))}
@@ -201,9 +203,9 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
     c[held] = heap[tuple((1 << scales[:, held]) + positions[:, held])]
     live = c != 0
     damped = norms._nonzero_book(scales[:, live], positions[:, live],
-                                 c[live] * np.float_power(emb[live], -2.0 * d), True)
+                                 c[live] * np.float_power(emb[live], -2.0 * d))
     lhs = np.sqrt(norms._max_union_ratio(damped, n)[0])
-    book = norms._nonzero_book(*norms._coefficients(heap, d, depth), True)
+    book = norms._nonzero_book(*norms._coefficients(heap, d, depth))
     rhs = np.sqrt(norms._bmo_minus1(book, n)[0])
     return {"a_ok": True, "b_ok": True, "v_measure": v_measure, "shadow_measure": sh_measure,
             "lhs_bmo": lhs, "rhs_minus1": rhs, "K_eta": lhs / rhs if rhs > 0 else np.nan,

@@ -19,10 +19,13 @@ Dinkelbach's ratio iteration, whose last cut certifies the value; it starts
 from the members of the densest dyadic box when they beat the union of all
 boxes, and its heuristic mode runs that same solver and labels its value a
 lower bound.  Coefficient books are d-axis arrays of scales, positions and
-masses (`_Book`), sliced off one heap-ordered coefficient array for Haar
-and Meyer alike; `coefficient_book` alone builds a dict book, and a dict
-passed as `book=` is converted once, a rectangle outside [0,1)^d raising
-ValueError.  A depth outside 0..b.grid.depth raises ValueError at once.
+masses (`_Book`), read off the nonzero entries of one heap-ordered
+coefficient array for Haar and Meyer alike (a stack's book: the boxes
+nonzero in some book), and every sup drops the same negligible ones
+(`_masses`); `coefficient_book` alone builds a dict book, and a dict
+passed as `book=` is converted once, a rectangle of another dimension or
+outside [0,1)^d raising ValueError.  A depth outside 0..b.grid.depth
+raises ValueError at once.
 """
 
 from __future__ import annotations
@@ -122,23 +125,6 @@ class BmoReport:
 # coefficient books and the densest dyadic box
 
 
-def _heap_book(heap: np.ndarray, d: int, depth: int | None) -> tuple:
-    """(scales, positions, c): every box I(p_1, j_1) x ... x I(p_d, j_d) of
-    sides >= 2^-depth of a heap-ordered coefficient array (axes 0..d-1,
-    I(p, j) at 2^p + j; trailing axes: a stack of books) as (d, K) arrays,
-    in book order (scale tuples descending, axis 0 slowest, positions
-    row-major), and its coefficients (leading axis: the boxes), sliced off
-    the heap band by band; no DyadicRectangle is built."""
-    finest = heap.shape[0].bit_length() - 2
-    top = finest if depth is None else min(depth, finest)
-    sides = np.array(list(itertools.product(range(top, -1, -1), repeat=d)),
-                     dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
-    blocks = [heap[transforms._heap_band(q)] for q in sides.T]
-    positions = np.concatenate([np.indices(c.shape[:d]).reshape(d, -1) for c in blocks], axis=1)
-    coef = np.concatenate([c.reshape((-1,) + heap.shape[d:]) for c in blocks])
-    return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), positions, coef
-
-
 def _depth(b: Signal, depth: int | None) -> int:
     """b's grid's depth, or `depth` when it lies in 0..b.grid.depth (ValueError otherwise)."""
     if depth is not None and not 0 <= depth <= b.grid.depth:
@@ -147,7 +133,7 @@ def _depth(b: Signal, depth: int | None) -> int:
 
 
 def _coefficient_heap(b: Signal, family: str, meyer) -> np.ndarray:
-    """b's coefficients in `_heap_book`'s layout: its Haar transform, or its
+    """b's coefficients in `_coefficients`'s layout: its Haar transform, or its
     Meyer coefficient matrix shifted one place on each axis (member
     2^p - 1 + j to 2^p + j), which needs b on the family's 2-D grid.  The
     one coefficient pass behind every book of a signal."""
@@ -164,10 +150,20 @@ def _coefficient_heap(b: Signal, family: str, meyer) -> np.ndarray:
 
 
 def _coefficients(heap: np.ndarray, d: int, depth: int | None) -> tuple:
-    """The `_heap_book` arrays of the boxes of `heap` whose coefficient is not exactly zero."""
-    scales, positions, coef = _heap_book(heap, d, depth)
-    keep = np.flatnonzero(coef)
-    return scales[:, keep], positions[:, keep], coef[keep]
+    """(scales, positions, c) of the boxes of sides >= 2^-depth of a heap (axes
+    0..d-1 hold I(p, j) at 2^p + j, the mean at 0; trailing axes: a stack of
+    books) that are nonzero in some book: (d, K) arrays in book order (scale
+    tuples descending, axis 0 slowest, positions row-major) and their
+    coefficients (leading axis: the boxes), read off those entries alone,
+    each index's scale from its bit length."""
+    finest = heap.shape[0].bit_length() - 2
+    top = finest if depth is None else min(depth, finest)
+    boxes = heap[(slice(1, 2 << top),) * d]  # the mean slots left out
+    index = np.array(np.nonzero(np.any(boxes != 0, axis=tuple(range(d, heap.ndim))))) + 1
+    scales = np.frexp(index)[1].astype(np.int64) - 1
+    order = np.lexsort(-scales[::-1])  # stable: row-major positions within a scale tuple
+    index, scales = index[:, order], scales[:, order]
+    return scales, index - (1 << scales), heap[tuple(index)]
 
 
 def coefficient_book(b: Signal, family: str = "haar", meyer=None, depth: int | None = None) -> dict:
@@ -193,51 +189,48 @@ class _Book(NamedTuple):
         return _Book(*(a[..., keep] for a in self))
 
 
-def _masses(coef: np.ndarray, significant: bool) -> np.ndarray:
+def _masses(coef: np.ndarray) -> np.ndarray:
     """|c|^2 of each coefficient, rounded as Python's abs(c) ** 2: hypot, then
     pow (np.abs and np.square each differ from those in the last bit on some
-    entries).  With `significant`, 0 wherever |c| is at most 1e-12 of the
-    largest |c| along the last axis, or of 1.0 if that is larger."""
+    entries); 0, the one significance rule of every sup, wherever |c| is at
+    most 1e-12 of the largest |c| along the last axis, or of 1.0 if larger."""
     size = np.hypot(coef.real, coef.imag)
-    if significant:
-        tol = 1e-12 * np.maximum(size.max(axis=-1, keepdims=True, initial=0.0), 1.0)
-        size = np.where(size > tol, size, 0.0)
-    return np.float_power(size, 2.0)
+    tol = 1e-12 * np.maximum(size.max(axis=-1, keepdims=True, initial=0.0), 1.0)
+    return np.float_power(np.where(size > tol, size, 0.0), 2.0)
 
 
-def _haar_book(values: np.ndarray, d: int, depth: int | None, significant: bool = False) -> _Book:
+def _haar_book(values: np.ndarray, d: int, depth: int | None) -> _Book:
     """The Haar boxes of `values` (axes 0..d-1; trailing axes: a stack of
-    signals) as a book of masses, 0 where the coefficient is 0."""
-    scales, positions, coef = _heap_book(transforms._haar_transform(values, d), d, depth)
-    return _Book(scales, positions, _masses(np.moveaxis(coef, 0, -1), significant))
+    signals) nonzero in some signal, as a book of `_masses` (leading axes: the signals)."""
+    scales, positions, coef = _coefficients(transforms._haar_transform(values, d), d, depth)
+    return _Book(scales, positions, _masses(np.moveaxis(coef, 0, -1)))
 
 
-def _nonzero_book(scales: np.ndarray, positions: np.ndarray, coef: np.ndarray,
-                  significant: bool) -> _Book:
+def _nonzero_book(scales: np.ndarray, positions: np.ndarray, coef: np.ndarray) -> _Book:
     """The boxes of one set of coefficients whose mass (`_masses`) is not 0."""
-    mass = _masses(coef, significant)
+    mass = _masses(coef)
     keep = mass > 0
     return _Book(scales[:, keep], positions[:, keep], mass[keep])
 
 
-def _array_book(book: dict, significant: bool = False) -> _Book:
-    """A dict book (DyadicRectangle -> coefficient) as a `_nonzero_book`; d
-    is read off the rectangles, 2 for an empty book.  ValueError unless every
-    rectangle, kept or not, lies in [0,1)^d."""
-    d = len(next(iter(book)).coordinates) if book else 2
+def _array_book(book: dict, d: int) -> _Book:
+    """A dict book (DyadicRectangle -> coefficient) of d-axis rectangles as a
+    `_nonzero_book`.  ValueError unless every rectangle, kept or not, has d
+    axes and lies in [0,1)^d."""
+    for r in book:
+        if r.dim != d:
+            raise ValueError(f"a book rectangle of dimension {r.dim} for a signal of dimension {d}")
     if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
         raise ValueError(f"book rectangles must lie in [0,1)^{d}")
-    return _nonzero_book(*_box_arrays(book, d), np.array(list(book.values()), dtype=complex),
-                         significant)
+    return _nonzero_book(*_box_arrays(book, d), np.array(list(book.values()), dtype=complex))
 
 
-def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None,
-             significant: bool) -> _Book:
+def _book_of(b: Signal, family: str, meyer, depth: int | None, book: dict | None) -> _Book:
     """The `_nonzero_book` of b's coefficients, or of the dict `book` when given."""
     if book is None:
         heap = _coefficient_heap(b, family, meyer)
-        return _nonzero_book(*_coefficients(heap, b.grid.dim, depth), significant)
-    return _array_book(book, significant)
+        return _nonzero_book(*_coefficients(heap, b.grid.dim, depth))
+    return _array_book(book, b.grid.dim)
 
 
 def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
@@ -325,7 +318,7 @@ def bmo_rect(b: Signal, family: str = "haar", meyer=None, depth: int | None = No
              book: dict | None = None) -> BmoReport:
     """Product-BMO quadratic form with U ranging over dyadic rectangles; exact."""
     n = _depth(b, depth)
-    value, scales, positions = _densest_box(_book_of(b, family, meyer, depth, book, False), n)
+    value, scales, positions = _densest_box(_book_of(b, family, meyer, depth, book), n)
     witness = _rectangles(scales[:, None], positions[:, None])[0] if value > 0.0 else None
     return BmoReport(np.sqrt(float(value)), witness, "exact", family)
 
@@ -533,7 +526,7 @@ def bmo_product(b: Signal, mode: str = "exact", family: str = "haar", meyer=None
     if mode not in ("exact", "heuristic"):
         raise ValueError("mode must be 'exact' or 'heuristic'")
     n = _depth(b, depth)
-    value, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book, True), n)
+    value, witness, cuts, start = _max_union_ratio(_book_of(b, family, meyer, depth, book), n)
     return BmoReport(np.sqrt(value), witness, "exact" if mode == "exact" else "lower_bound",
                      family, {"search": "min-cut", "depth": n, "cuts": cuts, "start": start})
 
@@ -572,7 +565,7 @@ def bmo_minus1(b: Signal, family: str = "haar", meyer=None, depth: int | None = 
     so it never beats them.  The witness is the members under the best I x J.
     """
     n = _depth(b, depth)
-    value, best = _bmo_minus1(_book_of(b, family, meyer, depth, book, True), n)
+    value, best = _bmo_minus1(_book_of(b, family, meyer, depth, book), n)
     members = tuple(_rectangles(best.scales, best.positions))
     witness = RectangleCollection(members, b.grid) if members else None
     return BmoReport(np.sqrt(value), witness, "exact", family)

@@ -401,16 +401,19 @@ def test_nehari_ratios_rows_do_not_depend_on_their_chunk(degree, dim):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_stacked_product_bmo_equals_each_symbols_bmo_product(depth, monkeypatch):
-    # one set-up for the stack, where a zero or negligible coefficient gets
-    # mass 0, gives each symbol's own bmo_product bit for bit, masks included
+    # one set-up for the stack, on the boxes nonzero in some symbol, where a
+    # zero or negligible coefficient gets mass 0, gives each symbol's own
+    # bmo_product bit for bit, masks included
     coeffs = np.stack([hk.random_symbol(4, rng, dim=2).coeffs for _ in range(3)] + [np.zeros((4, 4))])
     for (k1, k2), c in {(0, 0): 1.0, (0, 3): -1.0, (2, 2): 1.0, (2, 3): 1.0, (3, 0): 1.0}.items():
         coeffs[3, k1, k2] = c  # an integer symbol with exactly zero and negligible Haar coefficients
     g = Grid(hk.symbol_grid_depth(4), 2)
     samples = hk._symbol_samples(coeffs, g)
-    full = dl.norms._haar_book(samples[3], 2, depth)
-    kept = dl.norms._haar_book(samples[3], 2, depth, significant=True)
-    assert np.any(full.mass == 0) and np.any((kept.mass == 0) & (full.mass > 0))
+    stack = dl.norms._haar_book(np.moveaxis(samples, 0, -1), 2, depth)
+    coef = dl.transforms._haar_transform(samples[3], 2)[tuple((1 << stack.scales) + stack.positions)]
+    # symbol 3 has mass 0 on a box of the stack where its coefficient is exactly
+    # zero, and on another where it is nonzero but negligible
+    assert np.any((stack.mass[3] == 0) & (coef == 0)) and np.any((stack.mass[3] == 0) & (coef != 0))
     masks = []
     solve = dl.norms._max_union_ratio
 
@@ -428,6 +431,51 @@ def test_stacked_product_bmo_equals_each_symbols_bmo_product(depth, monkeypatch)
         assert rep["bmo_value"][t] == alone.value and np.array_equal(masks[t], alone.witness)
         assert rep["cuts"][t] == alone.detail["cuts"]
     assert hk.nehari_ratio(hk.SymbolCoefficients(coeffs[3]), product_depth=depth)["cuts"] == rep["cuts"][3]
+
+
+def test_nehari_ratios_build_the_cut_set_up_again_for_a_chunk_on_other_boxes(monkeypatch):
+    # at M 32 a chunk of books holds 2 symbols: two integer symbols, whose
+    # Haar coefficients are exactly zero on some boxes, then two random ones;
+    # the chunks' books hold different boxes, and each symbol's value, cuts
+    # and witness mask still equal its own bmo_product bit for bit
+    M, depth = 32, 3
+    coeffs = np.zeros((4, M, M), dtype=complex)
+    coeffs[0, 2, 2] = coeffs[0, 4, 4] = 1.0
+    coeffs[1, 2, 4], coeffs[1, 4, 2] = 1.0, -1.0
+    chunk_rng = np.random.default_rng(32)
+    coeffs[2:] = [hk.random_symbol(M, chunk_rng, dim=2).coeffs for _ in range(2)]
+    g = Grid(hk.symbol_grid_depth(M), 2)
+    assert hk._BATCH_POINTS // g.n_points ** 2 == 2
+    samples = hk._symbol_samples(coeffs, g)
+    first, second = (dl.norms._haar_book(np.moveaxis(samples[lo:lo + 2], 0, -1), 2, depth)
+                     for lo in (0, 2))
+    assert first.scales.shape[1] < second.scales.shape[1]
+    masks = []
+    solve = dl.norms._max_union_ratio
+
+    def recording(book, depth, boxes=None):
+        out = solve(book, depth, boxes)
+        masks.append(out[1])
+        return out
+
+    monkeypatch.setattr(dl.norms, "_max_union_ratio", recording)
+    rep = hk.nehari_ratios(coeffs, product_depth=depth)
+    monkeypatch.undo()
+    for t in range(4):
+        alone = dl.bmo_product(Signal(g, samples[t]), depth=depth)
+        assert rep["bmo_value"][t] == alone.value and rep["cuts"][t] == alone.detail["cuts"]
+        assert np.array_equal(masks[t], alone.witness)
+
+
+@pytest.mark.parametrize("cutoff", [-1, -2, 4])
+def test_a_mode_cutoff_outside_the_grid_raises(cutoff):
+    # N = 8: K lies in 0..3; a negative K once gave an empty basis (a 0 x 0
+    # commutator, a block-identity defect of 0)
+    b = dl.random_signal(Grid(3, 2), np.random.default_rng(33))
+    with pytest.raises(ValueError, match="mode cutoff must lie in 0..3"):
+        hk.commutator_matrix(b, mode_cutoff=cutoff)
+    with pytest.raises(ValueError, match="mode cutoff must lie in 0..3"):
+        hk.block_identity_check(b, mode_cutoff=cutoff)
 
 
 def test_nehari_ratios_raise_for_one_bad_symbol_in_a_stack():

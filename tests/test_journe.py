@@ -36,6 +36,19 @@ def test_embeddedness_boundary_and_interior():
         jn.embeddedness(central, empty, g)
 
 
+def test_embeddedness_rejects_a_rectangle_outside_the_unit_square():
+    # these once sliced an empty block of U, passed the containment check and gave 1.0
+    g = Grid(3, 2)
+    U = np.ones(g.shape, dtype=bool)
+    half = DyadicInterval(-1, 0)
+    outside = [_rect(DyadicInterval(-1, -1), half), _rect(DyadicInterval(-1, 2), half),
+               _rect(DyadicInterval(-2, 5), half), _rect(DyadicInterval(1, 0), half),
+               DyadicRectangle((half,)), DyadicRectangle((half,) * 3)]
+    for R in outside:
+        with pytest.raises(ValueError, match=r"R must be a rectangle in \[0,1\)\^2"):
+            jn.embeddedness(R, U, g)
+
+
 def test_embeddedness_monotone_and_symmetric():
     g = Grid(3, 2)
     R = _rect(DyadicInterval(-2, 1), DyadicInterval(-2, 1))

@@ -364,6 +364,71 @@ def test_haar_book_holds_exactly_the_nonzero_coefficients():
         assert c != 0 and c == coeffs.band(p1, p2)[r.coordinates[0].position, r.coordinates[1].position]
 
 
+def _band_by_band_book(heap, d, depth):
+    """(scales, positions, c): every box of sides >= 2^-depth of a heap-ordered
+    coefficient array (trailing axes: a stack of books), sliced off the heap
+    band by band in book order, zero or not: the oracle of `_coefficients`."""
+    finest = heap.shape[0].bit_length() - 2
+    top = finest if depth is None else min(depth, finest)
+    sides = np.array(list(itertools.product(range(top, -1, -1), repeat=d)),
+                     dtype=np.int64).reshape(-1, d).T  # a column per scale tuple
+    blocks = [heap[dl.transforms._heap_band(q)] for q in sides.T]
+    positions = np.concatenate([np.indices(c.shape[:d]).reshape(d, -1) for c in blocks], axis=1)
+    coef = np.concatenate([c.reshape((-1,) + heap.shape[d:]) for c in blocks])
+    return np.repeat(sides, 1 << sides.sum(axis=0), axis=1), positions, coef
+
+
+def test_coefficients_reads_the_boxes_nonzero_in_some_book_in_book_order():
+    heap_rng = np.random.default_rng(28)
+    cases = []  # (heap, d, depth)
+    for d, depth in ((1, 7), (2, 5), (3, 4)):
+        heap = dl.transforms._haar_transform(random_signal(Grid(depth, d), heap_rng).values, d)
+        cases += [(heap, d, book_depth) for book_depth in (None, 0, 1, depth // 2)]
+    # a zero signal and an integer one, constant on 4 x 4 blocks, as a stack
+    blocks = np.kron(heap_rng.integers(-2, 3, (4, 4)), np.ones((4, 4)))
+    stack = dl.transforms._haar_transform(np.stack([np.zeros((16, 16)), blocks], axis=-1), 2)
+    cases += [(stack, 2, None), (stack, 2, 3)]
+    meyer = dl.transforms.build_meyer_family(Grid(6, 1))
+    b = random_signal(Grid(6, 2), heap_rng)
+    cases.append((dl.norms._coefficient_heap(b, "meyer", meyer), 2, None))
+    carleson = dl.transforms._haar_transform(dl.carleson_family(6, Grid(9, 2), seed=0)[0].values, 2)
+    cases.append((carleson, 2, None))
+    for heap, d, depth in cases:
+        scales, positions, coef = _band_by_band_book(heap, d, depth)
+        some = np.any(coef.reshape(len(coef), -1) != 0, axis=1)
+        got = dl.norms._coefficients(heap, d, depth)
+        for got_array, want in zip(got, (scales[:, some], positions[:, some], coef[some])):
+            assert np.array_equal(got_array, want)
+    assert dl.norms._coefficients(stack, 2, None)[0].max() == 1  # sides 1 and 1/2 only
+    assert dl.norms._coefficients(carleson, 2, None)[2].size == 65 and carleson.size == 262144
+    # an all-zero heap: (d, 0) arrays, and BMO 0
+    for d in (1, 2, 3):
+        scales, positions, coef = dl.norms._coefficients(np.zeros((8,) * d), d, None)
+        assert scales.shape == positions.shape == (d, 0) and coef.shape == (0,)
+    assert bmo_dyadic(dl.zeros(Grid(3, 1))).value == 0.0
+    for evaluate in (bmo_rect, bmo_product, bmo_minus1):
+        assert evaluate(dl.zeros(Grid(3, 2))).value == 0.0
+
+
+def test_rounding_level_books_have_bmo_zero_at_every_level_of_the_hierarchy():
+    # every sup drops a coefficient at most 1e-12 of max(1, the largest |c|):
+    # BMO_-1 <= rectangular <= product holds, all 0, for a signal scaled to rounding level
+    b = random_signal(Grid(4, 2), np.random.default_rng(0))
+    tiny = dl.Signal(b.grid, b.values * 1e-13)
+    assert bmo_minus1(tiny).value == bmo_rect(tiny).value == bmo_product(tiny).value == 0.0
+    assert bmo_dyadic(dl.Signal(Grid(4, 1), b.values[0] * 1e-13)).value == 0.0
+    assert bmo_rect(b).value > 0.0
+
+
+def test_a_dict_book_of_another_dimension_is_rejected():
+    b = dl.zeros(Grid(3, 2))
+    interval, square, cube = (DyadicRectangle((DyadicInterval(-1, 0),) * d) for d in (1, 2, 3))
+    for book in ({cube: 1.0}, {interval: 1.0}, {square: 1.0, cube: 1.0}):
+        for evaluate in (bmo_product, bmo_rect, bmo_minus1):
+            with pytest.raises(ValueError, match="dimension [13] for a signal of dimension 2"):
+                evaluate(b, book=book)
+
+
 def test_product_witness_reproduces_value():
     g = Grid(2, 2)
     b = _corner_pair(g)
@@ -627,20 +692,20 @@ def _solved_books(tmp_path, monkeypatch):
     for depth in (2, 3, 4, 5):
         b = random_signal(Grid(depth, 2), book_rng)
         book = dl.norms.coefficient_book(b)
-        books.append((dl.norms._array_book(book, significant=True), depth, False))
+        books.append((dl.norms._array_book(book, 2), depth, False))
         signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in book if book_rng.random() < 0.3}
-        books.append((dl.norms._array_book(signs, significant=True), depth, True))
+        books.append((dl.norms._array_book(signs, 2), depth, True))
     # sparse +-1 books at depths 6 and 7, the Carleson chain, and one coarse
     # rectangle cut into boxes by fine ones
     for depth in (6, 6, 7, 7):
         signs = {r: complex(book_rng.choice([-1.0, 1.0])) for r in _sparse_book(depth, 12, book_rng)}
-        books.append((dl.norms._array_book(signs, significant=True), depth, True))
+        books.append((dl.norms._array_book(signs, 2), depth, True))
     for n in (5, 6):
         _, chain = journe.carleson_family(n, Grid(n + 3, 2))
-        books.append((dl.norms._array_book(chain, significant=True), n + 3, True))
+        books.append((dl.norms._array_book(chain, 2), n + 3, True))
     mixed = {DyadicRectangle((DyadicInterval(0, 0), DyadicInterval(-1, 1))): 1.0}
     mixed.update(_sparse_book(4, 5, book_rng))
-    books.append((dl.norms._array_book(mixed, significant=True), 4, False))
+    books.append((dl.norms._array_book(mixed, 2), 4, False))
     return books
 
 
@@ -724,10 +789,10 @@ def test_densest_rectangle_in_two_passes_matches_block_sums(tmp_path, monkeypatc
     for depth in (3, 5):  # through the public functions, on dict books
         b = random_signal(Grid(depth, 2), book_rng)
         book = dl.norms.coefficient_book(b)
-        rect = _block_sum_densest(dl.norms._array_book(book), depth)[0]
+        arrays = dl.norms._array_book(book, 2)
+        rect = _block_sum_densest(arrays, depth)[0]
         assert abs(bmo_rect(b, book=book).value ** 2 - rect) <= 8 * np.finfo(float).eps * rect
-        kept = dl.norms._array_book(book, significant=True)
-        minus1 = max(_block_sum_densest(kept, depth, axis)[0] for axis in (0, 1))
+        minus1 = max(_block_sum_densest(arrays, depth, axis)[0] for axis in (0, 1))
         assert abs(bmo_minus1(b, book=book).value ** 2 - minus1) <= 8 * np.finfo(float).eps * minus1
     # 1-D: the Haar book of a random signal, and books on the same intervals
     # with masses 0, 1 or 2 (exact, so intervals tie), against a direct sum
@@ -810,7 +875,7 @@ def test_book_rectangles_outside_the_unit_square_are_rejected(book):
 def test_max_union_ratio_allocates_nothing_of_size_boxes_by_rectangles():
     # 3969 rectangles on 1024 boxes: dense box-by-rectangle arrays peaked above 12 MiB
     b = dl.hankel.random_symbol(16, np.random.default_rng(16), dim=2).to_signal(Grid(6, 2))
-    book = dl.norms._array_book(dl.norms.coefficient_book(b, depth=5), significant=True)
+    book = dl.norms._array_book(dl.norms.coefficient_book(b, depth=5), 2)
     tracemalloc.start()
     try:
         cuts = dl.norms._max_union_ratio(book, 5)[2]
