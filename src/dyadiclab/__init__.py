@@ -15,7 +15,6 @@ from .dyadic import (
     haar_function,
     haar_tensor,
     random_signal,
-    rectangle,
     shadow,
     shifted_haar_g,
     zeros,

@@ -87,7 +87,7 @@ class DyadicInterval:
 
 @dataclass(frozen=True, order=True)
 class DyadicRectangle:
-    """A product of dyadic intervals; side s is coordinates[s-1]."""
+    """A product of dyadic intervals, one per axis."""
 
     coordinates: tuple[DyadicInterval, ...]
 
@@ -102,10 +102,6 @@ class DyadicRectangle:
             out *= iv.length
         return out
 
-    def side(self, s: int) -> DyadicInterval:
-        """1-based side accessor R_(s)."""
-        return self.coordinates[s - 1]
-
     def contains(self, other: "DyadicRectangle") -> bool:
         return all(a.contains(b) for a, b in zip(self.coordinates, other.coordinates))
 
@@ -117,10 +113,6 @@ class DyadicRectangle:
             tuple(iv.scale_exponent for iv in self.coordinates),
             tuple(iv.position for iv in self.coordinates),
         )
-
-
-def rectangle(*intervals: DyadicInterval) -> DyadicRectangle:
-    return DyadicRectangle(tuple(intervals))
 
 
 @dataclass(frozen=True)

@@ -103,16 +103,12 @@ def hankel_matrix(alpha, size: int) -> HankelOp:
     return HankelOp(om, sequence=alpha[: 2 * size - 1])
 
 
-def shift_matrix(size: int) -> np.ndarray:
-    return np.eye(size, k=-1, dtype=complex)
-
-
 def check_intertwining(H: HankelOp) -> float:
     """|| (H S - S* H) restricted to the interior block ||; exactly 0 for Hankel
     structure (the last row/column sees the truncation boundary)."""
     mat = H.matrix.entries
     M = mat.shape[0]
-    S = shift_matrix(M)
+    S = np.eye(M, k=-1, dtype=complex)  # the shift e_k -> e_{k+1}
     D = mat @ S - S.conj().T @ mat
     return float(np.linalg.norm(D[: M - 1, : M - 1]))
 
@@ -167,13 +163,11 @@ def little_hankel(b: SymbolCoefficients) -> HankelOp:
 # commutators [M_b, H] on the truncated mode basis
 
 
-def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int | None = None,
-                      variant: str = "imaginary") -> OperatorMatrix:
+def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,),
+                      mode_cutoff: int | None = None) -> OperatorMatrix:
     """Matrix of the iterated commutator [...[M_b, H_a1], ..., H_ak] on the
-    truncated mode basis [-K, K]^d.
+    truncated mode basis [-K, K]^d, H_a the real-for-real multiplier -i sgn(k).
 
-    variant 'imaginary' uses the real-for-real multiplier -i sgn(k); variant
-    'signum' uses sgn(k) = P_+ - P_-, which matches printed block identities.
     Each [A, H_a] multiplies entry (k, j) of A by m(j_a) - m(k_a), so the
     entry is its Fourier closed form bhat(k - j) prod_a (m(j_a) - m(k_a)),
     bhat from one FFT of b, gathered with one (2K+1)^2 index table per axis.
@@ -183,7 +177,7 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,), mode_cutoff: int 
     if not 0 <= K <= N // 2 - 1:
         raise ValueError(f"mode cutoff must lie in 0..{N // 2 - 1}; got {K}")
     modes = np.arange(-K, K + 1)
-    m = transforms.axis_multiplier("hilbert" if variant == "imaginary" else "signum", N)[modes % N]
+    m = transforms.axis_multiplier("hilbert", N)[modes % N]
 
     def pair(a, table):  # a (row mode, column mode) table of grid axis a + 1
         return table.reshape(tuple(len(modes) if i in (a, d + a) else 1 for i in range(2 * d)))

@@ -16,10 +16,12 @@ along axis a.  It is a multiple of 2^-depth, so the bisection this replaced
 (refined far below 2^-depth) landed on it exactly, and its 1e-12 rounding
 guard let the sup itself test as inside: the two agreed bit for bit.
 
-The damped checks read f's coefficients as arrays off one coefficient
-pass (`norms._coefficient_heap`) and build no dict book.  The lower-bound
-experiment splits its symbol on the matrix of its Meyer coefficients: one
-analysis, then one synthesis for each masked part.
+Rectangles become boxes through `norms._box_arrays`, the one check of
+[0,1)^d.  The damped checks read f's coefficients as arrays off one
+coefficient pass (`norms._coefficient_heap`) and build no dict book.  The
+lower-bound experiment splits its symbol on its Meyer coefficient matrix,
+one synthesis a masked part; beta keeps the boxes inside V whose
+coefficients pass the sups' significance rule (`norms._masses`).
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ def embeddedness(R: DyadicRectangle, U_mask: np.ndarray, grid: Grid,
     default `enlarged_set(U_mask, grid)`, a mask on the 3x-padded window),
     1 when R itself is not: `_embeddedness`'s closed form, exact."""
     _check_shape(U_mask, grid.shape, "U_mask")
-    if (R.dim != grid.dim or not all(iv.in_unit_torus() for iv in R.coordinates)
-            or not U_mask[R.cell_slices(grid)].all()):
+    box = _box_arrays([R], grid.dim)
+    if not U_mask[R.cell_slices(grid)].all():
         raise ValueError(f"R must be a rectangle in [0,1)^{grid.dim} contained in U; got {R}")
     V = enlarged_set(U_mask, grid) if V_mask is None else V_mask
-    return float(_embeddedness(*_box_arrays([R], grid.dim), V, grid.depth)[0])
+    return float(_embeddedness(*box, V, grid.depth)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +183,9 @@ def journe_inequality_checker_d1(f: Signal, collection: RectangleCollection,
     n = norms._depth(f, depth)
     members = tuple(dict.fromkeys(collection.members))
     scales, positions = _box_arrays(members, d)
-    if np.any((scales < 0) | (positions < 0) | (positions >> np.maximum(scales, 0) != 0)):
-        raise ValueError(f"collection members must lie in [0,1)^{d}")
-    emb = np.array([emb_map[r] for r in members], dtype=float)
+    emb = np.array([emb_map.get(r, np.nan) for r in members], dtype=float)
+    if not np.all(emb >= 1.0):  # Emb >= 1 by definition; NaN: a member with no entry
+        raise ValueError(f"emb_map must give each member an Emb >= 1; {np.sum(~(emb >= 1))} do not")
     fits = emb <= _embeddedness(scales, positions, V_mask, grid.depth)
     fits &= _inside_cells(V_mask[(slice(N, 2 * N),) * d], scales, positions)
     offenders_a = [r for r, ok in zip(members, fits.tolist()) if not ok]
@@ -285,6 +287,7 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
     grid = b.grid
     if grid.dim != 2:
         raise ValueError("lower_bound_experiment is two-dimensional")
+    boxes = _box_arrays(collection.members, grid.dim)
     i1, i2 = np.array([[meyer.index(iv) for iv in r.coordinates] for r in collection.members],
                       dtype=int).reshape(-1, 2).T
     C = meyer.analysis(b.values, "v", normalized=True)
@@ -298,7 +301,7 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
 
     U = collection.shadow_mask()
     V = enlarged_set(U, grid)
-    emb = _embeddedness(*_box_arrays(collection.members, grid.dim), V, grid.depth)
+    emb = _embeddedness(*boxes, V, grid.depth)
 
     def synthesis(coefficients: np.ndarray) -> Signal:
         return Signal(grid, meyer.synthesis(coefficients, "v", normalized=True))
@@ -313,14 +316,12 @@ def lower_bound_experiment(b: Signal, collection: RectangleCollection,
     damped = synthesis(on_members(emb ** (-2.0 * grid.dim)))
 
     # beta: the significant rectangles outside the collection whose cells all
-    # lie in V; E[i, x] = 1 when cell x lies in interval i, so E (1 - V) E^T
-    # counts each rectangle's cells outside V
-    N = grid.n_points
-    lo, hi = np.array([iv.cell_range(grid) for iv in meyer.intervals]).T[..., None]
-    E = ((lo <= np.arange(N)) & (np.arange(N) < hi)).astype(float)
-    inside_V = E @ ~V[N:2 * N, N:2 * N] @ E.T == 0
-    size = np.abs(C)
-    keep = inside_V & (size > 1e-12 * max(size.max(), 1.0))
+    # lie in V; member k of the family is I(p, j) with 2^p + j = k + 1
+    N, F = grid.n_points, len(meyer.intervals)
+    index = np.indices((F, F)).reshape(2, -1) + 1
+    p = np.frexp(index)[1] - 1
+    inside_V = _inside_cells(V[N:2 * N, N:2 * N], p, index - (1 << p))
+    keep = (inside_V & (norms._masses(C.ravel()) > 0)).reshape(F, F)
     keep[i1, i2] = False
     beta = synthesis(np.where(keep, C, 0.0))
     gamma = b - alpha - beta

@@ -22,10 +22,11 @@ lower bound.  Coefficient books are d-axis arrays of scales, positions and
 masses (`_Book`), read off the nonzero entries of one heap-ordered
 coefficient array for Haar and Meyer alike (a stack's book: the boxes
 nonzero in some book), and every sup drops the same negligible ones
-(`_masses`); `coefficient_book` alone builds a dict book, and a dict
-passed as `book=` is converted once, a rectangle of another dimension or
-outside [0,1)^d raising ValueError.  A depth outside 0..b.grid.depth
-raises ValueError at once.
+(`_masses`, shared by the lower bound); `coefficient_book` alone builds
+a dict book.  Rectangles from outside (a dict `book=`, `journe`'s R and
+collections) become boxes through one door, `_box_arrays`, which raises
+ValueError for one of another dimension or outside [0,1)^d.  A depth
+outside 0..b.grid.depth raises ValueError at once.
 """
 
 from __future__ import annotations
@@ -214,14 +215,8 @@ def _nonzero_book(scales: np.ndarray, positions: np.ndarray, coef: np.ndarray) -
 
 
 def _array_book(book: dict, d: int) -> _Book:
-    """A dict book (DyadicRectangle -> coefficient) of d-axis rectangles as a
-    `_nonzero_book`.  ValueError unless every rectangle, kept or not, has d
-    axes and lies in [0,1)^d."""
-    for r in book:
-        if r.dim != d:
-            raise ValueError(f"a book rectangle of dimension {r.dim} for a signal of dimension {d}")
-    if not all(iv.in_unit_torus() for r in book for iv in r.coordinates):
-        raise ValueError(f"book rectangles must lie in [0,1)^{d}")
+    """A dict book (DyadicRectangle -> coefficient) as a `_nonzero_book`,
+    every rectangle, kept or not, through `_box_arrays`."""
     return _nonzero_book(*_box_arrays(book, d), np.array(list(book.values()), dtype=complex))
 
 
@@ -240,8 +235,13 @@ def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
 
 
 def _box_arrays(rects, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, K) arrays of scales and positions of d-axis DyadicRectangles,
-    the inverse of `_rectangles`."""
+    """The (d, K) arrays of scales and positions of DyadicRectangles, the
+    inverse of `_rectangles`: the one door by which rectangles from outside
+    become boxes, ValueError for one without d axes or outside [0,1)^d."""
+    for r in rects:
+        if r.dim != d or not all(iv.in_unit_torus() for iv in r.coordinates):
+            raise ValueError(f"R must be a rectangle in [0,1)^{d}; got {r} of dimension {r.dim} "
+                             f"for a signal of dimension {d}: rectangles must lie in [0,1)^{d}")
     sides = np.array([(-iv.scale_exponent, iv.position) for r in rects for iv in r.coordinates],
                      dtype=np.int64).reshape(len(rects), d, 2)
     return sides[..., 0].T, sides[..., 1].T

@@ -41,10 +41,6 @@ class Spectrum:
     grid: Grid
     modes: np.ndarray
 
-    def mode(self, *k: int) -> complex:
-        idx = tuple(ki % self.grid.n_points for ki in k)
-        return complex(self.modes[idx])
-
 
 def mode_numbers(grid: Grid) -> np.ndarray:
     """Signed mode numbers along one axis in FFT layout; Nyquist reported as +N/2."""

@@ -138,6 +138,29 @@ def test_checker_rejects_bad_candidates():
         jn.journe_inequality_checker_d1(f, coll, big_V, emb, eta=0.1)
 
 
+def test_checker_rejects_an_emb_below_1_or_a_missing_one_before_any_work(monkeypatch):
+    # these once read K_eta 3.5077 (Emb 0.5 multiplied each coefficient by 16),
+    # 0.0 after a divide-by-zero warning (Emb 0) and 0.2192 (Emb -1, as Emb 1);
+    # a member with no entry raised a raw KeyError
+    g = Grid(4, 2)
+    f = dl.random_signal(g, np.random.default_rng(1))
+    members = (_rect(DyadicInterval(-2, 0), DyadicInterval(-1, 0)),
+               _rect(DyadicInterval(-2, 1), DyadicInterval(-1, 0)))
+    coll = RectangleCollection(members, g)
+    V, emb = jn.trivial_candidate(coll)
+    assert jn.journe_inequality_checker_d1(f, coll, V, emb, eta=0.0)["K_eta"] == 0.21922956288008907
+
+    def no_work(*args):
+        raise AssertionError("work ran before the check")
+
+    monkeypatch.setattr(jn, "_embeddedness", no_work)
+    monkeypatch.setattr(dl.norms, "_coefficient_heap", no_work)
+    for bad in ({**emb, members[1]: 0.5}, dict.fromkeys(members, 0.0),
+                dict.fromkeys(members, -1.0), {members[0]: 1.0}):
+        with pytest.raises(ValueError, match="Emb >= 1"):
+            jn.journe_inequality_checker_d1(f, coll, V, bad, eta=0.0)
+
+
 def test_journe_checks_make_one_coefficient_pass_and_no_dict_book(monkeypatch):
     passes, transforms_run = [], []
     coefficients, transform = dl.norms._coefficient_heap, transforms._haar_transform

@@ -500,6 +500,34 @@ def test_a_depth_outside_the_grid_is_rejected_before_any_work(depth, monkeypatch
             evaluate()
 
 
+@pytest.mark.parametrize("bad", [DyadicRectangle((DyadicInterval(-1, 0),) * 3),
+                                 DyadicRectangle((DyadicInterval(-1, 2), DyadicInterval(-1, 0)))],
+                         ids=["another_dimension", "outside_the_unit_square"])
+def test_every_entry_point_rejects_a_bad_rectangle_before_any_work(bad, monkeypatch):
+    # `_box_arrays`, the one door from rectangles to boxes, checks each rectangle
+    g = Grid(6, 2)
+    b = random_signal(g, rng)
+    fam = dl.build_meyer_family(Grid(6, 1))
+    book = {DyadicRectangle((DyadicInterval(-1, 0),) * 2): 1.0, bad: 1.0}
+    coll = dl.RectangleCollection((bad,), Grid(6, bad.dim))
+    U, V = np.ones(g.shape, dtype=bool), np.ones((3 * g.n_points,) * 2, dtype=bool)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a coefficient pass ran")
+
+    monkeypatch.setattr(dl.transforms, "_haar_transform", no_work)
+    monkeypatch.setattr(dl.transforms.MeyerFamily, "analysis", no_work)
+    monkeypatch.setattr(journe, "_embeddedness", no_work)
+    for evaluate in (lambda: bmo_rect(b, book=book),
+                     lambda: bmo_minus1(b, book=book),
+                     lambda: bmo_product(b, book=book),
+                     lambda: journe.embeddedness(bad, U, g),
+                     lambda: journe.journe_inequality_checker_d1(b, coll, V, {bad: 1.0}, eta=0.0),
+                     lambda: journe.lower_bound_experiment(b, coll, fam)):
+        with pytest.raises(ValueError, match=r"R must be a rectangle in \[0,1\)\^2"):
+            evaluate()
+
+
 # ---------------------------------------------------------------------------
 # the two-layer minimum cut against Dinic's general maximum flow
 
