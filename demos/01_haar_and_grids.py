@@ -56,5 +56,4 @@ grid2 = Grid(2, 2)
 rects = dl.enumerate_rectangles(grid2, 0.25)
 print("dyadic rectangles at depth 2:", len(rects))
 coll = dl.RectangleCollection(tuple(rects[:3]), grid2)
-mask, measure = dl.shadow(coll)
-print("shadow measure of the first three:", measure)
+print("shadow measure of the first three:", coll.shadow_measure())

@@ -11,8 +11,9 @@ import dyadiclab as dl
 from dyadiclab.dyadic import Grid, Signal
 from dyadiclab.transforms import (
     analytic_projection,
-    axis_mean_projection,
+    apply_multipliers,
     hilbert_transform,
+    on_axis,
     square_function,
     strong_maximal,
 )
@@ -24,14 +25,15 @@ rng = np.random.default_rng(1)
 f = dl.random_signal(grid, rng, real=True)
 plus = analytic_projection("+", 1, f)
 minus = analytic_projection("-", 1, f)
+mean = apply_multipliers(on_axis("mean", 1, 1), f.values)  # the k = 0 and Nyquist modes
 print("||P_+ f|| =", round(plus.norm2(), 6), " ||P_- f|| =", round(minus.norm2(), 6))
-resid = f.values - plus.values - minus.values - axis_mean_projection(1, f).values
+resid = f.values - plus.values - minus.values - mean
 print("P_+ + P_- + mean/Nyquist = identity:", np.max(np.abs(resid)))
 
 cosx = Signal(grid, np.cos(2 * np.pi * x))
 print("H cos = sin:", np.max(np.abs(hilbert_transform(1, cosx).values - np.sin(2 * np.pi * x))))
 hh = hilbert_transform(1, hilbert_transform(1, f))
-print("H(Hf) = -f + mean:", np.max(np.abs(hh.values + f.values - axis_mean_projection(1, f).values)))
+print("H(Hf) = -f + mean:", np.max(np.abs(hh.values + f.values - mean)))
 
 # in 1-D the strong maximal function is the dyadic one: plateaus on a block indicator
 ind = Signal(grid, (x < 0.25).astype(complex))

@@ -24,9 +24,9 @@ print("family size:", len(fam.intervals))
 print("Gram defect:", fam.gram_defect())
 
 iv = DyadicInterval(-2, 1)
-w = fam.wavelet(iv)
-u = fam.antianalytic_part(iv)
-v = fam.analytic_part(iv)
+w = fam.signal(iv, "w")
+u = fam.signal(iv, "u")
+v = fam.signal(iv, "v")
 print("wavelet is real:", np.max(np.abs(w.values.imag)))
 print("u + v = w:", np.max(np.abs((u + v).values - w.values)))
 print("||w|| =", w.norm2(), " ||v||^2 =", round(v.norm2() ** 2, 6), "(half the energy)")

@@ -15,25 +15,21 @@ from .dyadic import (
     haar_function,
     haar_tensor,
     random_signal,
-    shadow,
     shifted_haar_g,
     zeros,
 )
 from .transforms import (
     HaarCoefficients,
     MeyerFamily,
-    Spectrum,
     all_analytic_projection,
     analytic_projection,
     build_meyer_family,
     fourier_mode,
-    from_spectrum,
     haar_analysis,
     haar_synthesis,
     hilbert_transform,
     square_function,
     strong_maximal,
-    to_spectrum,
 )
 from .norms import (
     BmoReport,

@@ -300,19 +300,31 @@ def enumerate_rectangles(grid: Grid, min_side: float) -> list[DyadicRectangle]:
     return rects
 
 
+def _box_arrays(rects, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, K) arrays of scales and positions of DyadicRectangles, the
+    inverse of `norms._rectangles`: the one door by which rectangles from
+    outside become boxes, ValueError for one without d axes or outside [0,1)^d."""
+    for r in rects:
+        if r.dim != d or not all(iv.in_unit_torus() for iv in r.coordinates):
+            raise ValueError(f"R must be a rectangle in [0,1)^{d}; got {r} of dimension {r.dim} "
+                             f"for a signal of dimension {d}: rectangles must lie in [0,1)^{d}")
+    sides = np.array([(-iv.scale_exponent, iv.position) for r in rects for iv in r.coordinates],
+                     dtype=np.int64).reshape(len(rects), d, 2)
+    return sides[..., 0].T, sides[..., 1].T
+
+
 @dataclass(frozen=True)
 class RectangleCollection:
-    """A finite set of dyadic rectangles on one grid."""
+    """A finite set of dyadic rectangles in [0,1)^d on one grid."""
 
     members: tuple[DyadicRectangle, ...]
     grid: Grid
 
     def __post_init__(self):
-        for r in self.members:
-            if r.dim != self.grid.dim:
-                raise ValueError("rectangle dimension does not match grid")
+        _box_arrays(self.members, self.grid.dim)
 
     def shadow_mask(self) -> np.ndarray:
+        """Cell mask of sh(U), the union of the members."""
         mask = np.zeros(self.grid.shape, dtype=bool)
         for r in self.members:
             mask[r.cell_slices(self.grid)] = True
@@ -320,9 +332,3 @@ class RectangleCollection:
 
     def shadow_measure(self) -> float:
         return float(np.count_nonzero(self.shadow_mask())) * self.grid.weight
-
-
-def shadow(coll: RectangleCollection) -> tuple[np.ndarray, float]:
-    """Cell mask of sh(U) = union of members, and its measure."""
-    mask = coll.shadow_mask()
-    return mask, float(np.count_nonzero(mask)) * coll.grid.weight

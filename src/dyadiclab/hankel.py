@@ -99,7 +99,7 @@ def hankel_matrix(alpha, size: int) -> HankelOp:
     if len(alpha) < 2 * size - 1:
         alpha = np.concatenate([alpha, np.zeros(2 * size - 1 - len(alpha), dtype=complex)])
     mat = hankel_window(alpha, size, size)
-    om = OperatorMatrix(mat, ("modes", tuple(range(size))), ("modes", tuple(range(size))))
+    om = OperatorMatrix(mat)
     return HankelOp(om, sequence=alpha[: 2 * size - 1])
 
 
@@ -153,10 +153,8 @@ def little_hankel(b: SymbolCoefficients) -> HankelOp:
     {(j1, j2): 0 <= j_i < M}, row-major ordering: entry bhat(i1 + j1, i2 + j2)."""
     if b.dim != 2:
         raise ValueError("little_hankel needs a 2D symbol")
-    M = b.degree
-    basis = tuple((j1, j2) for j1 in range(M) for j2 in range(M))
     mat = _hankel_stack(b.coeffs[None])[0]
-    return HankelOp(OperatorMatrix(mat, ("bimodes", basis), ("bimodes", basis)))
+    return HankelOp(OperatorMatrix(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +184,7 @@ def commutator_matrix(b: Signal, axes: tuple[int, ...] = (1,),
     entries = (np.fft.fftn(b.values) / N ** d)[tuple(pair(a, diff) for a in range(d))]
     for ax in axes:
         entries *= pair(ax - 1, m[None, :] - m[:, None])
-    basis = tuple(itertools.product(modes.tolist(), repeat=d))
-    return OperatorMatrix(entries.reshape(len(basis), len(basis)), ("modes", basis), ("modes", basis))
+    return OperatorMatrix(entries.reshape(len(modes) ** d, len(modes) ** d))
 
 
 def _octant_spectra(b: Signal, sigma: tuple, K: int):

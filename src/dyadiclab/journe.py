@@ -16,10 +16,11 @@ along axis a.  It is a multiple of 2^-depth, so the bisection this replaced
 (refined far below 2^-depth) landed on it exactly, and its 1e-12 rounding
 guard let the sup itself test as inside: the two agreed bit for bit.
 
-Rectangles become boxes through `norms._box_arrays`, the one check of
-[0,1)^d.  The damped checks read f's coefficients as arrays off one
-coefficient pass (`norms._coefficient_heap`) and build no dict book.  The
-lower-bound experiment splits its symbol on its Meyer coefficient matrix,
+Rectangles become boxes through `dyadic._box_arrays`, the one check of
+[0,1)^d, which a `RectangleCollection` also runs when it is built.  The
+damped checks read f's coefficients as arrays off one coefficient pass
+(`norms._coefficient_heap`) and build no dict book.  The lower-bound
+experiment splits its symbol on its Meyer coefficient matrix,
 one synthesis a masked part; beta keeps the boxes inside V whose
 coefficients pass the sups' significance rule (`norms._masses`).
 """
@@ -37,11 +38,12 @@ from .dyadic import (
     Grid,
     RectangleCollection,
     Signal,
+    _box_arrays,
     haar_tensor,
     zeros,
 )
 from . import norms
-from .norms import _box_arrays, lp_norm
+from .norms import lp_norm
 from .transforms import MeyerFamily, _strong_maximal, all_analytic_projection
 
 

@@ -24,8 +24,8 @@ coefficient array for Haar and Meyer alike (a stack's book: the boxes
 nonzero in some book), and every sup drops the same negligible ones
 (`_masses`, shared by the lower bound); `coefficient_book` alone builds
 a dict book.  Rectangles from outside (a dict `book=`, `journe`'s R and
-collections) become boxes through one door, `_box_arrays`, which raises
-ValueError for one of another dimension or outside [0,1)^d.  A depth
+collections) become boxes through one door, `dyadic._box_arrays`, which
+raises ValueError for one of another dimension or outside [0,1)^d.  A depth
 outside 0..b.grid.depth raises ValueError at once.
 """
 
@@ -46,17 +46,16 @@ from .dyadic import (
     RectangleCollection,
     ResolutionError,
     Signal,
+    _box_arrays,
 )
 from . import transforms
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense matrix with declared domain/codomain bases."""
+    """A dense complex matrix and its operator norm."""
 
     entries: np.ndarray
-    domain_basis: tuple
-    codomain_basis: tuple
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -64,17 +63,6 @@ class OperatorMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.domain_basis != other.codomain_basis:
-            raise ValueError("basis mismatch in composition")
-        return OperatorMatrix(self.entries @ other.entries, other.domain_basis, self.codomain_basis)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.codomain_basis, self.domain_basis)
 
     def norm(self) -> float:
         return operator_norm(self)
@@ -232,19 +220,6 @@ def _rectangles(scales: np.ndarray, positions: np.ndarray) -> list:
     """The DyadicRectangles of the boxes of (d, K) arrays of scales and positions."""
     return [DyadicRectangle(tuple(map(DyadicInterval, q, t)))
             for q, t in zip((-scales).T.tolist(), positions.T.tolist())]
-
-
-def _box_arrays(rects, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, K) arrays of scales and positions of DyadicRectangles, the
-    inverse of `_rectangles`: the one door by which rectangles from outside
-    become boxes, ValueError for one without d axes or outside [0,1)^d."""
-    for r in rects:
-        if r.dim != d or not all(iv.in_unit_torus() for iv in r.coordinates):
-            raise ValueError(f"R must be a rectangle in [0,1)^{d}; got {r} of dimension {r.dim} "
-                             f"for a signal of dimension {d}: rectangles must lie in [0,1)^{d}")
-    sides = np.array([(-iv.scale_exponent, iv.position) for r in rects for iv in r.coordinates],
-                     dtype=np.int64).reshape(len(rects), d, 2)
-    return sides[..., 0].T, sides[..., 1].T
 
 
 def _inside(book: _Book, scales: np.ndarray, positions: np.ndarray) -> np.ndarray:

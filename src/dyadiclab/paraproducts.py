@@ -64,8 +64,7 @@ def para_haar_matrix(b: Signal) -> OperatorMatrix:
     if b.grid.dim != 1:
         raise ValueError("para_haar_matrix needs a 1D symbol")
     cols = _para_haar_values(b, np.eye(b.grid.n_points, dtype=complex))
-    basis = ("cells", b.grid.depth)
-    return OperatorMatrix(cols, basis, basis)
+    return OperatorMatrix(cols)
 
 
 def para_haar_norm(b: Signal) -> float:
@@ -366,7 +365,9 @@ def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_ste
                        pad: int | None, y_measure: str) -> tuple[np.ndarray, int]:
     """The translation-dilation average of G on the window, applied to the
     columns of values (2^n, B) on [0, 1) and read back on [0, 1), and the
-    pad it used (default: the least power of two >= max(4, Y + 1)).
+    pad it used (default: the least power of two >= max(4, Y + 1); a given
+    pad must be a power of two, which keeps every dyadic scale aligned with
+    the window).
 
     The operator is real, so complex columns run as their real and
     imaginary parts side by side, the latter only when nonzero.  Tr_y
@@ -382,8 +383,6 @@ def _petermichl_values(values: np.ndarray, n: int, Y: float, s_steps: int, y_ste
         raise ResolutionError("averaging the shift needs grid depth >= 3")
     if pad is None:
         pad = 1 << int(np.ceil(np.log2(max(4.0, Y + 1.0))))
-    if pad < 1 or pad & (pad - 1):  # keeps every dyadic scale aligned with the window
-        raise ValueError("pad must be a power of two")
     N, B = values.shape
     split = np.iscomplexobj(values) and bool(np.any(values.imag))
     cols = np.vstack([values.real.T, values.imag.T]) if split else values.real.T
@@ -451,23 +450,22 @@ def petermichl_quadrature(Y: float, s_steps: int, y_steps: int, y0: float,
 
 
 def apply_petermichl_average(f: Signal, Y: float = 8.0, s_steps: int = 64,
-                             y_steps: int = 64, pad: int | None = None,
-                             y_measure: str = "uniform") -> Signal:
+                             y_steps: int = 64, y_measure: str = "uniform") -> Signal:
     """Apply the translation-dilation average of G to a unit-interval signal,
-    zero-padded on the window [-pad, pad+1) (default pad: the least power of
-    two >= max(4, Y + 1)), and restrict back to [0,1).  A node works on
+    zero-padded on the window [-pad, pad+1) (pad: the least power of two
+    >= max(4, Y + 1)), and restrict back to [0,1).  A node works on
     about s 2^n cells; each coarser scale of a longer window adds a few
     blocks, so the window's length barely shows in the cost."""
     values, _ = _petermichl_values(f.values[:, None], f.grid.depth, Y, s_steps, y_steps,
-                                   pad, y_measure)
+                                   None, y_measure)
     return Signal(f.grid, values[:, 0])
 
 
-def hilbert_reference(f: Signal, oversample: int = 64) -> Signal:
-    """Hilbert transform of the zero-extension of f, via a long periodic
-    embedding (wrap-around error is negligible for compactly supported f)."""
+def hilbert_reference(f: Signal) -> Signal:
+    """Hilbert transform of the zero-extension of f, via a periodic embedding
+    64 times as long (wrap-around error is negligible for compactly supported f)."""
     N = f.grid.n_points
-    L = oversample * N
+    L = 64 * N
     buf = np.zeros(L, dtype=complex)
     buf[:N] = f.values
     k = np.fft.fftfreq(L, d=1.0 / L).astype(int)
@@ -478,14 +476,14 @@ def hilbert_reference(f: Signal, oversample: int = 64) -> Signal:
 
 
 def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: int = 16,
-                       pad: int | None = None, y_measure: str = "uniform") -> dict:
+                       y_measure: str = "uniform") -> dict:
     """Matrix of the averaged operator restricted to the interior window,
     plus the constant c fitted against the Hilbert transform (reported, not
     asserted).  The average is applied once, to the batch of the N cell
     indicators as real columns, which share each node's rows: a chunk
     holds about 2^16 / N window indices a column."""
     N = grid.n_points
-    cols, pad = _petermichl_values(np.eye(N), grid.depth, Y, s_steps, y_steps, pad, y_measure)
+    cols, pad = _petermichl_values(np.eye(N), grid.depth, Y, s_steps, y_steps, None, y_measure)
     Hcols = np.stack([hilbert_reference(Signal(grid, e)).values
                       for e in np.eye(N, dtype=complex)], axis=1)
     # least squares fit of avg ~ c * H over matrix entries
@@ -493,9 +491,8 @@ def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: i
     den = np.vdot(Hcols, Hcols).real
     c_fit = num / den if den > 0 else 0.0
     rel = float(np.linalg.norm(cols - c_fit * Hcols) / np.linalg.norm(Hcols)) if den > 0 else np.inf
-    basis = ("cells", grid.depth)
     return {
-        "matrix": OperatorMatrix(cols, basis, basis),
+        "matrix": OperatorMatrix(cols),
         "fitted_c": float(c_fit),
         "relative_residual": rel,
         "pad": pad,
@@ -507,11 +504,10 @@ def petermichl_average(grid: Grid, Y: float = 8.0, s_steps: int = 16, y_steps: i
 
 
 def petermichl_fit_on_signal(f: Signal, Y: float = 8.0, s_steps: int = 64,
-                             y_steps: int = 64, pad: int | None = None,
-                             y_measure: str = "uniform") -> dict:
+                             y_steps: int = 64, y_measure: str = "uniform") -> dict:
     """Fit avg f ~ c * H f for one test signal; reports the interior relative
     L2 error of the fitted multiple."""
-    avg = apply_petermichl_average(f, Y, s_steps, y_steps, pad, y_measure)
+    avg = apply_petermichl_average(f, Y, s_steps, y_steps, y_measure)
     Hf = hilbert_reference(f)
     num = complex(np.vdot(Hf.values, avg.values)).real
     den = float(np.vdot(Hf.values, Hf.values).real)
@@ -525,13 +521,6 @@ def petermichl_fit_on_signal(f: Signal, Y: float = 8.0, s_steps: int = 64,
 
 # ---------------------------------------------------------------------------
 # Meyer scale-block paraproducts
-
-
-def delta_U(meyer: MeyerFamily, scale: int, f: Signal) -> Signal:
-    """DeltaU at interval size 2^-scale: sum over |I| = 2^-scale of u_I <f, u_I>,
-    i.e. the block projector P_scale = U U^* / N applied to f along axis 0."""
-    U = meyer.block_factor(scale)
-    return Signal(f.grid, U @ (U.conj().T @ f.values) / len(U))
 
 
 def meyer_para_1d(b: Signal, phi: Signal, meyer: MeyerFamily, offset: int = 0) -> Signal:

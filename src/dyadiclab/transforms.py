@@ -34,29 +34,12 @@ from .dyadic import (
 # spectra
 
 
-@dataclass
-class Spectrum:
-    """Fourier coefficients of a Signal, in FFT layout."""
-
-    grid: Grid
-    modes: np.ndarray
-
-
 def mode_numbers(grid: Grid) -> np.ndarray:
     """Signed mode numbers along one axis in FFT layout; Nyquist reported as +N/2."""
     N = grid.n_points
     k = np.fft.fftfreq(N, d=1.0 / N).astype(int)
     k[N // 2] = N // 2
     return k
-
-
-def to_spectrum(f: Signal) -> Spectrum:
-    return Spectrum(f.grid, np.fft.fftn(f.values) / f.grid.n_points ** f.grid.dim)
-
-
-def from_spectrum(s: Spectrum) -> Signal:
-    vals = np.fft.ifftn(s.modes) * s.grid.n_points ** s.grid.dim
-    return Signal(s.grid, vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,11 +87,6 @@ def analytic_projection(sign: str, axis: int, f: Signal) -> Signal:
     return _multiply(sign, axis, f)
 
 
-def axis_mean_projection(axis: int, f: Signal) -> Signal:
-    """Projection onto the k = 0 and Nyquist modes of one axis (the leftover of P_+ + P_-)."""
-    return _multiply("mean", axis, f)
-
-
 def product_projection(sigma: tuple[str, ...], f: Signal) -> Signal:
     """P_sigma = tensor product of per-axis projections, sigma in {'+','-'}^d."""
     if not set(sigma) <= {"+", "-"}:
@@ -125,11 +103,6 @@ def all_analytic_projection(f: Signal) -> Signal:
 def hilbert_transform(axis: int, f: Signal) -> Signal:
     """Multiplier -i sgn(k) on the chosen axis; annihilates constants and Nyquist."""
     return _multiply("hilbert", axis, f)
-
-
-def signum_transform(axis: int, f: Signal) -> Signal:
-    """The variant with multiplier sgn(k) = P_+ - P_-; equals i * hilbert_transform."""
-    return _multiply("signum", axis, f)
 
 
 def fourier_mode(grid: Grid, *k: int) -> Signal:
@@ -409,19 +382,8 @@ class MeyerFamily:
         return self.table(kind).rows[self.index(interval)]
 
     def signal(self, interval: DyadicInterval, kind: str = "w") -> Signal:
+        """w_I, u_I, v_I or W_I (kind 'w', 'u', 'v' or 'W') sampled on the axis grid."""
         return Signal(self.axis_grid, self.table(kind).samples[:, self.index(interval)].copy())
-
-    def wavelet(self, interval) -> Signal:
-        return self.signal(interval, "w")
-
-    def analytic_part(self, interval) -> Signal:
-        return self.signal(interval, "v")
-
-    def antianalytic_part(self, interval) -> Signal:
-        return self.signal(interval, "u")
-
-    def father(self, interval) -> Signal:
-        return self.signal(interval, "W")
 
     def band(self, scale: int) -> slice:
         """The heap indices 2^p - 1 ... 2^(p+1) - 2 of the members with |I| = 2^-p."""

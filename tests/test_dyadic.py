@@ -12,7 +12,6 @@ from dyadiclab.dyadic import (
     enumerate_rectangles,
     haar_function,
     haar_tensor,
-    shadow,
     shifted_haar_g,
 )
 
@@ -122,10 +121,10 @@ def test_enumerate_counts():
 def test_shadow():
     g = Grid(3, 2)
     empty = RectangleCollection((), g)
-    _, measure = shadow(empty)
+    measure = empty.shadow_measure()
     assert measure == 0.0
     full = RectangleCollection((DyadicRectangle((DyadicInterval(0, 0),) * 2),), g)
-    _, measure = shadow(full)
+    measure = full.shadow_measure()
     assert abs(measure - 1.0) < 1e-15
     ell = RectangleCollection(
         (
@@ -134,8 +133,24 @@ def test_shadow():
         ),
         g,
     )
-    _, measure = shadow(ell)
+    measure = ell.shadow_measure()
     assert abs(measure - 0.75) < 1e-15
+    assert np.count_nonzero(ell.shadow_mask()) == 48
+
+
+def test_a_collection_rejects_members_outside_the_unit_square():
+    # a member that leaves [0,1)^2 was once clipped silently: these three
+    # together read shadow measure 0.5, the second dropped and the third cut
+    # down to the whole first axis
+    g = Grid(3, 2)
+    members = tuple(DyadicRectangle((DyadicInterval(*side), DyadicInterval(-1, 0)))
+                    for side in ((-1, 0), (-1, 2), (1, 0)))
+    assert RectangleCollection(members[:1], g).shadow_measure() == 0.25
+    for bad in (members, members[1:2], members[2:]):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\)\^2"):
+            RectangleCollection(bad, g)
+    with pytest.raises(ValueError, match="dimension 1 for a signal of dimension 2"):
+        RectangleCollection((DyadicRectangle((DyadicInterval(-1, 0),)),), g)
 
 
 def test_haar_tensor_norm():

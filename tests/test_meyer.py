@@ -44,9 +44,9 @@ def test_too_coarse_grid():
 def test_parts_and_reality():
     fam = build_meyer_family(Grid(7, 1))
     iv = DyadicInterval(-1, 1)
-    w = fam.wavelet(iv)
-    u = fam.antianalytic_part(iv)
-    v = fam.analytic_part(iv)
+    w = fam.signal(iv, "w")
+    u = fam.signal(iv, "u")
+    v = fam.signal(iv, "v")
     assert np.max(np.abs(w.values.imag)) < 1e-12  # the wavelet itself is real
     assert np.max(np.abs((u + v).values - w.values)) < 1e-12
     assert abs(w.norm2() - 1.0) < 1e-12
@@ -78,10 +78,10 @@ def test_calderon_constant_and_span_reconstruction():
     coeffs = rng.standard_normal(len(fam.intervals)) + 1j * rng.standard_normal(len(fam.intervals))
     f = dl.zeros(fam.axis_grid)
     for c, iv in zip(coeffs, fam.intervals):
-        f = f + c * fam.wavelet(iv)
+        f = f + c * fam.signal(iv, "w")
     rebuilt = dl.zeros(fam.axis_grid)
     for iv in fam.intervals:
-        rebuilt = rebuilt + f.inner(fam.wavelet(iv)) * fam.wavelet(iv)
+        rebuilt = rebuilt + f.inner(fam.signal(iv, "w")) * fam.signal(iv, "w")
     assert np.max(np.abs(rebuilt.values - f.values)) < 1e-10
 
 
@@ -90,7 +90,7 @@ def test_meyer_square_function_energy():
     fam = build_meyer_family(g)
     f = dl.random_signal(g, rng)
     s = dl.square_function(f, family="meyer", meyer=fam)
-    total = sum(abs(f.inner(fam.wavelet(iv))) ** 2 for iv in fam.intervals)
+    total = sum(abs(f.inner(fam.signal(iv, "w"))) ** 2 for iv in fam.intervals)
     assert abs(s.norm2() ** 2 - total) < 1e-10
     with pytest.raises(ValueError, match="one-dimensional"):
         dl.square_function(dl.random_signal(Grid(7, 2), rng), family="meyer", meyer=fam)
@@ -116,8 +116,8 @@ def test_mixed_father_tensor():
     r = DyadicRectangle((DyadicInterval(-1, 0), DyadicInterval(-2, 1)))
     mixed = fam.mixed_father(r, J=(1,))
     ref = np.multiply.outer(
-        fam.antianalytic_part(r.coordinates[0]).values,
-        fam.father(r.coordinates[1]).values,
+        fam.signal(r.coordinates[0], "u").values,
+        fam.signal(r.coordinates[1], "W").values,
     )
     assert np.max(np.abs(mixed.values - ref)) < 1e-14
     # both factors live on the antianalytic side: all-analytic content is zero

@@ -342,9 +342,9 @@ def test_meyer_para_single_scale_localization():
     g = Grid(8, 1)
     fam = build_meyer_family(g)
     I = DyadicInterval(-3, 4)  # interval of length 1/8 at the center
-    u = fam.antianalytic_part(I)
+    u = fam.signal(I, "u")
     b = u.copy()
-    phi = fam.wavelet(I)
+    phi = fam.signal(I, "w")
     out = pp.meyer_para_1d(b, phi, fam)
     total = out.norm2() ** 2
     x = g.points()
@@ -370,9 +370,9 @@ def test_meyer_block_projectors_match_rank_one_sums():
     for p in fam.scales:
         ref = zeros(g1)
         for j in range(1 << p):
-            u = fam.antianalytic_part(DyadicInterval(-p, j))
+            u = fam.signal(DyadicInterval(-p, j), "u")
             ref = ref + f.inner(u) * u
-        assert np.max(np.abs(pp.delta_U(fam, p, f).values - ref.values)) <= 1e-13
+        assert np.max(np.abs(fam.block_projector(p) @ f.values - ref.values)) <= 1e-13
 
 
 def test_meyer_para_multi_tensor_factorization():
@@ -386,9 +386,11 @@ def test_meyer_para_multi_tensor_factorization():
     out = pp.meyer_para_multi(btens, ptens, fam, J=(1, 2), kvec=(0, 0))
     ref = np.zeros(g2.shape, dtype=complex)
     for pa in fam.scales:
-        fa = pp.delta_U(fam, pa, b1).values * np.conj(pp.delta_U(fam, pa, p1).values)
+        Pa = fam.block_projector(pa)
+        fa = (Pa @ b1.values) * np.conj(Pa @ p1.values)
         for pb in fam.scales:
-            fb = pp.delta_U(fam, pb, b2).values * np.conj(pp.delta_U(fam, pb, p2).values)
+            Pb = fam.block_projector(pb)
+            fb = (Pb @ b2.values) * np.conj(Pb @ p2.values)
             ref += np.multiply.outer(fa, fb)
     assert np.max(np.abs(out.values - ref)) < 1e-12
     assert pp.meyer_para_multi(zeros(g2), ptens, fam).norm2() == 0.0
@@ -473,13 +475,13 @@ def test_adapted_bump_constants():
     fam = build_meyer_family(g)
     consts = []
     for iv in (DyadicInterval(0, 0), DyadicInterval(-2, 1), DyadicInterval(-4, 7)):
-        rep = _adapted_bump_constant(fam.wavelet(iv), iv)
+        rep = _adapted_bump_constant(fam.signal(iv, "w"), iv)
         consts.append((rep["C0"], rep["C1"]))
     c0s = [c[0] for c in consts]
     assert max(c0s) < 4 * min(c0s)  # uniform across scales at the window's decay order
     # a far-translated bump is NOT adapted: the constant blows up
     iv = DyadicInterval(-4, 0)
-    far = fam.wavelet(DyadicInterval(-4, 8))
+    far = fam.signal(DyadicInterval(-4, 8), "w")
     rep_far = _adapted_bump_constant(far, iv)
-    rep_near = _adapted_bump_constant(fam.wavelet(iv), iv)
+    rep_near = _adapted_bump_constant(fam.signal(iv, "w"), iv)
     assert rep_far["C0"] > 100 * rep_near["C0"]
