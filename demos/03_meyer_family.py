@@ -8,7 +8,6 @@ family members alias-free and every Gram entry exact.
 
 import numpy as np
 
-import dyadiclab as dl
 from dyadiclab.dyadic import DyadicInterval, Grid
 from dyadiclab.transforms import (
     build_meyer_family,

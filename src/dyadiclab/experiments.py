@@ -212,7 +212,8 @@ def _exp_aak_extend(cfg, threads):
             rng = trial_rng(seed + m, t)
             seq = rng.standard_normal(2 * m - 1) + 1j * rng.standard_normal(2 * m - 1)
             base = hankel.hankel_matrix(seq, m).sequence_norm()  # the step's gamma
-            extended = aak._extend_sequence(seq, base)[1]  # the extended sequence norm
+            # a certified upper end of the extended sequence norm (measured where the step falls back)
+            extended = aak._extend_sequence(seq, base)[1]
             return {"trial": t, "M": m, "base_norm": base, "extended_norm": extended,
                     "preservation_defect": abs(base - extended)}
         rows.extend(_map_trials(one, trials, threads))
@@ -221,11 +222,9 @@ def _exp_aak_extend(cfg, threads):
     for t in range(cfg["recovery_trials"]):
         rng = trial_rng(seed + 999, t)
         H = hankel.hankel_operator_1d(hankel.random_symbol(cfg["recovery_degree"], rng))
-        seq = np.asarray(H.sequence, dtype=complex)
-        base = gamma = H.sequence_norm()
-        for K in range(k_steps + 1):
-            if K:  # each achieved norm is the next step's gamma, as in recover_bounded_symbol
-                seq, gamma = aak._extend_sequence(seq, gamma)
+        base = H.sequence_norm()
+        chain = aak._extension_chain(H.sequence, base, k_steps)  # as in recover_bounded_symbol
+        for K, seq in enumerate([np.asarray(H.sequence, dtype=complex)] + [ext for ext, _ in chain]):
             rep = aak._bounded_symbol(seq, K, base)
             recovery.append({"trial": t, "M": -K,  # reuse M column for -K
                              "base_norm": rep["hankel_norm"],
@@ -233,7 +232,7 @@ def _exp_aak_extend(cfg, threads):
                              "preservation_defect": rep["ratio"]})
     summary = {"max_preservation_defect": float(max(r["preservation_defect"] for r in rows)),
                "recovery_ratios": [float(r["preservation_defect"]) for r in recovery]}
-    return rows + recovery, summary, ["exact"]
+    return rows + recovery, summary, ["exact", "certified_upper_bound"]
 
 
 def _exp_carleson(cfg, threads):
@@ -397,10 +396,12 @@ def _real(default, low: float, high: float = math.inf, open_low: bool = False) -
 # grid: one trial at M = 32, n = 6 takes 1.3 s and 71 MiB, 0.1 s of it product
 # BMO), the Meyer decomposition on a 4^depth grid, x4 a step and most of it the
 # maximal function of V on the 3x-padded window (lower-bound grid_depth <= 9:
-# 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's solves and
-# values-only SVDs (one trial at M = 512: 1.9 s and 113 MiB; one recovery chain
-# at degree 512: 4.8-5.1 s and 118 MiB at K = 4, but 157 s at K = 128, both caps
-# together; K = 128 at the other defaults: 0.9 s).
+# 0.01 / 0.02 / 0.09 / 0.42 s at 6 / 7 / 8 / 9), and aak-extend's solves,
+# values-only SVDs and Cholesky certificates, a window of side 773 or more
+# taking the SVD in place of its certificate (interpreter start included: one
+# trial at M = 512, 2.3-2.5 s and 113 MiB; one recovery chain at degree 512,
+# 5.7-7.0 s and 117 MiB at K = 4, but 185-216 s and 138 MiB at K = 128, both
+# caps together; K = 128 at the other defaults: 0.6-0.8 s).
 CATALOG = {
     "nehari1d": {
         "fn": _exp_nehari1d,

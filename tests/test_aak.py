@@ -162,9 +162,9 @@ def test_recover_bounded_symbol():
     assert np.max(np.abs(rep0["beta"].values - direct.values)) < 1e-10
 
 
-def _count_svds_and_solves(monkeypatch) -> tuple[list, list]:
-    svds, solves = [], []
-    svd, solve = np.linalg.svd, np.linalg.solve
+def _count_svds_solves_and_choleskys(monkeypatch) -> tuple[list, list, list]:
+    svds, solves, choleskys = [], [], []
+    svd, solve, cholesky = np.linalg.svd, np.linalg.solve, np.linalg.cholesky
 
     def counting_svd(*args, **kwargs):
         svds.append((args[0].shape, kwargs.get("compute_uv", True)))
@@ -174,30 +174,42 @@ def _count_svds_and_solves(monkeypatch) -> tuple[list, list]:
         solves.append(a.shape)
         return solve(a, b)
 
+    def counting_cholesky(a):
+        choleskys.append(a.shape)
+        return cholesky(a)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    return svds, solves
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return svds, solves, choleskys
 
 
-def test_extension_step_takes_two_values_only_svds_and_one_solve(monkeypatch):
+def test_extension_step_takes_one_values_only_svd_one_solve_and_one_cholesky(monkeypatch):
     seq = rng.standard_normal(31) + 1j * rng.standard_normal(31)
     H = hk.hankel_matrix(seq, 16)
-    svds, solves = _count_svds_and_solves(monkeypatch)
+    svds, solves, choleskys = _count_svds_solves_and_choleskys(monkeypatch)
     aak.extend_hankel_step(H)
-    # gamma from the full window and the norm of the extended full window,
-    # both values only; the completion is one solve of the 31 x 31 system
-    assert svds == [((31, 31), False), ((32, 32), False)]
+    # gamma from the full window, values only; the completion is one solve of
+    # the 31 x 31 system, and the extended full window's norm is certified by
+    # one Cholesky factorization of its 32 x 32 shifted Gram
+    assert svds == [((31, 31), False)]
     assert solves == [(31, 31)]
+    assert choleskys == [(32, 32)]
 
 
 @pytest.mark.parametrize("K", [0, 1, 4])
-def test_recovery_chains_each_achieved_norm_into_the_next_gamma(monkeypatch, K):
+def test_recovery_chain_completes_every_step_at_the_base_gamma(monkeypatch, K):
     H = hk.hankel_operator_1d(hk.random_symbol(5, rng))
-    svds, solves = _count_svds_and_solves(monkeypatch)
+    gammas = []
+    complete = aak._central_completion
+    monkeypatch.setattr(aak, "_central_completion",
+                        lambda A, B, C, gamma: gammas.append(gamma) or complete(A, B, C, gamma))
+    svds, solves, choleskys = _count_svds_solves_and_choleskys(monkeypatch)
     aak.recover_bounded_symbol(H, K)
-    assert len(svds) == 1 + K
-    assert all(compute_uv is False for _, compute_uv in svds)
-    assert len(solves) == K
+    # one values-only SVD for the base sequence norm; every step certified
+    assert svds == [((9, 9), False)]
+    assert len(solves) == len(choleskys) == K
+    assert gammas == [H.sequence_norm()] * K
 
 
 def test_extension_step_norms_are_the_sequence_norms():
@@ -317,6 +329,61 @@ def test_long_chains_stay_at_their_gamma(degree, K):
         seq, achieved = aak._extend_sequence(seq, gamma)
         assert achieved <= gamma * (1 + 1e-10)
         gamma = achieved
+
+
+def _completed_window(seq_len: int, seed: int):
+    """A random sequence of length seq_len, its sequence norm, and the full
+    window of its one-step extension, of side seq_len + 1."""
+    window_rng = np.random.default_rng(seed)
+    seq = window_rng.standard_normal(seq_len) + 1j * window_rng.standard_normal(seq_len)
+    gamma = operator_norm(hk.hankel_window(seq, seq_len, seq_len))
+    new_seq, upper = aak._extend_sequence(seq, gamma)
+    return seq, gamma, hk.hankel_window(new_seq, seq_len + 1, seq_len + 1), upper
+
+
+@pytest.mark.parametrize("side", [8, 32, 128, 512])
+def test_certified_bracket_holds_the_measured_norm(side):
+    # gamma <= ||W|| by construction, ||W|| <= gamma_c by the certificate
+    for seed in range(2):
+        _, gamma, W, upper = _completed_window(side - 1, side + seed)
+        measured = operator_norm(W)
+        assert upper == aak._certified_norm(W, gamma)
+        assert gamma * (1 - 1e-15) <= measured <= upper <= gamma * (1 + 1e-10)
+
+
+def test_a_window_above_the_gate_fails_the_certificate_and_the_step_raises(monkeypatch):
+    seq, gamma, W, _ = _completed_window(31, 3)
+    assert aak._certified_norm(W, gamma) is not None
+    assert aak._certified_norm(W * (1 + 2e-10), gamma) is None
+    # completed at a gamma 1e-9 below the optimum, the window lies above the
+    # gate: the certificate fails, and the fallback's measured norm raises
+    svds, _, choleskys = _count_svds_solves_and_choleskys(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        aak._extend_sequence(seq, gamma * (1 - 1e-9))
+    assert choleskys == [(32, 32)]
+    assert svds == [((32, 32), False)]
+
+
+def test_a_window_of_side_768_takes_the_svd_fallback(monkeypatch):
+    # the margin, about 3 n^2 u gamma^2 + 3 n u ||W||_F^2, passes the gate:
+    # no Gram, no factorization, the measured norm
+    seq = np.random.default_rng(768).standard_normal(767) + 0j
+    gamma = hk.hankel_matrix(seq, 384).sequence_norm()
+    svds, _, choleskys = _count_svds_solves_and_choleskys(monkeypatch)
+    new_seq, upper = aak._extend_sequence(seq, gamma)
+    assert choleskys == []
+    assert svds == [((768, 768), False)]
+    assert upper == operator_norm(hk.hankel_window(new_seq, 768, 768)) <= gamma * (1 + 1e-10)
+
+
+def test_degree_64_chain_of_128_steps_needs_no_fallback(monkeypatch):
+    # windows of side 128 to 255, each certified at the base gamma
+    H = hk.hankel_operator_1d(hk.random_symbol(64, np.random.default_rng(64)))
+    svds, solves, choleskys = _count_svds_solves_and_choleskys(monkeypatch)
+    rep = aak.recover_bounded_symbol(H, 128)
+    assert len(svds) == 1  # the base sequence norm
+    assert len(solves) == len(choleskys) == 128
+    assert rep["ratio"] >= 1 - 1e-8
 
 
 def test_recovery_rejects_negative_steps():

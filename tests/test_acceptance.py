@@ -4,22 +4,11 @@ Each test prints one [PASS]/[FAIL] line (visible under `pytest -s` or in the
 captured output of failures).  Tolerances are pinned here, not configurable.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
-import dyadiclab as dl
-from dyadiclab.dyadic import (
-    DyadicInterval,
-    DyadicRectangle,
-    Grid,
-    RectangleCollection,
-    Signal,
-    constant,
-    random_signal,
-)
+from dyadiclab.dyadic import Grid, Signal, random_signal
 from dyadiclab import aak, experiments as ex, hankel as hk, journe as jn
 from dyadiclab import norms, paraproducts as pp
 from dyadiclab.transforms import build_meyer_family, haar_analysis, haar_synthesis, mode_numbers

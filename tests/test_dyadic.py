@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import dyadiclab as dl
 from dyadiclab.dyadic import (
     DyadicInterval,
     DyadicRectangle,

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -291,29 +288,40 @@ def test_commutator_decomp_experiment(tmp_path):
 
 def test_aak_extend_runs_one_recovery_chain_per_symbol(monkeypatch):
     # default config: 3 recovery symbols extended K = 4 times; one chain per
-    # symbol takes its base sequence norm and one values-only SVD a step (the
-    # achieved norm; the completion is a solve), 3 (1 + 4)
-    calls = []
-    svd = np.linalg.svd
+    # symbol takes one values-only SVD, its base sequence norm, and certifies
+    # each step's norm by one Cholesky factorization (the completion is a
+    # solve): 3 SVDs and 3 x 4 factorizations
+    svds, choleskys = [], []
+    svd, cholesky = np.linalg.svd, np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: calls.append(k.get("compute_uv", True)) or svd(*a, **k))
+                        lambda *a, **k: svds.append(k.get("compute_uv", True)) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskys.append(a.shape) or cholesky(a))
     cfg = ex.validate_config({"experiment": "aak-extend"})
     ex.CATALOG["aak-extend"]["fn"](cfg, 1)
-    with_recovery = len(calls)
-    assert all(compute_uv is False for compute_uv in calls)
-    calls.clear()
+    with_recovery = len(svds), len(choleskys)
+    assert all(compute_uv is False for compute_uv in svds)
+    svds.clear()
+    choleskys.clear()
     ex.CATALOG["aak-extend"]["fn"]({**cfg, "recovery_trials": 0}, 1)
-    assert with_recovery - len(calls) == 15
+    assert (with_recovery[0] - len(svds), with_recovery[1] - len(choleskys)) == (3, 12)
 
 
-# The side of the largest matrix whose operator norm a run takes, from its config:
-# nehari1d's M x M Hankel matrices, nehari2d's M^2 x M^2 little Hankel matrices,
-# aak-extend's extended windows of a 2M - 1 sequence and its recovery chain's
-# last window, 2 degree - 1 + K
+# aak-extend's random windows take the values-only SVD in place of the
+# Cholesky certificate from this side on (tests/test_aak.py)
+FALLBACK_SIDE = 768
+
+# The side of the largest matrix whose operator norm a run takes by an SVD,
+# from its config: nehari1d's M x M Hankel matrices, nehari2d's M^2 x M^2
+# little Hankel matrices, aak-extend's base sequences of 2M - 1 and of
+# 2 degree - 1 terms, and the windows of its steps, of side 2M and up to
+# 2 degree - 1 + K, where they are large enough to fall back to the SVD
 LARGEST_NORM_SIDE = {
     "nehari1d": lambda f: max(f["M"], *f["M_list"]),
     "nehari2d": lambda f: f["M"] ** 2,
-    "aak-extend": lambda f: max(2 * max(f["M_list"]), 2 * f["recovery_degree"] - 1 + f["K"]),
+    "aak-extend": lambda f: max(
+        2 * max(f["M_list"]) - 1, 2 * f["recovery_degree"] - 1,
+        *(side for side in (2 * max(f["M_list"]), 2 * f["recovery_degree"] - 1 + f["K"])
+          if side >= FALLBACK_SIDE)),
 }
 
 
@@ -323,6 +331,7 @@ LARGEST_NORM_SIDE = {
     ("nehari2d", {"M": 3, "n": 1, "trials": 2}),
     ("aak-extend", {"M_list": [6], "trials": 1, "recovery_trials": 1, "recovery_degree": 2, "K": 1}),
     ("aak-extend", {"M_list": [2], "trials": 1, "recovery_trials": 1, "recovery_degree": 4, "K": 3}),
+    ("aak-extend", {"M_list": [384], "trials": 1, "recovery_trials": 0}),
 ])
 def test_largest_norm_side_of_a_run(monkeypatch, name, small):
     # the run passes a dense-SVD cap at its predicted side and raises one below it

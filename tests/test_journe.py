@@ -10,7 +10,6 @@ from dyadiclab.dyadic import (
     Grid,
     RectangleCollection,
     ResolutionError,
-    Signal,
     haar_tensor,
 )
 from dyadiclab import journe as jn

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dyadiclab as dl
-from dyadiclab.dyadic import DyadicInterval, Grid, Signal, constant, zeros
+from dyadiclab.dyadic import Grid, Signal, zeros
 from dyadiclab import paraproducts as pp
 
 rng = np.random.default_rng(8)

@@ -6,7 +6,6 @@ import pytest
 import dyadiclab as dl
 from dyadiclab.dyadic import DyadicInterval, DyadicRectangle, Grid, Signal, constant, random_signal
 from dyadiclab.transforms import (
-    all_analytic_projection,
     analytic_projection,
     apply_multipliers,
     axis_multiplier,
